@@ -9,6 +9,7 @@ from .colimits import (
     colimit_delta,
     colimit_pos,
     colimit_tos,
+    paper_pushout_square,
     verify_universal,
 )
 from .continuity import (
@@ -37,7 +38,6 @@ from .delta import (
     factorize,
     generator,
     identity_delta,
-    paper_pushout_square,
     verify_simplicial_identities,
 )
 from .kan import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 
 from . import pure
+from .pure import transpose  # noqa: F401  (the one bit-matrix transpose, for every backend)
 
 try:
     from . import _speedups

@@ -21,7 +21,9 @@ def transitive_closure(rows):
     return out
 
 
-def _transpose(rows, n_cols):
+def transpose(rows, n_cols):
+    """Column bitmasks of a relation given as row bitmasks: bit i of column j
+    is set iff bit j of row i is."""
     cols = [0] * n_cols
     for i, row in enumerate(rows):
         bit = 1 << i
@@ -57,7 +59,7 @@ def count_maps(n_slots, n_tgt, up_rows, pairs):
     if n_tgt == 0:
         return 0
     full = (1 << n_tgt) - 1
-    down_rows = _transpose(up_rows, n_tgt)
+    down_rows = transpose(up_rows, n_tgt)
     diag = sum(1 << v for v in range(n_tgt) if up_rows[v] & (1 << v))
     base = [full] * n_slots
     nbrs = [[] for _ in range(n_slots)]
@@ -133,7 +135,7 @@ def list_maps(n_slots, n_tgt, up_rows, pairs):
     if n_tgt == 0:
         return [()] if n_slots == 0 else []
     full = (1 << n_tgt) - 1
-    down_rows = _transpose(up_rows, n_tgt)
+    down_rows = transpose(up_rows, n_tgt)
     diag = sum(1 << v for v in range(n_tgt) if up_rows[v] & (1 << v))
     base = [full] * n_slots
     back = [[] for _ in range(n_slots)]  # constraints to earlier slots only

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass; 1 a check failed or the requested
-subcategory colimit does not exist; 2 parse or configuration errors.
+subcategory colimit does not exist; 2 parse or configuration errors, and any
+unexpected internal failure.
 """
 
 from __future__ import annotations
@@ -277,6 +278,9 @@ def run(argv) -> int:
         return 1
     except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # last resort: a traceback would exit 1, "check failed"
+        print("error: " + " ".join(f"{type(exc).__name__}: {exc}".split()), file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .posets import FinPoset, MonotoneMap
+from .corpus import all_posets
+from .delta import (
+    DeltaError,
+    GeneratorWord,
+    compose,
+    degeneracy,
+    delta_to_monotone,
+    face,
+)
+from .posets import FinPoset, MonotoneMap, PosetError, ordinal_poset
 
 
 class ColimitError(Exception):
@@ -70,39 +79,41 @@ class Cocone:
         return True
 
 
+def _partition(items, links):
+    """Classes of the equivalence on `items` generated by the pairs in `links`
+    (union-find); each class lists its members in the order of `items`."""
+    parent = {x: x for x in items}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
 def _set_colimit_classes(diagram):
     """Stage one: disjoint union of carriers modulo x ~ f(x) for every edge.
 
     Returns (class_members, class_of) with classes sorted by their smallest
     'node.element' label.
     """
-    parent = {}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for nid, poset in diagram.nodes.items():
-        for e in poset.elements:
-            parent[(nid, e)] = (nid, e)
-    for _, src, dst, f in diagram.edges:
-        for x in diagram.nodes[src].elements:
-            union((src, x), (dst, f(x)))
-
-    groups = {}
-    for key in parent:
-        groups.setdefault(find(key), []).append(key)
+    cells = [(nid, e) for nid, poset in diagram.nodes.items() for e in poset.elements]
+    links = (
+        ((src, x), (dst, y))
+        for _, src, dst, f in diagram.edges
+        for x, y in zip(f.source.elements, f.values)
+    )
     members = sorted(
-        (sorted(g, key=lambda t: f"{t[0]}.{t[1]}") for g in groups.values()),
+        (sorted(g, key=lambda t: f"{t[0]}.{t[1]}") for g in _partition(cells, links)),
         key=lambda g: f"{g[0][0]}.{g[0][1]}",
     )
     class_of = {key: c for c, group in enumerate(members) for key in group}
@@ -240,6 +251,29 @@ def colimit_tos(diagram):
     return None
 
 
+def induced_map(cocone, target, node_maps):
+    """The map cocone.apex -> target that sends legs[nid](x) to node_maps[nid](x).
+
+    Returns (map, "") or (None, reason), where the reason completes "the map
+    is ...": "not well defined" when two elements with one image in the apex
+    disagree, "not jointly epic" when the legs miss an apex element, and "not
+    monotone" when the values break the order.
+    """
+    values = {}
+    for nid, leg in cocone.legs.items():
+        node_map = node_maps[nid]
+        for x, a in zip(leg.source.elements, leg.values):
+            v = node_map(x)
+            if values.setdefault(a, v) != v:
+                return None, "not well defined"
+    if len(values) != cocone.apex.n:
+        return None, "not jointly epic"
+    try:
+        return MonotoneMap.from_dict(cocone.apex, target, values), ""
+    except PosetError:
+        return None, "not monotone"
+
+
 @dataclass
 class ApexVerdict:
     apex_label: str
@@ -268,25 +302,6 @@ class UniversalReport:
         return sum(e.cocones for e in self.entries)
 
 
-def _components(n_slots, pairs):
-    parent = list(range(n_slots))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j, _ in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups = {}
-    for s in range(n_slots):
-        groups.setdefault(find(s), []).append(s)
-    return sorted(groups.values())
-
-
 def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> UniversalReport:
     """Check the universal property of `candidate` against every cocone whose
     apex has at most `apex_size_bound` elements (one apex per isomorphism
@@ -297,8 +312,6 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     hit by the legs, so existence and uniqueness reduce to counting
     constraint-satisfying functions.
     """
-    from .corpus import all_posets
-
     if not candidate.commutes():
         raise ColimitError("invalid-cocone: candidate legs do not commute")
 
@@ -327,7 +340,7 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
         for i, j in apex.leq_pairs:
             extra.append((rep_slot[i], rep_slot[j], _kernels.LEQ))
         good_pairs = node_pairs + extra
-        comps = _components(n, good_pairs)
+        comps = sorted(_partition(range(n), ((i, j) for i, j, _ in good_pairs)))
 
         for target in all_posets(apex_size_bound):
             total = 1
@@ -434,3 +447,69 @@ def _monotone_so_far(apex, target, partial, focus):
         if apex.up_rows[b] & (1 << focus) and not target.up_rows[w] & (1 << v):
             return False
     return True
+
+
+def _face_chain(source, indices):
+    """Composite of faces applied in the listed (increasing) order, starting at [source]."""
+    return GeneratorWord(source, tuple(indices), ()).evaluate()
+
+
+def paper_pushout_square(case, n, i=None):
+    """One of the four generator pushout squares, as a span diagram plus its
+    claimed colimit cocone.
+
+    Cases 1-3 glue a face map onto [n+2] with corner [n+3]; the degeneracy
+    case glues sigma_i onto [n+2] with corner [n+1].
+    """
+    if n < 0:
+        raise DeltaError("square parameter n must be >= 0")
+    if case == 1:
+        if i not in (None, 0):
+            raise DeltaError("case 1 admits no face index")
+        left = face(1, 0)
+        top = _face_chain(0, range(1, n + 3))
+        right = face(n + 3, 0)
+        bottom = _face_chain(1, range(2, n + 4))
+    elif case == 2:
+        if i not in (None, n + 3):
+            raise DeltaError("case 2 admits no face index")
+        left = face(1, 1)
+        top = _face_chain(0, range(0, n + 2))
+        right = face(n + 3, n + 3)
+        bottom = _face_chain(1, range(0, n + 2))
+    elif case == 3:
+        if i is None or not 0 < i < n + 3:
+            raise DeltaError(f"case 3 needs 0 < i < {n + 3}")
+        left = face(2, 1)
+        top = _face_chain(1, list(range(0, i - 1)) + list(range(i + 1, n + 3)))
+        right = face(n + 3, i)
+        bottom = _face_chain(2, list(range(0, i - 1)) + list(range(i + 2, n + 4)))
+    elif case == "degeneracy":
+        if i is None or not 0 <= i <= n + 1:
+            raise DeltaError(f"degeneracy case needs 0 <= i <= {n + 1}")
+        left = degeneracy(0, 0)
+        top = _face_chain(1, list(range(0, i)) + list(range(i + 2, n + 3)))
+        right = degeneracy(n + 1, i)
+        bottom = _face_chain(0, list(range(0, i)) + list(range(i + 1, n + 2)))
+    else:
+        raise DeltaError(f"unknown square case {case!r}")
+
+    diagram = PosetDiagram(
+        nodes={
+            "span": ordinal_poset(left.source),
+            "left": ordinal_poset(left.target),
+            "top": ordinal_poset(top.target),
+        },
+        edges=[
+            ("l", "span", "left", delta_to_monotone(left)),
+            ("t", "span", "top", delta_to_monotone(top)),
+        ],
+    )
+    corner = ordinal_poset(right.target)
+    legs = {
+        "left": delta_to_monotone(bottom),
+        "top": delta_to_monotone(right),
+        "span": delta_to_monotone(compose(right, top)),
+    }
+    legs = {k: MonotoneMap(diagram.nodes[k], corner, m.values) for k, m in legs.items()}
+    return diagram, Cocone(diagram, corner, legs)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .colimits import Cocone, colimit_pos
-from .kan import _comma_data, _restriction_mediator, inclusion_functor
-from .posets import FinPoset, MonotoneMap, PosetError, monotone_maps
+from .colimits import Cocone, colimit_pos, induced_map
+from .kan import comma_data, inclusion_functor, stabilization_step
+from .posets import FinPoset, MonotoneMap, monotone_maps
 from .simplicial import (
     SimplicialMap,
     nerve,
@@ -374,28 +374,14 @@ def density_colimit(poset, length_bound, check_stability=True) -> DensityResult:
             f"length bound {length_bound} is below the poset height {poset.height}"
         )
     functor = inclusion_functor()
-    diagram, node_chain = _comma_data(functor, poset, length_bound)
+    diagram, node_chain = comma_data(functor, poset, length_bound)
     cocone = colimit_pos(diagram)
-    values = {}
-    iso = None
-    ok = True
-    for nid, t in node_chain.items():
-        leg = cocone.legs[nid]
-        for j, point in enumerate(t):
-            a = leg(str(j))
-            if values.get(a, point) != point:
-                ok = False
-            values[a] = point
-    if ok and len(values) == cocone.apex.n:
-        try:
-            iso = MonotoneMap.from_dict(cocone.apex, poset, values)
-        except PosetError:
-            iso = None
+    # the elements of [n] are "0".."n"
+    positions = {nid: (lambda j, t=t: t[int(j)]) for nid, t in node_chain.items()}
+    iso, _ = induced_map(cocone, poset, positions)
     stabilized = True
     if check_stability:
-        bigger = colimit_pos(_comma_data(functor, poset, length_bound + 1)[0])
-        u = _restriction_mediator(cocone, bigger)
-        stabilized = u is not None and u.is_order_isomorphism()
+        _, stabilized = stabilization_step(functor, poset, cocone, length_bound)
     return DensityResult(cocone, iso, stabilized, length_bound)
 
 

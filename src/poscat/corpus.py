@@ -10,16 +10,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .posets import FinPoset, _signatures, find_isomorphism
+from . import _kernels
+from .posets import FinPoset, find_isomorphism, signatures
 
 
 def _down_closed_masks(rows, n):
     """All down-closed subsets of the poset on {0..n-1} with up-row masks `rows`."""
-    cols = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if rows[i] & (1 << j):
-                cols[j] |= 1 << i
+    cols = _kernels.transpose(rows, n)
     out = []
     for mask in range(1 << n):
         ok = True
@@ -50,7 +47,7 @@ def naturally_labeled_posets(n):
 
 
 def _certificate(poset):
-    return repr(sorted(map(repr, _signatures(poset))))
+    return repr(sorted(map(repr, signatures(poset))))
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colimits import Cocone, PosetDiagram
 from .posets import MonotoneMap, ordinal_poset
 
 
@@ -96,13 +95,21 @@ class GeneratorWord:
     def target(self):
         return self.source - len(self.degeneracies) + len(self.faces)
 
-    def evaluate(self) -> DeltaMap:
-        out = identity_delta(self.source)
+    def refs(self):
+        """Generator references ((kind, ordinal, index), ...) composed left
+        after right, in the convention of `identity_instances`."""
+        out = []
+        level = self.source
         for j in reversed(self.degeneracies):
-            out = compose(degeneracy(out.target - 1, j), out)
+            level -= 1
+            out.append(("degeneracy", level, j))
         for i in self.faces:
-            out = compose(face(out.target + 1, i), out)
-        return out
+            level += 1
+            out.append(("face", level, i))
+        return tuple(reversed(out))
+
+    def evaluate(self) -> DeltaMap:
+        return _evaluate_refs(self.refs(), self.source)
 
 
 def factorize(f: DeltaMap) -> GeneratorWord:
@@ -188,8 +195,7 @@ def identity_instances(max_n):
 
 def instance_source(refs):
     """Source ordinal of a non-empty generator-reference composite."""
-    kind, n, _ = refs[-1]
-    return n - 1 if kind == "face" else n + 1
+    return generator(*refs[-1]).source
 
 
 def _evaluate_refs(refs, source):
@@ -234,72 +240,3 @@ def delta_to_monotone(f: DeltaMap) -> MonotoneMap:
         ordinal_poset(f.target),
         tuple(str(v) for v in f.values),
     )
-
-
-def _face_chain(source, indices):
-    """Composite of faces applied in the listed order, starting at [source]."""
-    out = identity_delta(source)
-    for i in indices:
-        out = compose(face(out.target + 1, i), out)
-    return out
-
-
-def paper_pushout_square(case, n, i=None):
-    """One of the four generator pushout squares, as a span diagram plus its
-    claimed colimit cocone.
-
-    Cases 1-3 glue a face map onto [n+2] with corner [n+3]; the degeneracy
-    case glues sigma_i onto [n+2] with corner [n+1].
-    """
-    if n < 0:
-        raise DeltaError("square parameter n must be >= 0")
-    if case == 1:
-        if i not in (None, 0):
-            raise DeltaError("case 1 admits no face index")
-        left = face(1, 0)
-        top = _face_chain(0, range(1, n + 3))
-        right = face(n + 3, 0)
-        bottom = _face_chain(1, range(2, n + 4))
-    elif case == 2:
-        if i not in (None, n + 3):
-            raise DeltaError("case 2 admits no face index")
-        left = face(1, 1)
-        top = _face_chain(0, range(0, n + 2))
-        right = face(n + 3, n + 3)
-        bottom = _face_chain(1, range(0, n + 2))
-    elif case == 3:
-        if i is None or not 0 < i < n + 3:
-            raise DeltaError(f"case 3 needs 0 < i < {n + 3}")
-        left = face(2, 1)
-        top = _face_chain(1, list(range(0, i - 1)) + list(range(i + 1, n + 3)))
-        right = face(n + 3, i)
-        bottom = _face_chain(2, list(range(0, i - 1)) + list(range(i + 2, n + 4)))
-    elif case == "degeneracy":
-        if i is None or not 0 <= i <= n + 1:
-            raise DeltaError(f"degeneracy case needs 0 <= i <= {n + 1}")
-        left = degeneracy(0, 0)
-        top = _face_chain(1, list(range(0, i)) + list(range(i + 2, n + 3)))
-        right = degeneracy(n + 1, i)
-        bottom = _face_chain(0, list(range(0, i)) + list(range(i + 1, n + 2)))
-    else:
-        raise DeltaError(f"unknown square case {case!r}")
-
-    diagram = PosetDiagram(
-        nodes={
-            "span": ordinal_poset(left.source),
-            "left": ordinal_poset(left.target),
-            "top": ordinal_poset(top.target),
-        },
-        edges=[
-            ("l", "span", "left", delta_to_monotone(left)),
-            ("t", "span", "top", delta_to_monotone(top)),
-        ],
-    )
-    corner = ordinal_poset(right.target)
-    legs = {
-        "left": delta_to_monotone(bottom),
-        "top": delta_to_monotone(right),
-        "span": delta_to_monotone(compose(right, top)),
-    }
-    legs = {k: MonotoneMap(diagram.nodes[k], corner, m.values) for k, m in legs.items()}
-    return diagram, Cocone(diagram, corner, legs)

@@ -224,8 +224,10 @@ def parse_sset(text) -> TruncatedSimplicialSet:
                 raise FormatError(f"usage: {head} <n> <i> <id> <id'>", line_no)
             n = _int_token(tokens[1], line_no)
             i = _int_token(tokens[2], line_no)
-            table = faces if head == "d" else degeneracies
-            table.setdefault((n, i), {})[tokens[3]] = tokens[4]
+            table = (faces if head == "d" else degeneracies).setdefault((n, i), {})
+            if tokens[3] in table:
+                raise FormatError(f"duplicate {head} {n} {i} row for {tokens[3]!r}", line_no)
+            table[tokens[3]] = tokens[4]
         else:
             raise FormatError(f"unknown directive {head!r} in sset file", line_no)
     if levels is None:

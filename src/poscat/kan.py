@@ -10,20 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colimits import Cocone, PosetDiagram, colimit_pos
+from .colimits import Cocone, PosetDiagram, colimit_pos, induced_map
 from .delta import (
     DeltaMap,
-    degeneracy,
     delta_to_monotone,
-    face,
     factorize,
+    generator,
     identity_instances,
     instance_source,
 )
 from .posets import (
     FinPoset,
     MonotoneMap,
-    PosetError,
     antichain_poset,
     chains,
     ordinal_poset,
@@ -110,23 +108,14 @@ class FunctorPresentation:
 
     def apply(self, f: DeltaMap) -> MonotoneMap:
         """Image of an arbitrary simplex-category map, via its normal form."""
-        word = factorize(f)
-        out = MonotoneMap.identity(self.obj(f.source))
-        level = f.source
-        for j in reversed(word.degeneracies):
-            out = self.gen("degeneracy", level - 1, j).compose(out)
-            level -= 1
-        for i in word.faces:
-            out = self.gen("face", level + 1, i).compose(out)
-            level += 1
-        return out
+        return self._compose_refs(factorize(f).refs(), f.source)
 
 
 def inclusion_functor(validate_bound=3) -> FunctorPresentation:
     """The identity-on-chains inclusion of the simplex category into posets."""
 
     def on_generator(kind, n, i):
-        return delta_to_monotone(face(n, i) if kind == "face" else degeneracy(n, i))
+        return delta_to_monotone(generator(kind, n, i))
 
     return FunctorPresentation("inclusion", "pos", ordinal_poset, on_generator, validate_bound)
 
@@ -138,7 +127,7 @@ def product_functor(q: FinPoset, validate_bound=3) -> FunctorPresentation:
         return product_poset(ordinal_poset(n), q, name=f"[{n}]x{q.name or 'Q'}")
 
     def on_generator(kind, n, i):
-        d = face(n, i) if kind == "face" else degeneracy(n, i)
+        d = generator(kind, n, i)
         src, tgt = on_object(d.source), on_object(d.target)
         mapping = {}
         for a in range(d.source + 1):
@@ -158,7 +147,7 @@ def underlying_set_functor(validate_bound=3) -> FunctorPresentation:
         return antichain_poset([str(i) for i in range(n + 1)], name=f"U[{n}]")
 
     def on_generator(kind, n, i):
-        d = face(n, i) if kind == "face" else degeneracy(n, i)
+        d = generator(kind, n, i)
         return MonotoneMap(
             on_object(d.source), on_object(d.target), tuple(str(v) for v in d.values)
         )
@@ -170,8 +159,9 @@ def _chain_id(t):
     return ",".join(t)
 
 
-def _comma_data(functor, poset, length_bound, injective_only=False):
-    """Comma diagram of chains of `poset` up to the length bound, with F-payloads.
+def comma_data(functor, poset, length_bound, injective_only=False):
+    """Comma diagram of chains of `poset` up to the length bound, with
+    F-payloads, and the chain of each node id.
 
     Nodes are all monotone maps [n] -> P (weak chains, repeats included);
     edges are the face/degeneracy triangles, which generate every commuting
@@ -205,7 +195,7 @@ def _comma_data(functor, poset, length_bound, injective_only=False):
 
 
 def comma_diagram(functor, poset, length_bound, injective_only=False) -> PosetDiagram:
-    return _comma_data(functor, poset, length_bound, injective_only=injective_only)[0]
+    return comma_data(functor, poset, length_bound, injective_only=injective_only)[0]
 
 
 @dataclass
@@ -215,23 +205,18 @@ class ExtensionResult:
     stabilization: int
 
 
-def _restriction_mediator(cocone_small, cocone_big):
-    """Mediating map induced by including a smaller comma truncation into a bigger one."""
-    values = {}
-    for nid, leg in cocone_small.legs.items():
-        big = cocone_big.legs[nid]
-        for e in leg.source.elements:
-            a = leg(e)
-            v = big(e)
-            if values.get(a, v) != v:
-                return None
-            values[a] = v
-    if len(values) != cocone_small.apex.n:
-        return None
-    try:
-        return MonotoneMap.from_dict(cocone_small.apex, cocone_big.apex, values)
-    except PosetError:
-        return None
+def restriction_mediator(cocone_small, cocone_big):
+    """Mediating map induced by including a smaller comma truncation into a
+    bigger one, or None when there is none."""
+    return induced_map(cocone_small, cocone_big.apex, cocone_big.legs)[0]
+
+
+def stabilization_step(functor, poset, cocone, bound, injective_only=False):
+    """The comma colimit at bound + 1, and whether the restriction mediator
+    from `cocone`, the comma colimit at `bound`, is an order isomorphism."""
+    bigger = colimit_pos(comma_diagram(functor, poset, bound + 1, injective_only=injective_only))
+    u = restriction_mediator(cocone, bigger)
+    return bigger, u is not None and u.is_order_isomorphism()
 
 
 def extend(functor, poset, initial_bound=None, max_bound=None, injective_only=False) -> ExtensionResult:
@@ -243,9 +228,8 @@ def extend(functor, poset, initial_bound=None, max_bound=None, injective_only=Fa
     cap = b + 3 if max_bound is None else max_bound
     current = colimit_pos(comma_diagram(functor, poset, b, injective_only=injective_only))
     while True:
-        bigger = colimit_pos(comma_diagram(functor, poset, b + 1, injective_only=injective_only))
-        u = _restriction_mediator(current, bigger)
-        if u is not None and u.is_order_isomorphism():
+        bigger, stable = stabilization_step(functor, poset, current, b, injective_only)
+        if stable:
             return ExtensionResult(current.apex, current, b)
         if b + 1 > cap:
             raise StabilizationError(b + 1, current.apex, bigger.apex)
@@ -255,24 +239,20 @@ def extend(functor, poset, initial_bound=None, max_bound=None, injective_only=Fa
 
 def _postcompose_mediator(g: MonotoneMap, data_src, cone_src, cone_dst):
     """F-image of postcomposition with g, as a map between comma colimits."""
-    values = {}
-    for nid, t in data_src.items():
-        leg_s = cone_src.legs[nid]
-        leg_d = cone_dst.legs[_chain_id(tuple(g(p) for p in t))]
-        for e in leg_s.source.elements:
-            a = leg_s(e)
-            v = leg_d(e)
-            if values.get(a, v) != v:
-                raise KanError("induced map is not well defined")
-            values[a] = v
-    return MonotoneMap.from_dict(cone_src.apex, cone_dst.apex, values)
+    node_maps = {
+        nid: cone_dst.legs[_chain_id(tuple(g(p) for p in t))] for nid, t in data_src.items()
+    }
+    u, failure = induced_map(cone_src, cone_dst.apex, node_maps)
+    if u is None:
+        raise KanError(f"induced map is {failure}")
+    return u
 
 
 def extend_map(functor, g: MonotoneMap, bound=None) -> MonotoneMap:
     """The extension applied to a monotone map, at a common truncation bound."""
     b = max(g.source.height, g.target.height) if bound is None else bound
-    dia_s, data_s = _comma_data(functor, g.source, b)
-    dia_t, _ = _comma_data(functor, g.target, b)
+    dia_s, data_s = comma_data(functor, g.source, b)
+    dia_t, _ = comma_data(functor, g.target, b)
     cone_s = colimit_pos(dia_s)
     cone_t = colimit_pos(dia_t)
     return _postcompose_mediator(g, data_s, cone_s, cone_t)
@@ -298,13 +278,13 @@ def check_extension_cocontinuity(functor, diagram, bound=None) -> CocontinuityRe
     for p in posets:
         b = max(b, extend(functor, p, initial_bound=b).stabilization)
 
-    comma_apex, _ = _comma_data(functor, base.apex, b)
+    comma_apex, _ = comma_data(functor, base.apex, b)
     cone_apex = colimit_pos(comma_apex)
 
     cones = {}
     datas = {}
     for nid in diagram.node_ids:
-        dia, data = _comma_data(functor, diagram.nodes[nid], b)
+        dia, data = comma_data(functor, diagram.nodes[nid], b)
         cones[nid] = colimit_pos(dia)
         datas[nid] = data
 
@@ -321,29 +301,13 @@ def check_extension_cocontinuity(functor, diagram, bound=None) -> CocontinuityRe
         nid: _postcompose_mediator(base.legs[nid], datas[nid], cones[nid], cone_apex)
         for nid in diagram.node_ids
     }
-    values = {}
-    ok = True
-    detail = ""
-    for nid in diagram.node_ids:
-        leg = rhs.legs[nid]
-        for e in cones[nid].apex.elements:
-            a = leg(e)
-            v = compare[nid](e)
-            if values.get(a, v) != v:
-                ok = False
-                detail = "comparison map is not well defined"
-            values[a] = v
-    mediator = None
-    if ok and len(values) == rhs.apex.n:
-        try:
-            mediator = MonotoneMap.from_dict(rhs.apex, cone_apex.apex, values)
-        except PosetError:
-            ok = False
-            detail = "comparison map is not monotone"
-    elif ok:
-        ok = False
+    mediator, failure = induced_map(rhs, cone_apex.apex, compare)
+    if failure == "not jointly epic":
         detail = "colimit legs are not jointly epic"
-    if ok and not mediator.is_order_isomorphism():
-        ok = False
+    elif failure:
+        detail = f"comparison map is {failure}"
+    elif not mediator.is_order_isomorphism():
         detail = "comparison map is not an isomorphism"
-    return CocontinuityReport(cone_apex.apex, rhs.apex, ok, detail)
+    else:
+        detail = ""
+    return CocontinuityReport(cone_apex.apex, rhs.apex, not detail, detail)

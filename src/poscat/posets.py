@@ -88,12 +88,7 @@ class FinPoset:
 
     @cached_property
     def down_rows(self):
-        cols = [0] * self.n
-        for i, row in enumerate(self.up_rows):
-            for j in range(self.n):
-                if row & (1 << j):
-                    cols[j] |= 1 << i
-        return tuple(cols)
+        return tuple(_kernels.transpose(self.up_rows, self.n))
 
     @cached_property
     def leq_pairs(self):
@@ -379,7 +374,9 @@ def split_retraction(f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap.from_dict(tgt, src, order)
 
 
-def _signatures(poset, rounds=3):
+def signatures(poset, rounds=3):
+    """Isomorphism-invariant colour of each element: its down- and up-set
+    sizes, refined `rounds` times by the colours below and above it."""
     sig = [
         (bin(poset.down_rows[i]).count("1"), bin(poset.up_rows[i]).count("1"))
         for i in range(poset.n)
@@ -399,7 +396,7 @@ def _signatures(poset, rounds=3):
 def _iter_isomorphisms(p, q):
     if p.n != q.n:
         return
-    sp, sq = _signatures(p), _signatures(q)
+    sp, sq = signatures(p), signatures(q)
     if sorted(map(repr, sp)) != sorted(map(repr, sq)):
         return
     cands = [[j for j in range(q.n) if sq[j] == sp[i]] for i in range(p.n)]

@@ -203,17 +203,13 @@ def evaluate(X, f: DeltaMap):
         raise SimplicialError(
             f"map [{f.source}]->[{f.target}] exceeds truncation {X.K}"
         )
-    word = factorize(f)
+    refs = factorize(f).refs()
+    action = {"face": X.face, "degeneracy": X.deg}
     out = {}
     for x in X.levels[f.target]:
         y = x
-        level = f.target
-        for i in reversed(word.faces):
-            y = X.face(level, i, y)
-            level -= 1
-        for j in word.degeneracies:
-            y = X.deg(level, j, y)
-            level += 1
+        for kind, n, i in refs:  # contravariant: the leftmost generator acts first
+            y = action[kind](n, i, y)
         out[x] = y
     return out
 

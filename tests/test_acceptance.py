@@ -8,7 +8,6 @@ import time
 
 from poscat import (
     FinPoset,
-    MonotoneMap,
     PosetDiagram,
     check_continuity,
     colimit_delta,
@@ -29,8 +28,9 @@ from poscat import (
     simplicial_maps,
     verify_universal,
 )
+from poscat.colimits import induced_map
 from poscat.corpus import all_posets, naturally_labeled_count, poset_classes
-from poscat.posets import PosetError, count_monotone_maps
+from poscat.posets import count_monotone_maps
 
 from helpers import random_diagram
 from test_continuity import (
@@ -113,21 +113,8 @@ def _square_matches_corner(case, n, i):
     computed = colimit_delta(diagram)
     if computed is None or computed.apex.n != claimed.apex.n:
         return False
-    values = {}
-    for nid, leg in computed.legs.items():
-        target_leg = claimed.legs[nid]
-        for e in leg.source.elements:
-            a, v = leg(e), target_leg(e)
-            if values.get(a, v) != v:
-                return False
-            values[a] = v
-    if len(values) != computed.apex.n:
-        return False
-    try:
-        mediator = MonotoneMap.from_dict(computed.apex, claimed.apex, values)
-    except PosetError:
-        return False
-    return mediator.is_order_isomorphism()
+    mediator, _ = induced_map(computed, claimed.apex, claimed.legs)
+    return mediator is not None and mediator.is_order_isomorphism()
 
 
 def test_acceptance_06_paper_pushout_squares():

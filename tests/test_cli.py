@@ -147,6 +147,32 @@ def test_parse_errors_exit_two(tmp_path, v_file):
     assert err.value.code == 2
 
 
+def test_check_repeated_sset_row_exits_two(tmp_path, capsys):
+    path = tmp_path / "repeated.sset"
+    path.write_text(
+        "sset tiny trunc 1\nsimplex 0 p\nsimplex 1 pp\n"
+        "d 1 0 pp p\nd 1 1 pp p\nd 1 1 pp p\ns 0 0 p pp\n",
+        encoding="utf-8",
+    )
+    assert run(["check", "--format", "machine", "--sset", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 6: duplicate d 1 1 row for 'pp'\n"
+
+
+def test_unexpected_internal_error_exits_two(monkeypatch, capsys):
+    import poscat.cli as cli
+
+    def broken(args):
+        raise RuntimeError("internal\nfailure")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify-identities", broken)
+    assert run(["verify-identities", "--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: RuntimeError: internal failure\n"
+
+
 def test_output_written_to_file(tmp_path, v_file):
     out = tmp_path / "report.txt"
     assert run(["extensions", "--poset", v_file, "--output", str(out)]) == 0

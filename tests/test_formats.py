@@ -131,6 +131,13 @@ def test_parse_sset_errors():
         parse_sset("sset s trunc 1\nsimplex 0 p\n")  # missing tables
 
 
+@pytest.mark.parametrize("again", ["d 1 0 pp p", "d 1 1 pp q", "s 0 0 p pp"])
+def test_parse_sset_rejects_repeated_rows(again):
+    # a second row for one (level, index, simplex), with the same or another image
+    with pytest.raises(FormatError, match=r"^line 7: duplicate "):
+        parse_sset(SSET_TEXT + again + "\n")
+
+
 def test_parse_functor(tmp_path):
     f = parse_functor("functor inclusion\n")
     assert f.name == "inclusion"

@@ -1,8 +1,11 @@
 """Comma diagrams, Kan extension values, stabilization, cocontinuity checks."""
 
+import itertools
+
 import pytest
 
 from poscat import (
+    DeltaMap,
     FunctorPresentation,
     KanError,
     PosetDiagram,
@@ -87,7 +90,7 @@ def test_extend_cap_error_path(monkeypatch):
     # the cap is a defensive guard: force the stabilization test to fail
     import poscat.kan as kan
 
-    monkeypatch.setattr(kan, "_restriction_mediator", lambda small, big: None)
+    monkeypatch.setattr(kan, "restriction_mediator", lambda small, big: None)
     with pytest.raises(StabilizationError) as err:
         kan.extend(inclusion_functor(), two_chain(), max_bound=2)
     assert err.value.bound == 3
@@ -108,6 +111,14 @@ def test_functor_presentation_validation_catches_bad_images():
         FunctorPresentation("broken", "pos", ordinal_poset, swapped, validate_bound=2)
     with pytest.raises(KanError):
         FunctorPresentation("mismatched", "set", ordinal_poset, bad_generator)
+
+
+def test_inclusion_apply_is_the_map_itself():
+    functor = inclusion_functor()
+    for n, m in itertools.product(range(4), repeat=2):
+        for values in itertools.combinations_with_replacement(range(m + 1), n + 1):
+            f = DeltaMap(n, m, values)
+            assert functor.apply(f) == delta_to_monotone(f)
 
 
 def test_check_cocontinuity_inclusion_pushout():
@@ -162,16 +173,16 @@ def test_injective_only_comma_gives_equal_extensions():
 
 
 def test_stabilization_is_monotone_on_corpus():
-    from poscat.kan import _comma_data, _restriction_mediator
+    from poscat.kan import restriction_mediator
     from poscat import colimit_pos
 
     functor = inclusion_functor()
     for p in all_posets(3):
         result = extend(functor, p)
         b = result.stabilization
-        one_more = colimit_pos(_comma_data(functor, p, b + 1)[0])
-        two_more = colimit_pos(_comma_data(functor, p, b + 2)[0])
-        u = _restriction_mediator(one_more, two_more)
+        one_more = colimit_pos(comma_diagram(functor, p, b + 1))
+        two_more = colimit_pos(comma_diagram(functor, p, b + 2))
+        u = restriction_mediator(one_more, two_more)
         assert u is not None and u.is_order_isomorphism()
 
 
