@@ -2,7 +2,7 @@
 
 Run as `python benchmarks/bench_kernels.py`.  Workloads mirror the hot paths:
 relation closure, monotone-map enumeration (chains), and the constrained
-counting that drives colimit verification.
+counting that drives colimit verification (one search plan run repeatedly).
 """
 
 import random
@@ -53,15 +53,23 @@ def workload_chains():
 
 def workload_star_count():
     # one bottom below twelve incomparable slots, counted into a 6-chain:
-    # the shape that dominates universal-property verification
+    # the shape that dominates universal-property verification, which builds
+    # one plan per shape and runs it against each target.  The compiled
+    # extension has no plan runner, so its column times count_maps.
     rows = chain_rows(6)
+    down = pure.transpose(rows, 6)
     pairs = [(0, j, LEQ) for j in range(1, 13)]
 
     def run(kernel):
-        for _ in range(400):
-            kernel.count_maps(13, 6, rows, pairs)
+        if kernel is pure:
+            plan = pure.count_plan(13, pairs)
+            for _ in range(400):
+                pure.run_plan(plan, rows, down)
+        else:
+            for _ in range(400):
+                kernel.count_maps(13, 6, rows, pairs)
 
-    return "star-shaped constraint counting into a 6-chain, 400 runs", run
+    return "star-shaped counting into a 6-chain, one plan, 400 runs", run
 
 
 def measure(run, kernel, repeats=3):

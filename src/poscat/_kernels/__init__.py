@@ -3,6 +3,13 @@
 Constraint pairs are (i, j, kind) with kind 0: f[i] <= f[j], 1: f[i] == f[j],
 2: f[i] < f[j], interpreted in the target relation.  Set POSCAT_KERNEL=pure to
 force the fallback.
+
+Counting is split in two, with one pure implementation for every backend:
+`count_plan(n_slots, pairs)` fixes everything that does not depend on the
+target (the branching order and the slots closed at each level), and
+`run_plan(plan, up_rows, down_rows)` runs that plan against one target, given
+its rows and columns (a `FinPoset` caches the latter as `down_rows`).  A
+caller counting one constraint set into many targets builds the plan once.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import os
 
 from . import pure
-from .pure import transpose  # noqa: F401  (the one bit-matrix transpose, for every backend)
+from .pure import count_plan, run_plan, transpose  # noqa: F401  (one implementation for every backend)
 
 try:
     from . import _speedups

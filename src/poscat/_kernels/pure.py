@@ -2,7 +2,8 @@
 
 Relations on k elements are handled as k row bitmasks (bit j of row i set iff
 i relates to j).  Constraint pairs use kinds 0: f[i] <= f[j], 1: f[i] == f[j],
-2: f[i] < f[j].
+2: f[i] < f[j].  The searches keep their state in explicit stacks, so their
+depth is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -35,40 +36,23 @@ def transpose(rows, n_cols):
     return cols
 
 
-def _mask(code, w, up_rows, down_rows):
-    if code == 0:
-        return down_rows[w]
-    if code == 1:
-        return up_rows[w]
-    if code == 2:
-        return 1 << w
-    if code == 3:
-        return down_rows[w] & ~(1 << w)
-    return up_rows[w] & ~(1 << w)
+def _neighbours(n_slots, pairs):
+    """Per-slot constraint lists for `pairs`, or None when they are unsatisfiable.
 
-
-def count_maps(n_slots, n_tgt, up_rows, pairs):
-    """Number of functions {0..n_slots-1} -> {0..n_tgt-1} satisfying `pairs`.
-
-    Slots whose remaining constraints all point at assigned slots are closed
-    by multiplying their choice count, so tree-shaped constraint graphs are
-    counted without enumerating every function.
+    Returns (reflexive, nbrs): reflexive[s] is true when a pair f[s] <= f[s]
+    restricts s to reflexive target points, and nbrs[s] lists (o, code) for
+    every pair between s and another slot o.  The code names the row table
+    (see `_tables`) that, indexed by the value of o, gives the values allowed
+    for s.
     """
-    if n_slots == 0:
-        return 1
-    if n_tgt == 0:
-        return 0
-    full = (1 << n_tgt) - 1
-    down_rows = transpose(up_rows, n_tgt)
-    diag = sum(1 << v for v in range(n_tgt) if up_rows[v] & (1 << v))
-    base = [full] * n_slots
+    reflexive = [False] * n_slots
     nbrs = [[] for _ in range(n_slots)]
     for i, j, kind in pairs:
         if i == j:
             if kind == 2:
-                return 0
+                return None
             if kind == 0:
-                base[i] &= diag
+                reflexive[i] = True
             continue
         if kind == 1:
             nbrs[i].append((j, 2))
@@ -79,105 +63,170 @@ def count_maps(n_slots, n_tgt, up_rows, pairs):
         else:
             nbrs[i].append((j, 3))
             nbrs[j].append((i, 4))
+    return reflexive, nbrs
 
-    values = [-1] * n_slots
 
-    def allowed(s):
-        mask = base[s]
-        for o, code in nbrs[s]:
-            w = values[o]
-            if w >= 0:
-                mask &= _mask(code, w, up_rows, down_rows)
-                if not mask:
-                    break
+def _tables(up_rows, down_rows):
+    """Row tables by code: table[code][w] is the mask of values v allowed
+    for a slot whose neighbour holds w, for v <= w (0), w <= v (1), v == w
+    (2), v < w (3) and w < v (4)."""
+    bits = [1 << w for w in range(len(up_rows))]
+    return (
+        down_rows,
+        up_rows,
+        bits,
+        [row & ~bit for row, bit in zip(down_rows, bits)],
+        [row & ~bit for row, bit in zip(up_rows, bits)],
+    )
+
+
+def count_plan(n_slots, pairs):
+    """The target-independent part of `count_maps`, or None when `pairs` are
+    unsatisfiable.
+
+    The search branches on one slot per level, always the unassigned slot
+    with most assigned neighbours (ties to the lower index).  A slot whose
+    neighbours are all assigned is closed instead: it contributes its number
+    of allowed values as a factor, so tree-shaped constraint graphs are
+    counted without enumerating every function.  Which slots are assigned
+    at each level does not depend on the values, so the whole order is fixed
+    here.  The plan is (n_free, n_reflexive, levels): the numbers of isolated
+    slots without and with a reflexivity constraint, and per level the
+    branch slot and the slots closed after it, each as (reflexive, cons) with
+    cons the (level, code) pairs it must satisfy.
+    """
+    built = _neighbours(n_slots, pairs)
+    if built is None:
+        return None
+    reflexive, nbrs = built
+    level_of = [-1] * n_slots
+    todo = set()
+    n_free = n_reflexive = 0
+    for s in range(n_slots):
+        if nbrs[s]:
+            todo.add(s)
+        elif reflexive[s]:
+            n_reflexive += 1
+        else:
+            n_free += 1
+
+    def cons(s):
+        return tuple((level_of[o], code) for o, code in nbrs[s] if level_of[o] >= 0)
+
+    levels = []
+    while todo:
+        s = min(todo, key=lambda t: (-sum(1 for o, _ in nbrs[t] if level_of[o] >= 0), t))
+        branch = (reflexive[s], cons(s))
+        level_of[s] = len(levels)
+        todo.discard(s)
+        closed = [t for t in sorted(todo) if all(level_of[o] >= 0 for o, _ in nbrs[t])]
+        todo.difference_update(closed)
+        levels.append((branch, tuple((reflexive[t], cons(t)) for t in closed)))
+    return n_free, n_reflexive, tuple(levels)
+
+
+def run_plan(plan, up_rows, down_rows):
+    """Number of functions satisfying the constraints `plan` was built from,
+    into the target relation with rows `up_rows` and columns `down_rows`.
+
+    Runs the plan depth first with an explicit stack, one level per branch
+    slot.
+    """
+    n_free, n_reflexive, levels = plan
+    n_tgt = len(up_rows)
+    full = (1 << n_tgt) - 1
+    diag = sum(1 << v for v in range(n_tgt) if up_rows[v] >> v & 1)
+    prod = full.bit_count() ** n_free * diag.bit_count() ** n_reflexive
+    if not levels or not prod:
+        return prod
+    tables = _tables(up_rows, down_rows)
+    depth = len(levels)
+    values = [0] * depth
+    masks = [0] * depth
+    prods = [0] * depth
+
+    def allowed(reflexive, cons):
+        mask = diag if reflexive else full
+        for level, code in cons:
+            mask &= tables[code][values[level]]
         return mask
 
-    def count(todo):
-        if not todo:
-            return 1
-        prod = 1
-        closed = []
-        progress = True
-        while progress:
-            progress = False
-            for s in sorted(todo):
-                if all(values[o] >= 0 for o, _ in nbrs[s]):
-                    c = allowed(s).bit_count()
-                    if c == 0:
-                        todo.update(closed)
-                        return 0
-                    prod *= c
-                    todo.discard(s)
-                    closed.append(s)
-                    progress = True
-        if not todo:
-            todo.update(closed)
-            return prod
-        s = min(todo, key=lambda t: (-sum(1 for o, _ in nbrs[t] if values[o] >= 0), t))
-        todo.discard(s)
-        total = 0
-        mask = allowed(s)
-        while mask:
-            bit = mask & -mask
-            values[s] = bit.bit_length() - 1
-            total += count(todo)
-            mask ^= bit
-        values[s] = -1
-        todo.add(s)
-        todo.update(closed)
-        return prod * total
+    total = 0
+    k = 0
+    masks[0] = allowed(*levels[0][0])
+    prods[0] = prod
+    while k >= 0:
+        mask = masks[k]
+        if not mask:
+            k -= 1
+            continue
+        bit = mask & -mask
+        masks[k] = mask ^ bit
+        values[k] = bit.bit_length() - 1
+        p = prods[k]
+        for reflexive, cons in levels[k][1]:
+            p *= allowed(reflexive, cons).bit_count()
+            if not p:
+                break
+        if not p:
+            continue
+        if k + 1 == depth:
+            total += p
+            continue
+        k += 1
+        prods[k] = p
+        masks[k] = allowed(*levels[k][0])
+    return total
 
-    return count(set(range(n_slots)))
+
+def count_maps(n_slots, n_tgt, up_rows, pairs):
+    """Number of functions {0..n_slots-1} -> {0..n_tgt-1} satisfying `pairs`:
+    `count_plan` and `run_plan` run together."""
+    plan = count_plan(n_slots, pairs)
+    if plan is None:
+        return 0
+    return run_plan(plan, up_rows, transpose(up_rows, n_tgt))
 
 
 def list_maps(n_slots, n_tgt, up_rows, pairs):
-    """All satisfying functions as value tuples, in lexicographic order."""
-    if n_tgt == 0:
-        return [()] if n_slots == 0 else []
+    """All satisfying functions as value tuples, in lexicographic order.
+
+    Slots are assigned in index order, each checked against its constraints
+    to earlier slots, with an explicit stack.
+    """
+    built = _neighbours(n_slots, pairs)
+    if built is None:
+        return []
+    if n_slots == 0:
+        return [()]
+    reflexive, nbrs = built
     full = (1 << n_tgt) - 1
-    down_rows = transpose(up_rows, n_tgt)
-    diag = sum(1 << v for v in range(n_tgt) if up_rows[v] & (1 << v))
-    base = [full] * n_slots
-    back = [[] for _ in range(n_slots)]  # constraints to earlier slots only
-    for i, j, kind in pairs:
-        if i == j:
-            if kind == 2:
-                return []
-            if kind == 0:
-                base[i] &= diag
-            continue
-        lo, hi = (i, j) if i < j else (j, i)
-        if kind == 1:
-            back[hi].append((lo, 2))
-        elif kind == 0:
-            # f[i] <= f[j]
-            if hi == j:
-                back[hi].append((lo, 1))
-            else:
-                back[hi].append((lo, 0))
-        else:
-            if hi == j:
-                back[hi].append((lo, 4))
-            else:
-                back[hi].append((lo, 3))
+    diag = sum(1 << v for v in range(n_tgt) if up_rows[v] >> v & 1)
+    tables = _tables(up_rows, transpose(up_rows, n_tgt))
+    back = [[(o, code) for o, code in nbrs[s] if o < s] for s in range(n_slots)]
+    values = [0] * n_slots
+    masks = [0] * n_slots
+
+    def allowed(s):
+        mask = diag if reflexive[s] else full
+        for o, code in back[s]:
+            mask &= tables[code][values[o]]
+        return mask
 
     out = []
-    values = [0] * n_slots
-
-    def rec(s):
-        if s == n_slots:
+    s = 0
+    masks[0] = allowed(0)
+    while s >= 0:
+        mask = masks[s]
+        if not mask:
+            s -= 1
+            continue
+        bit = mask & -mask
+        masks[s] = mask ^ bit
+        values[s] = bit.bit_length() - 1
+        if s + 1 == n_slots:
             out.append(tuple(values))
-            return
-        mask = base[s]
-        for o, code in back[s]:
-            mask &= _mask(code, values[o], up_rows, down_rows)
-            if not mask:
-                return
-        while mask:
-            bit = mask & -mask
-            values[s] = bit.bit_length() - 1
-            rec(s + 1)
-            mask ^= bit
-
-    rec(0)
+            continue
+        s += 1
+        masks[s] = allowed(s)
     return out

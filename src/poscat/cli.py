@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass; 1 a check failed or the requested
-subcategory colimit does not exist; 2 parse or configuration errors, and any
-unexpected internal failure.
+subcategory colimit does not exist; 2 parse or configuration errors, inputs
+beyond the stated limits, and any unexpected internal failure.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ CONFIG_ERRORS = (
     KanError,
     OSError,
 )
+
+# Largest --max-n accepted; --trunc is bounded by formats.MAX_TRUNC.
+MAX_IDENTITY_N = 32
 
 
 def _parser():
@@ -265,9 +268,25 @@ _HANDLERS = {
 }
 
 
+def _over_limit(args):
+    """A one-line complaint about the first numeric option beyond its limit, or ""."""
+    for option, dest, limit in (
+        ("--trunc", "trunc", formats.MAX_TRUNC),
+        ("--max-n", "max_n", MAX_IDENTITY_N),
+    ):
+        value = getattr(args, dest, None)
+        if value is not None and value > limit:
+            return f"{option} {value} exceeds the limit {limit}"
+    return ""
+
+
 def run(argv) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    complaint = _over_limit(args)
+    if complaint:
+        print(f"error: {complaint}", file=sys.stderr)
+        return 2
     try:
         return _HANDLERS[args.command](args)
     except BoundError as exc:

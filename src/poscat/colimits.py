@@ -310,7 +310,14 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     A cocone corresponds to a function on the stage-one quotient classes that
     respects every node relation; the mediating map is forced on apex elements
     hit by the legs, so existence and uniqueness reduce to counting
-    constraint-satisfying functions.
+    constraint-satisfying functions, one connected component at a time.  Each
+    component's two constraint lists (the node relations alone, and with the
+    candidate's identifications and order added) are built once, and each
+    distinct list is compiled once into a target-independent search plan
+    (`_kernels.count_plan`).  Plans run against each target's rows and cached
+    `FinPoset.down_rows`, and a dict local to the call keeps one count per
+    (shape, target), so components of the same shape are counted once per
+    target.
     """
     if not candidate.commutes():
         raise ColimitError("invalid-cocone: candidate legs do not commute")
@@ -340,21 +347,33 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
         for i, j in apex.leq_pairs:
             extra.append((rep_slot[i], rep_slot[j], _kernels.LEQ))
         good_pairs = node_pairs + extra
-        comps = sorted(_partition(range(n), ((i, j) for i, j, _ in good_pairs)))
+        shapes = {}  # (slot count, constraint list) -> shape id
+        jobs = []
+        for comp in sorted(_partition(range(n), ((i, j) for i, j, _ in good_pairs))):
+            slot_pos = {s: k for k, s in enumerate(comp)}
+            sub_all = [(slot_pos[i], slot_pos[j], k) for i, j, k in node_pairs if i in slot_pos]
+            sub_good = [(slot_pos[i], slot_pos[j], k) for i, j, k in good_pairs if i in slot_pos]
+            a = shapes.setdefault((len(comp), tuple(sub_all)), len(shapes))
+            g = shapes.setdefault((len(comp), tuple(sub_good)), len(shapes))
+            jobs.append((comp, sub_all, sub_good, a, g))
+        plans = [_kernels.count_plan(size, pairs) for size, pairs in shapes]
+        counts = {}
 
-        for target in all_posets(apex_size_bound):
+        def component_count(shape, t, target):
+            key = (shape, t)
+            if key not in counts:
+                plan = plans[shape]
+                counts[key] = (
+                    0 if plan is None else _kernels.run_plan(plan, target.up_rows, target.down_rows)
+                )
+            return counts[key]
+
+        for t, target in enumerate(all_posets(apex_size_bound)):
             total = 1
             ok = True
-            for comp in comps:
-                slot_pos = {s: k for k, s in enumerate(comp)}
-                sub_all = [
-                    (slot_pos[i], slot_pos[j], k) for i, j, k in node_pairs if i in slot_pos
-                ]
-                sub_good = [
-                    (slot_pos[i], slot_pos[j], k) for i, j, k in good_pairs if i in slot_pos
-                ]
-                c_all = _kernels.count_maps(len(comp), target.n, list(target.up_rows), sub_all)
-                c_good = _kernels.count_maps(len(comp), target.n, list(target.up_rows), sub_good)
+            for comp, sub_all, sub_good, a, g in jobs:
+                c_all = component_count(a, t, target)
+                c_good = c_all if a == g else component_count(g, t, target)
                 total *= c_all
                 if c_all != c_good:
                     ok = False
@@ -379,6 +398,15 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
                 exist_ok = False
             if count > 1:
                 unique_ok = False
+            if count != 1 and not report.witness:
+                cells = ", ".join(
+                    f"{group[0][0]}.{group[0][1]}->{target.elements[v]}"
+                    for group, v in zip(members, h)
+                )
+                report.witness = (
+                    f"cocone into {_label(target)} sending {cells} admits "
+                    + ("no mediating map" if count == 0 else "more than one mediating map")
+                )
         report.entries.append(
             ApexVerdict(_label(target), target.n, len(assignments), exist_ok, unique_ok)
         )

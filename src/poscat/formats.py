@@ -14,6 +14,9 @@ from .kan import FunctorPresentation, inclusion_functor, product_functor
 from .posets import FinPoset, MonotoneMap, make_poset
 from .simplicial import TruncatedSimplicialSet, simplex_label
 
+# Largest truncation level an sset header may declare, and the CLI's --trunc.
+MAX_TRUNC = 32
+
 
 class FormatError(Exception):
     def __init__(self, message, line_no=None):
@@ -207,6 +210,8 @@ def parse_sset(text) -> TruncatedSimplicialSet:
                 raise FormatError("truncation level must be an integer", line_no)
             if trunc < 0:
                 raise FormatError("truncation level must be >= 0", line_no)
+            if trunc > MAX_TRUNC:
+                raise FormatError(f"truncation level {trunc} exceeds the limit {MAX_TRUNC}", line_no)
             levels = [[] for _ in range(trunc + 1)]
         elif head == "simplex":
             if levels is None:

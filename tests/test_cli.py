@@ -160,6 +160,43 @@ def test_check_repeated_sset_row_exits_two(tmp_path, capsys):
     assert captured.err == "error: line 6: duplicate d 1 1 row for 'pp'\n"
 
 
+@pytest.fixture
+def point_file(tmp_path):
+    path = tmp_path / "pt.poset"
+    path.write_text("poset pt\nelem x\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("nerve", "--trunc", "1200"), ("homcount", "--trunc", "33"), ("verify-identities", "--max-n", "33")],
+)
+def test_oversized_options_exit_two(point_file, capsys, command, option, value):
+    posets = {"nerve": ["--poset", point_file], "homcount": ["--poset", point_file, "--poset2", point_file]}
+    assert run([command, option, value] + posets.get(command, [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} {value} exceeds the limit 32\n"
+
+
+def test_nerve_at_the_truncation_limit(point_file, tmp_path):
+    from poscat.formats import MAX_TRUNC, load_sset
+
+    out = tmp_path / "pt.sset"
+    argv = ["nerve", "--poset", point_file, "--trunc", str(MAX_TRUNC), "--output", str(out)]
+    assert run(argv) == 0
+    assert load_sset(str(out)).K == MAX_TRUNC
+
+
+def test_check_oversized_sset_truncation_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.sset"
+    path.write_text("sset x trunc 1000000000\nsimplex 0 p\n", encoding="utf-8")
+    assert run(["check", "--sset", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: truncation level 1000000000 exceeds the limit 32\n"
+
+
 def test_unexpected_internal_error_exits_two(monkeypatch, capsys):
     import poscat.cli as cli
 

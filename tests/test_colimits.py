@@ -162,6 +162,9 @@ def test_verify_universal_rejects_extra_isolated_element():
     }
     report = verify_universal(diagram, Cocone(diagram, apex, legs), 3)
     assert not report.passed
+    failing = next(e for e in report.entries if not e.ok)
+    assert report.witness.startswith(f"cocone into {failing.apex_label} sending ")
+    assert "mediating map" in report.witness
 
 
 def test_verify_universal_rejects_wrong_quotient():

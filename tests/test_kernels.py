@@ -69,14 +69,27 @@ def test_closure_against_naive():
 def test_maps_against_naive():
     rng = random.Random(11)
     for _ in range(80):
-        n_slots = rng.randint(0, 4)
-        n_tgt = rng.randint(0, 4)
-        rows = random_relation(rng, n_tgt)
+        n_slots = rng.randint(0, 6)
         pairs = random_pairs(rng, n_slots) if n_slots else []
-        expected = naive_maps(n_slots, n_tgt, rows, pairs)
-        got = pure.list_maps(n_slots, n_tgt, rows, pairs)
-        assert got == expected  # lexicographic order matches itertools.product
-        assert pure.count_maps(n_slots, n_tgt, rows, pairs) == len(expected)
+        if n_slots and rng.random() < 0.5:
+            s = rng.randrange(n_slots)
+            pairs.append((s, s, rng.choice([LEQ, EQ, LT])))  # a self-pair
+        plan = pure.count_plan(n_slots, pairs)
+        for _ in range(4):
+            n_tgt = rng.randint(0, 4)
+            rows = random_relation(rng, n_tgt)  # rows need not be reflexive
+            expected = naive_maps(n_slots, n_tgt, rows, pairs)
+            got = pure.list_maps(n_slots, n_tgt, rows, pairs)
+            assert got == expected  # lexicographic order matches itertools.product
+            assert pure.count_maps(n_slots, n_tgt, rows, pairs) == len(expected)
+            planned = 0 if plan is None else pure.run_plan(plan, rows, pure.transpose(rows, n_tgt))
+            assert planned == len(expected)
+
+
+def test_list_maps_runs_deep_chains():
+    # 3000 chained slots into a one-element target: deeper than the recursion limit
+    pairs = [(k, k + 1, LEQ) for k in range(2999)]
+    assert pure.list_maps(3000, 1, [1], pairs) == [(0,) * 3000]
 
 
 def test_count_handles_disconnected_slots():
