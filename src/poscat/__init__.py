@@ -79,6 +79,7 @@ from .simplicial import (
     SimplicialIdentityError,
     SimplicialMap,
     TruncatedSimplicialSet,
+    count_simplicial_maps,
     evaluate,
     make_sset,
     nerve,

@@ -17,6 +17,7 @@ from .continuity import (
     ContinuityError,
     check_continuity,
     density_colimit,
+    non_monotone_witness,
 )
 from .delta import DeltaError, verify_simplicial_identities
 from .kan import KanError, StabilizationError, extend
@@ -26,7 +27,7 @@ from .posets import (
     intersection_of_extensions,
     linear_extensions,
 )
-from .simplicial import SimplicialError, nerve, simplicial_maps
+from .simplicial import SimplicialError, count_simplicial_maps, nerve
 
 CONFIG_ERRORS = (
     formats.FormatError,
@@ -241,7 +242,7 @@ def _cmd_homcount(args):
     p = formats.load_poset(args.poset)
     q = formats.load_poset(args.poset2)
     n_mono = count_monotone_maps(p, q)
-    n_simp = len(simplicial_maps(nerve(p, args.trunc), nerve(q, args.trunc)))
+    n_simp = count_simplicial_maps(nerve(p, args.trunc), nerve(q, args.trunc))
     ok = n_mono == n_simp
     if args.format == "machine":
         lines = [f"monotone={n_mono}", f"simplicial={n_simp}", f"equal={'PASS' if ok else 'FAIL'}"]
@@ -251,6 +252,11 @@ def _cmd_homcount(args):
             f"simplicial maps between nerves (trunc {args.trunc}): {n_simp}",
             f"counts agree: {'PASS' if ok else 'FAIL'}",
         ]
+    if not ok:
+        witness = non_monotone_witness(p, q, args.trunc)
+        witness = witness or "every simplicial map has a monotone vertex map"
+        key = "homcount.witness=" if args.format == "machine" else "witness: "
+        lines.append(key + witness)
     _emit(args, lines)
     return 0 if ok else 1
 

@@ -17,6 +17,7 @@ from .kan import comma_data, inclusion_functor, stabilization_step
 from .posets import FinPoset, MonotoneMap, monotone_maps
 from .simplicial import (
     SimplicialMap,
+    iter_simplicial_maps,
     nerve,
     nerve_map,
     simplex_label,
@@ -177,20 +178,27 @@ def _vertex_tuple(X, n, x):
     return points, consistent
 
 
+def _vertex_table(X):
+    """(vertex tuple, consistent) of every simplex, one dict per level."""
+    return [{x: _vertex_tuple(X, n, x) for x in X.levels[n]} for n in range(X.K + 1)]
+
+
 def _label_tuple(X, points):
     return tuple(simplex_label(p) for p in points)
 
 
 def check_chain_condition(X, n) -> Verdict:
     """Level n must biject onto the weakly increasing vertex tuples."""
-    name = f"chain_condition_n{n}"
     if not 2 <= n <= X.K:
         raise ContinuityError(f"chain condition applies for 2 <= n <= {X.K}")
-    rel = extract_relation(X)
+    return _chain_condition(X, n, _vertex_table(X), extract_relation(X))
+
+
+def _chain_condition(X, n, table, rel):
+    name = f"chain_condition_n{n}"
     index = {v: k for k, v in enumerate(X.levels[0])}
     seen = {}
-    for x in X.levels[n]:
-        points, consistent = _vertex_tuple(X, n, x)
+    for x, (points, consistent) in table[n].items():
         if not consistent:
             return Verdict(
                 name, False, f"simplex {simplex_label(x)} has mismatched edge endpoints"
@@ -221,21 +229,28 @@ def check_chain_condition(X, n) -> Verdict:
 def check_face_formulas(X) -> Verdict:
     """Under the vertex-tuple bijection every d_i must delete position i, and
     the extracted relation must be transitive (the d_1 : X_2 -> X_1 witness)."""
+    return _face_formulas(X, _vertex_table(X), None)
+
+
+def _face_formulas(X, table, rel):
+    """`rel` is None when the relation is still to be extracted, after the
+    face checks, as `check_face_formulas` does."""
     name = "face_formulas"
     if X.K < 2:
         return Verdict(name, True, "no levels >= 2")
     for n in range(2, X.K + 1):
-        for x in X.levels[n]:
-            points, _ = _vertex_tuple(X, n, x)
+        below = table[n - 1]
+        for x, (points, _) in table[n].items():
             for i in range(n + 1):
-                got, _ = _vertex_tuple(X, n - 1, X.face(n, i, x))
+                got, _ = below[X.face(n, i, x)]
                 if got != points[:i] + points[i + 1 :]:
                     return Verdict(
                         name,
                         False,
                         f"d_{i} at level {n} on {simplex_label(x)} is not deletion of position {i}",
                     )
-    rel = extract_relation(X)
+    if rel is None:
+        rel = extract_relation(X)
     m = len(rel.labels)
     for a in range(m):
         for b in range(m):
@@ -253,18 +268,21 @@ def check_face_formulas(X) -> Verdict:
 
 def check_degeneracy_formulas(X) -> Verdict:
     """Every s_i must duplicate position i; s_0 exhibits reflexivity on level 0."""
-    name = "degeneracy_formulas"
     if X.K < 1:
-        return Verdict(name, True, "no degeneracy tables below truncation 1")
-    rel = extract_relation(X)
+        return Verdict("degeneracy_formulas", True, "no degeneracy tables below truncation 1")
+    return _degeneracy_formulas(X, _vertex_table(X), extract_relation(X))
+
+
+def _degeneracy_formulas(X, table, rel):
+    name = "degeneracy_formulas"
     for k, label in enumerate(rel.labels):
         if not rel.rows[k] & (1 << k):
             return Verdict(name, False, f"relation not reflexive at {label}")
     for n in range(X.K):
-        for x in X.levels[n]:
-            points, _ = _vertex_tuple(X, n, x)
+        above = table[n + 1]
+        for x, (points, _) in table[n].items():
             for i in range(n + 1):
-                got, _ = _vertex_tuple(X, n + 1, X.deg(n, i, x))
+                got, _ = above[X.deg(n, i, x)]
                 if got != points[: i + 1] + points[i:]:
                     return Verdict(
                         name,
@@ -276,10 +294,13 @@ def check_degeneracy_formulas(X) -> Verdict:
 
 def check_antisymmetry(X) -> Verdict:
     """Oppositely oriented edge pairs are only allowed on the diagonal."""
-    name = "antisymmetry"
     if X.K < 1:
-        return Verdict(name, True, "vacuous below truncation 1")
-    rel = extract_relation(X)
+        return Verdict("antisymmetry", True, "vacuous below truncation 1")
+    return _antisymmetry(extract_relation(X))
+
+
+def _antisymmetry(rel):
+    name = "antisymmetry"
     m = len(rel.labels)
     for a in range(m):
         for b in range(m):
@@ -293,27 +314,31 @@ def check_antisymmetry(X) -> Verdict:
 
 
 def check_continuity(X) -> ContinuityReport:
-    """Run every diagram check; attach the reconstruction when all pass."""
+    """Run every diagram check; attach the reconstruction when all pass.
+
+    The vertex tuples and the edge relation are computed once and shared by
+    the checks and the reconstruction."""
     report = ContinuityReport(truncation=X.K)
     violations = X.identity_violations()
     detail = "; ".join(str(v) for v in violations[:2])
     if len(violations) > 2:
         detail += f" (+{len(violations) - 2} more)"
     report.verdicts["validation"] = Verdict("validation", not violations, detail)
+    table = _vertex_table(X)
     if X.K >= 1:
         report.verdicts["relation_injective"] = check_relation_injective(X)
-        report.relation = extract_relation(X)
+        rel = report.relation = extract_relation(X)
         for n in range(2, X.K + 1):
-            report.verdicts[f"chain_condition_n{n}"] = check_chain_condition(X, n)
-        report.verdicts["face_formulas"] = check_face_formulas(X)
-        report.verdicts["degeneracy_formulas"] = check_degeneracy_formulas(X)
-        report.verdicts["antisymmetry"] = check_antisymmetry(X)
+            report.verdicts[f"chain_condition_n{n}"] = _chain_condition(X, n, table, rel)
+        report.verdicts["face_formulas"] = _face_formulas(X, table, rel)
+        report.verdicts["degeneracy_formulas"] = _degeneracy_formulas(X, table, rel)
+        report.verdicts["antisymmetry"] = _antisymmetry(rel)
     if report.passed:
-        report.poset, report.iso = _reconstruct(X, report.relation)
+        report.poset, report.iso = _reconstruct(X, report.relation, table)
     return report
 
 
-def _reconstruct(X, relation):
+def _reconstruct(X, relation, table):
     if relation is None:  # truncation 0 carries no order information
         labels = _vertex_labels(X)
         poset = FinPoset(sorted(labels), [1 << i for i in range(len(labels))])
@@ -328,13 +353,9 @@ def _reconstruct(X, relation):
                     mask |= 1 << pos
             rows.append(mask)
         poset = FinPoset(labels, rows)
-    comps = []
-    for n in range(X.K + 1):
-        comp = {}
-        for x in X.levels[n]:
-            points, _ = _vertex_tuple(X, n, x)
-            comp[x] = _label_tuple(X, points)
-        comps.append(comp)
+    comps = [
+        {x: _label_tuple(X, points) for x, (points, _) in level.items()} for level in table
+    ]
     iso = SimplicialMap(X, nerve(poset, X.K), comps)
     if not iso.is_levelwise_bijective():
         raise ContinuityError("reconstruction map is not levelwise bijective")
@@ -417,3 +438,21 @@ def fully_faithful_witness(p, q, K) -> FullFaithfulnessReport:
     injective = len(set(image_keys)) == len(image_keys)
     surjective = simp_keys == set(image_keys)
     return FullFaithfulnessReport(len(monotone), len(simplicial), injective, surjective)
+
+
+def non_monotone_witness(p, q, K) -> str:
+    """The first simplicial map N(p) -> N(q), in enumeration order, whose
+    level-0 component is not monotone: its vertex assignment and the first
+    order pair of p it breaks. "" when every vertex map is monotone, which
+    full faithfulness guarantees from truncation 1 on."""
+    for m in iter_simplicial_maps(nerve(p, K), nerve(q, K)):
+        image = {x[0]: y[0] for x, y in m.components[0].items()}
+        for i, j in p.leq_pairs:
+            a, b = p.elements[i], p.elements[j]
+            if not q.leq(image[a], image[b]):
+                assignment = " ".join(f"{x}->{y}" for x, y in image.items())
+                return (
+                    f"{assignment} is not monotone: {a}<={b} "
+                    f"but not {image[a]}<={image[b]}"
+                )
+    return ""

@@ -279,63 +279,127 @@ def nerve_map(f: MonotoneMap, K) -> SimplicialMap:
     return SimplicialMap(src, tgt, comps)
 
 
-def simplicial_maps(X, Y):
-    """All simplicial maps X -> Y: backtrack over level-0 images, then extend
-    upward, forcing degenerate simplices and filtering by face commutation."""
+def _boundary_index(Y, n):
+    """Level n of Y bucketed by boundary (d_0 y, ..., d_n y), each bucket in
+    Y.levels[n] order."""
+    tables = [Y.faces[(n, i)] for i in range(n + 1)]
+    index = {}
+    for y in Y.levels[n]:
+        index.setdefault(tuple(t[y] for t in tables), []).append(y)
+    return index
+
+
+def _assignments(X, Y):
+    """Every simplicial map X -> Y as its list of per-level dicts, in the
+    lexicographic order of the slots (level by level, X.levels order) over the
+    candidates (Y.levels order).
+
+    The walk keeps its slots on an explicit stack, so its depth is not bound
+    by the recursion limit. A level-0 slot may take any vertex of Y. A slot x
+    at level n >= 1 looks up the one bucket of Y's boundary index matching the
+    images of its faces; a degenerate x, whose image the degeneracy tables fix
+    from level n - 1, keeps that image only if it lies in the bucket. Once the
+    last face of a simplex is assigned, the walk backs off if that simplex's
+    bucket is empty: no completion could fill it, so the order of the maps
+    found is unchanged. The yielded dicts are the walker's own state: copy
+    them before the next step.
+    """
     if X.K != Y.K:
         raise SimplicialError("source and target truncations differ")
     K = X.K
     comps = [dict() for _ in range(K + 1)]
-    found = []
-
-    def level_candidates(n, x):
-        if n == 0:
-            return list(Y.levels[0])
-        want = tuple(
-            comps[n - 1][X.face(n, i, x)] for i in range(n + 1)
-        )
-        return [
-            y
-            for y in Y.levels[n]
-            if tuple(Y.face(n, i, y) for i in range(n + 1)) == want
-        ]
+    index = [None] + [_boundary_index(Y, n) for n in range(1, K + 1)]
+    # one slot per simplex of X, level by level: (level, simplex, its faces)
+    slots = [(0, x, ()) for x in X.levels[0]]
+    for n in range(1, K + 1):
+        tables = [X.faces[(n, i)] for i in range(n + 1)]
+        slots.extend((n, x, tuple(t[x] for t in tables)) for x in X.levels[n])
+    if not slots:
+        yield comps
+        return
+    # lookahead: each simplex's bucket is checked at the slot of its last face
+    slot_of = {(n, x): s for s, (n, x, _) in enumerate(slots)}
+    ahead = [[] for _ in slots]
+    for n, x, faces in slots:
+        if n:
+            ahead[max(slot_of[n - 1, f] for f in faces)].append((index[n], faces))
+    forced = [None] * (K + 1)
 
     def forced_at(n):
-        forced = {}
-        if n == 0:
-            return forced
+        """Images the degeneracies fix at level n, or None when they clash."""
+        out = {}
+        below = comps[n - 1]
         for i in range(n):
-            src_tab = X.degeneracies[(n - 1, i)]
             tgt_tab = Y.degeneracies[(n - 1, i)]
-            for xp, x in src_tab.items():
-                want = tgt_tab[comps[n - 1][xp]]
-                if forced.get(x, want) != want:
+            for xp, x in X.degeneracies[(n - 1, i)].items():
+                want = tgt_tab[below[xp]]
+                if out.setdefault(x, want) != want:
                     return None
-                forced[x] = want
-        return forced
+        return out
 
-    def fill(n, xs, k, forced):
-        if k == len(xs):
-            walk(n + 1)
-            return
-        x = xs[k]
-        if x in forced:
-            options = [forced[x]] if forced[x] in level_candidates(n, x) else []
-        else:
-            options = level_candidates(n, x)
-        for y in options:
-            comps[n][x] = y
-            fill(n, xs, k + 1, forced)
-            del comps[n][x]
+    def options(s):
+        n, x, faces = slots[s]
+        if n == 0:
+            return Y.levels[0]
+        if slots[s - 1][0] != n:
+            forced[n] = forced_at(n)
+        if forced[n] is None:
+            return ()
+        below = comps[n - 1]
+        bucket = index[n].get(tuple(map(below.__getitem__, faces)), ())
+        if x in forced[n]:
+            y = forced[n][x]
+            return (y,) if y in bucket else ()
+        return bucket
 
-    def walk(n):
-        if n > K:
-            found.append(SimplicialMap(X, Y, [dict(c) for c in comps]))
-            return
-        forced = forced_at(n)
-        if forced is None:
-            return
-        fill(n, list(X.levels[n]), 0, forced)
+    last = len(slots) - 1
+    opts = [()] * len(slots)
+    pos = [0] * len(slots)
+    s = 0
+    opts[0] = options(0)
+    while s >= 0:
+        k = pos[s]
+        if k == len(opts[s]):
+            s -= 1
+            continue
+        pos[s] = k + 1
+        n, x, _ = slots[s]
+        comp = comps[n]
+        comp[x] = opts[s][k]
+        checks = ahead[s]
+        if checks and any(tuple(map(comp.__getitem__, faces)) not in up for up, faces in checks):
+            continue
+        if s == last:
+            yield comps
+            continue
+        s += 1
+        opts[s] = options(s)
+        pos[s] = 0
 
-    walk(0)
-    return found
+
+def iter_simplicial_maps(X, Y):
+    """The simplicial maps X -> Y one at a time, in the walker's lexicographic
+    order.
+
+    Candidates come from a boundary index of Y built afresh for each call
+    (one dict per level n >= 1 from (d_0 y, ..., d_n y) to the simplices y
+    with that boundary), and the walk over the simplices of X runs on an
+    explicit stack. Each assignment found is built as a validated
+    `SimplicialMap`, which re-checks that it commutes with every face and
+    degeneracy table. This is one of the walk's two consumers; the other,
+    `count_simplicial_maps`, only counts.
+    """
+    for comps in _assignments(X, Y):
+        yield SimplicialMap(X, Y, comps)
+
+
+def simplicial_maps(X, Y):
+    """All simplicial maps X -> Y as a list of validated `SimplicialMap`s, in
+    the order of `iter_simplicial_maps`."""
+    return list(iter_simplicial_maps(X, Y))
+
+
+def count_simplicial_maps(X, Y):
+    """The number of simplicial maps X -> Y: the walk of `iter_simplicial_maps`
+    (boundary index, explicit stack), counted without building any map."""
+    return sum(1 for _ in _assignments(X, Y))

@@ -136,6 +136,26 @@ def test_homcount_command(v_file, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_homcount_deep_nerve_into_a_point(tmp_path, point_file, capsys):
+    chain = tmp_path / "c4.poset"
+    chain.write_text("poset c4\nelem 0 1 2 3\nle 0 1\nle 1 2\nle 2 3\n", encoding="utf-8")
+    argv = ["homcount", "--format", "machine", "--poset", str(chain), "--poset2", point_file]
+    assert run(argv + ["--trunc", "10"]) == 0
+    assert capsys.readouterr().out == "monotone=1\nsimplicial=1\nequal=PASS\n"
+
+
+def test_homcount_failure_names_a_witness(v_file, capsys):
+    argv = ["homcount", "--poset", v_file, "--poset2", v_file, "--trunc", "0"]
+    witness = "a->a b->a c->b is not monotone: a<=c but not a<=b"
+    assert run(argv[:1] + ["--format", "machine"] + argv[1:]) == 1
+    assert capsys.readouterr().out == (
+        f"monotone=11\nsimplicial=27\nequal=FAIL\nhomcount.witness={witness}\n"
+    )
+    assert run(argv) == 1
+    text = capsys.readouterr().out.splitlines()
+    assert text[-2:] == ["counts agree: FAIL", f"witness: {witness}"]
+
+
 def test_parse_errors_exit_two(tmp_path, v_file):
     missing = str(tmp_path / "missing.poset")
     assert run(["nerve", "--poset", missing, "--trunc", "1"]) == 2

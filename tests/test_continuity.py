@@ -18,6 +18,7 @@ from poscat import (
     nerve,
     reconstruct,
 )
+from poscat.continuity import non_monotone_witness
 from poscat.corpus import all_posets
 from poscat.formats import parse_sset, serialize_sset
 from poscat.simplicial import TruncatedSimplicialSet
@@ -243,6 +244,14 @@ def test_fully_faithful_examples():
     assert report.monotone_count == 4 and report.passed
     report = fully_faithful_witness(two_chain(), three_chain(), 2)
     assert report.monotone_count == 6 and report.passed
+
+
+def test_non_monotone_witness_only_below_level_one():
+    v = v_poset()
+    assert non_monotone_witness(v, v, 0) == "a->a b->a c->b is not monotone: a<=c but not a<=b"
+    assert non_monotone_witness(two_antichain(), two_chain(), 0) == ""  # every function is monotone
+    for p, q in [(v, v), (three_chain(), v), (v, two_antichain())]:
+        assert non_monotone_witness(p, q, 1) == ""
 
 
 def test_fully_faithful_requires_level_one():

@@ -1,13 +1,18 @@
 """Nerves, presheaf action through normal forms, simplicial map enumeration."""
 
+import itertools
+import math
+
 import pytest
 
 from poscat import (
     DeltaMap,
     SimplicialError,
     SimplicialIdentityError,
+    chain_poset,
     compose,
     count_monotone_maps,
+    count_simplicial_maps,
     degeneracy,
     evaluate,
     face,
@@ -20,6 +25,7 @@ from poscat import (
 )
 from poscat.posets import MonotoneMap
 from poscat.corpus import all_posets
+from poscat.simplicial import TruncatedSimplicialSet
 
 from helpers import singleton, three_chain, two_antichain, two_chain, v_poset
 
@@ -154,9 +160,91 @@ def test_nerve_map_respects_composition():
             assert list(direct.components) == stepped
 
 
+def _slots(X):
+    return [(n, x) for n in range(X.K + 1) for x in X.levels[n]]
+
+
+def _brute_force_maps(X, Y):
+    """Every level-wise function X -> Y that commutes with the face and
+    degeneracy tables, as its tuple of values over the slots of X (level by
+    level, X.levels order), in itertools.product order."""
+    slots = _slots(X)
+    out = []
+    for values in itertools.product(*(Y.levels[n] for n, _ in slots)):
+        comps = [dict() for _ in range(X.K + 1)]
+        for (n, x), y in zip(slots, values):
+            comps[n][x] = y
+        if all(
+            comps[n - 1][fx] == Y.faces[(n, i)][comps[n][x]]
+            for (n, i), table in X.faces.items()
+            for x, fx in table.items()
+        ) and all(
+            comps[n + 1][sx] == Y.degeneracies[(n, i)][comps[n][x]]
+            for (n, i), table in X.degeneracies.items()
+            for x, sx in table.items()
+        ):
+            out.append(values)
+    return out
+
+
+def _loops(k):
+    """One vertex with its degenerate edge and k further loops (truncation 1):
+    several edges share one boundary, so a boundary bucket holds many."""
+    edges = ["vv"] + [f"e{j}" for j in range(k)]
+    faces = {(1, i): {e: "v" for e in edges} for i in range(2)}
+    return make_sset([["v"], edges], faces, {(0, 0): {"v": "vv"}})
+
+
+def _broken():
+    """Two truncation-1 sets that break d_i s_0 = id: in the first, s_0 sends
+    both vertices to one loop; in the second, s_0 a is the edge from b to a.
+    Only on such sets can degeneracies clash or force an image whose boundary
+    is wrong."""
+    loop = {(1, i): {"e": "a"} for i in range(2)}
+    clash = TruncatedSimplicialSet(
+        [["a", "b"], ["e"]], loop, {(0, 0): {"a": "e", "b": "e"}}, validate=False
+    )
+    edges = {(1, 0): {"aa": "a", "bb": "b", "ba": "a"}, (1, 1): {"aa": "a", "bb": "b", "ba": "b"}}
+    skew = TruncatedSimplicialSet(
+        [["a", "b"], ["aa", "bb", "ba"]], edges, {(0, 0): {"a": "ba", "b": "bb"}}, validate=False
+    )
+    return [clash, skew]
+
+
+def _oracle_pairs():
+    nerves = [nerve(p, K) for K in (1, 2) for p in all_posets(3)]
+    pairs = [(X, Y) for X in nerves for Y in nerves if X.K == Y.K]
+    level_one = [_loops(k) for k in range(3)] + _broken() + [nerve(p, 1) for p in all_posets(2)]
+    pairs += [(X, Y) for X in level_one for Y in level_one]
+    return [
+        (X, Y)
+        for X, Y in pairs
+        if math.prod(len(Y.levels[n]) ** len(X.levels[n]) for n in range(X.K + 1)) <= 20_000
+    ]
+
+
+def test_simplicial_maps_match_brute_force_in_order():
+    pairs = _oracle_pairs()
+    assert len(pairs) > 100
+    for X, Y in pairs:
+        want = _brute_force_maps(X, Y)
+        got = [tuple(m(n, x) for n, x in _slots(X)) for m in simplicial_maps(X, Y)]
+        assert got == want, (X, Y)
+        assert count_simplicial_maps(X, Y) == len(want), (X, Y)
+
+
+def test_simplicial_maps_run_deeper_than_the_recursion_limit():
+    X, Y = nerve(chain_poset("0123"), 10), nerve(singleton(), 10)
+    assert sum(len(level) for level in X.levels) == 1364  # beyond the default limit of 1000
+    maps = simplicial_maps(X, Y)
+    assert len(maps) == count_simplicial_maps(X, Y) == 1
+
+
 def test_truncation_mismatch():
     with pytest.raises(SimplicialError):
         simplicial_maps(nerve(two_chain(), 1), nerve(two_chain(), 2))
+    with pytest.raises(SimplicialError):
+        count_simplicial_maps(nerve(two_chain(), 1), nerve(two_chain(), 2))
 
 
 def test_restrict_keeps_lower_levels():
