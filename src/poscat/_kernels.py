@@ -1,12 +1,29 @@
-"""Pure-Python bitmask kernels: relation closure and order-constrained function search.
+"""Bitmask kernels: relation closure and order-constrained function search.
 
 Relations on k elements are handled as k row bitmasks (bit j of row i set iff
-i relates to j).  Constraint pairs use kinds 0: f[i] <= f[j], 1: f[i] == f[j],
-2: f[i] < f[j].  The searches keep their state in explicit stacks, so their
-depth is not bounded by the interpreter's recursion limit.
+i relates to j).  Constraint pairs are (i, j, kind) with kind LEQ: f[i] <= f[j],
+EQ: f[i] == f[j], LT: f[i] < f[j], interpreted in the target relation.  The
+searches keep their state in explicit stacks, so their depth is not bounded by
+the interpreter's recursion limit.
+
+Counting is split in two: `count_plan(n_slots, pairs)` fixes everything that
+does not depend on the target (the branching order and the slots closed at
+each level), and `run_plan(plan, up_rows, down_rows, domains)` runs that plan
+against one target, given its rows and columns (a `FinPoset` caches the latter
+as `down_rows`) and optionally a mask of allowed values per slot.  A caller
+counting one constraint set into many targets builds the plan once.
 """
 
 from __future__ import annotations
+
+LEQ = 0
+EQ = 1
+LT = 2
+
+
+def backend() -> str:
+    """Name of the kernel implementation: always "pure" (pure Python)."""
+    return "pure"
 
 
 def transitive_closure(rows):
@@ -49,15 +66,15 @@ def _neighbours(n_slots, pairs):
     nbrs = [[] for _ in range(n_slots)]
     for i, j, kind in pairs:
         if i == j:
-            if kind == 2:
+            if kind == LT:
                 return None
-            if kind == 0:
+            if kind == LEQ:
                 reflexive[i] = True
             continue
-        if kind == 1:
+        if kind == EQ:
             nbrs[i].append((j, 2))
             nbrs[j].append((i, 2))
-        elif kind == 0:
+        elif kind == LEQ:
             nbrs[i].append((j, 0))
             nbrs[j].append((i, 1))
         else:
@@ -90,10 +107,10 @@ def count_plan(n_slots, pairs):
     of allowed values as a factor, so tree-shaped constraint graphs are
     counted without enumerating every function.  Which slots are assigned
     at each level does not depend on the values, so the whole order is fixed
-    here.  The plan is (n_free, n_reflexive, levels): the numbers of isolated
-    slots without and with a reflexivity constraint, and per level the
-    branch slot and the slots closed after it, each as (reflexive, cons) with
-    cons the (level, code) pairs it must satisfy.
+    here.  The plan is (free, loops, levels): the isolated slots without and
+    with a reflexivity constraint, and per level the branch slot and the
+    slots closed after it, each as (slot, reflexive, cons) with cons the
+    (level, code) pairs it must satisfy.
     """
     built = _neighbours(n_slots, pairs)
     if built is None:
@@ -101,42 +118,52 @@ def count_plan(n_slots, pairs):
     reflexive, nbrs = built
     level_of = [-1] * n_slots
     todo = set()
-    n_free = n_reflexive = 0
+    free = []
+    loops = []
     for s in range(n_slots):
         if nbrs[s]:
             todo.add(s)
         elif reflexive[s]:
-            n_reflexive += 1
+            loops.append(s)
         else:
-            n_free += 1
+            free.append(s)
 
-    def cons(s):
-        return tuple((level_of[o], code) for o, code in nbrs[s] if level_of[o] >= 0)
+    def entry(s):
+        cons = tuple((level_of[o], code) for o, code in nbrs[s] if level_of[o] >= 0)
+        return s, reflexive[s], cons
 
     levels = []
     while todo:
         s = min(todo, key=lambda t: (-sum(1 for o, _ in nbrs[t] if level_of[o] >= 0), t))
-        branch = (reflexive[s], cons(s))
+        branch = entry(s)
         level_of[s] = len(levels)
         todo.discard(s)
         closed = [t for t in sorted(todo) if all(level_of[o] >= 0 for o, _ in nbrs[t])]
         todo.difference_update(closed)
-        levels.append((branch, tuple((reflexive[t], cons(t)) for t in closed)))
-    return n_free, n_reflexive, tuple(levels)
+        levels.append((branch, tuple(entry(t) for t in closed)))
+    return tuple(free), tuple(loops), tuple(levels)
 
 
-def run_plan(plan, up_rows, down_rows):
+def run_plan(plan, up_rows, down_rows, domains=None):
     """Number of functions satisfying the constraints `plan` was built from,
     into the target relation with rows `up_rows` and columns `down_rows`.
 
-    Runs the plan depth first with an explicit stack, one level per branch
-    slot.
+    When `domains` is given, slot s may take only the values in the mask
+    domains[s].  Runs the plan depth first with an explicit stack, one level
+    per branch slot.
     """
-    n_free, n_reflexive, levels = plan
+    free, loops, levels = plan
     n_tgt = len(up_rows)
     full = (1 << n_tgt) - 1
     diag = sum(1 << v for v in range(n_tgt) if up_rows[v] >> v & 1)
-    prod = full.bit_count() ** n_free * diag.bit_count() ** n_reflexive
+    if domains is None:
+        prod = full.bit_count() ** len(free) * diag.bit_count() ** len(loops)
+    else:
+        prod = 1
+        for s in free:
+            prod *= (domains[s] & full).bit_count()
+        for s in loops:
+            prod *= (domains[s] & diag).bit_count()
     if not levels or not prod:
         return prod
     tables = _tables(up_rows, down_rows)
@@ -145,8 +172,10 @@ def run_plan(plan, up_rows, down_rows):
     masks = [0] * depth
     prods = [0] * depth
 
-    def allowed(reflexive, cons):
+    def allowed(s, reflexive, cons):
         mask = diag if reflexive else full
+        if domains is not None:
+            mask &= domains[s]
         for level, code in cons:
             mask &= tables[code][values[level]]
         return mask
@@ -164,8 +193,8 @@ def run_plan(plan, up_rows, down_rows):
         masks[k] = mask ^ bit
         values[k] = bit.bit_length() - 1
         p = prods[k]
-        for reflexive, cons in levels[k][1]:
-            p *= allowed(reflexive, cons).bit_count()
+        for s, reflexive, cons in levels[k][1]:
+            p *= allowed(s, reflexive, cons).bit_count()
             if not p:
                 break
         if not p:

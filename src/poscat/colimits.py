@@ -308,16 +308,23 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     class).
 
     A cocone corresponds to a function on the stage-one quotient classes that
-    respects every node relation; the mediating map is forced on apex elements
-    hit by the legs, so existence and uniqueness reduce to counting
-    constraint-satisfying functions, one connected component at a time.  Each
-    component's two constraint lists (the node relations alone, and with the
-    candidate's identifications and order added) are built once, and each
-    distinct list is compiled once into a target-independent search plan
-    (`_kernels.count_plan`).  Plans run against each target's rows and cached
-    `FinPoset.down_rows`, and a dict local to the call keeps one count per
-    (shape, target), so components of the same shape are counted once per
-    target.
+    respects every node relation.  One plan kernel (`_kernels.count_plan` and
+    `_kernels.run_plan`) does all the counting, in one of two ways.
+
+    When the legs hit every apex element, the mediating map is forced, so
+    existence and uniqueness reduce to counting constraint-satisfying
+    functions, one connected component at a time.  Each component's two
+    constraint lists (the node relations alone, and with the candidate's
+    identifications and order added) are built once, and each distinct list
+    is compiled once into a target-independent plan.  Plans run against each
+    target's rows and cached `FinPoset.down_rows`, and a dict local to the
+    call keeps one count per (shape, target), so components of the same shape
+    are counted once per target.
+
+    When the legs miss some apex elements, every cocone is enumerated and its
+    mediating maps are counted by one plan over the unhit elements, built
+    once per call, with each element's values restricted by the cocone's
+    values on the hit elements below and above it.
     """
     if not candidate.commutes():
         raise ColimitError("invalid-cocone: candidate legs do not commute")
@@ -386,14 +393,30 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
             )
         return report
 
-    # Some apex elements are unhit: mediating maps are no longer forced, so
-    # enumerate cocones and count monotone completions directly.
+    # Some apex elements are unhit: a cocone fixes the mediating map on the hit
+    # elements only, and one plan over the apex's cover pairs among the unhit
+    # elements counts its completions.  Each unhit element's domain holds the
+    # values that respect the hit elements below and above it; with the
+    # target's transitivity, that covers every chain through a hit element.
+    unhit = [a for a in range(apex.n) if a not in hit]
+    slot_of = {a: s for s, a in enumerate(unhit)}
+    plan = _kernels.count_plan(
+        len(unhit),
+        [
+            (slot_of[a], slot_of[b], _kernels.LEQ)
+            for a, b in apex.cover_pairs
+            if a in slot_of and b in slot_of
+        ],
+    )
+    hit_pairs = [(a, b) for a, b in apex.leq_pairs if a in hit and b in hit]
+    below = [[b for b in hit if apex.up_rows[b] >> u & 1] for u in unhit]
+    above = [[b for b in hit if apex.up_rows[u] >> b & 1] for u in unhit]
     for target in all_posets(apex_size_bound):
         assignments = _kernels.list_maps(n, target.n, list(target.up_rows), node_pairs)
         exist_ok = True
         unique_ok = True
         for h in assignments:
-            count = _count_mediating(apex, class_to_apex, h, target, cap=2)
+            count = _completions(plan, class_to_apex, hit_pairs, below, above, h, target)
             if count == 0:
                 exist_ok = False
             if count > 1:
@@ -413,6 +436,30 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     return report
 
 
+def _completions(plan, class_to_apex, hit_pairs, below, above, h, target):
+    """Number of monotone maps apex -> target through which the cocone h
+    factors: 0 when h breaks an identification or an order relation among
+    the hit elements, else the plan's count of the unhit elements' values."""
+    value = {}
+    for a, v in zip(class_to_apex, h):
+        if value.setdefault(a, v) != v:
+            return 0
+    up, down = target.up_rows, target.down_rows
+    for a, b in hit_pairs:
+        if not up[value[a]] >> value[b] & 1:
+            return 0
+    full = (1 << target.n) - 1
+    domains = []
+    for lower, upper in zip(below, above):
+        mask = full
+        for b in lower:
+            mask &= up[value[b]]
+        for b in upper:
+            mask &= down[value[b]]
+        domains.append(mask)
+    return _kernels.run_plan(plan, up, down, domains)
+
+
 def _label(poset):
     return poset.name or f"poset<{poset.n}:{sum(bin(r).count('1') for r in poset.up_rows)}>"
 
@@ -430,51 +477,6 @@ def _describe_witness(comp, sub_all, sub_good, target, members):
                     f"[{cells}] but admits no mediating map"
                 )
     return "mediating map missing or ambiguous"
-
-
-def _count_mediating(apex, class_to_apex, h, target, cap=2):
-    """Number of monotone maps apex -> target compatible with the cocone h."""
-    forced = {}
-    for slot, a in enumerate(class_to_apex):
-        if a in forced and forced[a] != h[slot]:
-            return 0
-        forced[a] = h[slot]
-    free = [a for a in range(apex.n) if a not in forced]
-    count = 0
-
-    def rec(k, partial):
-        nonlocal count
-        if count >= cap:
-            return
-        if k == len(free):
-            count += 1
-            return
-        a = free[k]
-        for v in range(target.n):
-            trial = dict(partial)
-            trial[a] = v
-            if _monotone_so_far(apex, target, trial, a):
-                rec(k + 1, trial)
-
-    for a, v in forced.items():
-        if not _monotone_so_far(apex, target, forced, a):
-            return 0
-    if not free:
-        return 1
-    rec(0, dict(forced))
-    return count
-
-
-def _monotone_so_far(apex, target, partial, focus):
-    v = partial[focus]
-    for b, w in partial.items():
-        if b == focus:
-            continue
-        if apex.up_rows[focus] & (1 << b) and not target.up_rows[v] & (1 << w):
-            return False
-        if apex.up_rows[b] & (1 << focus) and not target.up_rows[w] & (1 << v):
-            return False
-    return True
 
 
 def _face_chain(source, indices):

@@ -106,43 +106,47 @@ class TruncatedSimplicialSet:
 
     def identity_violations(self):
         """Instances of the dual simplicial identities that fail, if any."""
+        d, s = self.faces, self.degeneracies
         out = []
         for m in range(2, self.K + 1):
             for j in range(1, m + 1):
                 for i in range(j):
                     fam = 'd_i d_j = d_{j-1} d_i (dual of "delta_j delta_i = delta_i delta_{j-1}")'
+                    d_i, d_j = d[(m - 1, i)], d[(m, j)]
+                    d_j1, d_i_m = d[(m - 1, j - 1)], d[(m, i)]
                     for x in self.levels[m]:
-                        lhs = self.face(m - 1, i, self.face(m, j, x))
-                        rhs = self.face(m - 1, j - 1, self.face(m, i, x))
-                        if lhs != rhs:
+                        if d_i[d_j[x]] != d_j1[d_i_m[x]]:
                             out.append(IdentityViolation(fam, m, i, j, x))
         for m in range(0, self.K - 1):
             for j in range(m + 1):
                 for i in range(j + 1):
                     fam = 's_i s_j = s_{j+1} s_i (dual of "sigma_j sigma_i = sigma_i sigma_{j+1}")'
+                    s_i, s_j = s[(m + 1, i)], s[(m, j)]
+                    s_j1, s_i_m = s[(m + 1, j + 1)], s[(m, i)]
                     for x in self.levels[m]:
-                        lhs = self.deg(m + 1, i, self.deg(m, j, x))
-                        rhs = self.deg(m + 1, j + 1, self.deg(m, i, x))
-                        if lhs != rhs:
+                        if s_i[s_j[x]] != s_j1[s_i_m[x]]:
                             out.append(IdentityViolation(fam, m, i, j, x))
         for m in range(0, self.K):
             for j in range(m + 1):
+                s_j = s[(m, j)]
                 for i in range(m + 2):
-                    for x in self.levels[m]:
-                        got = self.face(m + 1, i, self.deg(m, j, x))
-                        if i == j or i == j + 1:
-                            fam = 'd_i s_j = id (dual of "sigma_j delta_i = id")'
-                            if got != x:
+                    d_i = d[(m + 1, i)]
+                    if i == j or i == j + 1:
+                        fam = 'd_i s_j = id (dual of "sigma_j delta_i = id")'
+                        for x in self.levels[m]:
+                            if d_i[s_j[x]] != x:
                                 out.append(IdentityViolation(fam, m, i, j, x))
-                        elif i < j:
-                            fam = 'd_i s_j = s_{j-1} d_i (dual of "sigma_j delta_i = delta_i sigma_{j-1}")'
-                            rhs = self.deg(m - 1, j - 1, self.face(m, i, x))
-                            if got != rhs:
+                    elif i < j:
+                        fam = 'd_i s_j = s_{j-1} d_i (dual of "sigma_j delta_i = delta_i sigma_{j-1}")'
+                        s_j1, d_i_m = s[(m - 1, j - 1)], d[(m, i)]
+                        for x in self.levels[m]:
+                            if d_i[s_j[x]] != s_j1[d_i_m[x]]:
                                 out.append(IdentityViolation(fam, m, i, j, x))
-                        else:
-                            fam = 'd_i s_j = s_j d_{i-1} (dual of "sigma_j delta_i = delta_{i-1} sigma_j")'
-                            rhs = self.deg(m - 1, j, self.face(m, i - 1, x))
-                            if got != rhs:
+                    else:
+                        fam = 'd_i s_j = s_j d_{i-1} (dual of "sigma_j delta_i = delta_{i-1} sigma_j")'
+                        s_jm, d_i1 = s[(m - 1, j)], d[(m, i - 1)]
+                        for x in self.levels[m]:
+                            if d_i[s_j[x]] != s_jm[d_i1[x]]:
                                 out.append(IdentityViolation(fam, m, i, j, x))
         return out
 

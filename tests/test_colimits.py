@@ -16,6 +16,7 @@ from poscat import (
     colimit_tos,
     face,
     find_isomorphism,
+    linear_extensions,
     make_poset,
     ordinal_poset,
     verify_universal,
@@ -220,28 +221,46 @@ def test_random_diagrams_verify_small_bound():
 
 def brute_force_universal(diagram, candidate, bound):
     """Independent oracle: materialize every cocone as a tuple of monotone legs
-    and count mediating maps by filtering all monotone maps out of the apex."""
+    and count mediating maps by filtering all monotone maps out of the apex.
+
+    Returns one (apex label, cocones, existence, uniqueness) tuple per target.
+    """
     import itertools
 
     from poscat import monotone_maps
     from poscat.corpus import all_posets
 
     node_ids = diagram.node_ids
+    out = []
     for target in all_posets(bound):
         choices = [monotone_maps(diagram.nodes[nid], target) for nid in node_ids]
         mediators = monotone_maps(candidate.apex, target)
+        cocones = 0
+        exists = unique = True
         for legs in itertools.product(*choices):
             legs = dict(zip(node_ids, legs))
             if any(legs[d].compose(f) != legs[s] for _, s, d, f in diagram.edges):
                 continue
+            cocones += 1
             count = sum(
                 1
                 for u in mediators
                 if all(u.compose(candidate.legs[nid]) == legs[nid] for nid in node_ids)
             )
-            if count != 1:
-                return False
-    return True
+            exists = exists and count > 0
+            unique = unique and count < 2
+        out.append((target.name, cocones, exists, unique))
+    return out
+
+
+def verdicts(report):
+    """The report's entries in the oracle's form."""
+    return [(e.apex_label, e.cocones, e.existence_ok, e.uniqueness_ok) for e in report.entries]
+
+
+def brute_force_passed(diagram, candidate, bound):
+    found = brute_force_universal(diagram, candidate, bound)
+    return all(exists and unique for _, _, exists, unique in found)
 
 
 def test_verify_universal_matches_brute_force():
@@ -251,7 +270,7 @@ def test_verify_universal_matches_brute_force():
         diagram = random_diagram(rng, max_nodes=2, max_elems=3)
         cocone = colimit_pos(diagram)
         report = verify_universal(diagram, cocone, 3)
-        assert report.passed == brute_force_universal(diagram, cocone, 3)
+        assert report.passed == brute_force_passed(diagram, cocone, 3)
 
         # also compare on a deliberately wrong candidate: collapse the apex
         if cocone.apex.n >= 2:
@@ -262,7 +281,82 @@ def test_verify_universal_matches_brute_force():
             }
             bad = Cocone(diagram, point, legs)
             got = verify_universal(diagram, bad, 3).passed
-            assert got == brute_force_universal(diagram, bad, 3)
+            assert got == brute_force_passed(diagram, bad, 3)
             assert not got
             checked_fail += 1
     assert checked_fail > 0
+
+
+def with_unhit(cocone, shape, rng):
+    """A candidate with new apex elements that no leg hits.
+
+    Shapes: one isolated element; one above, below or between hit elements;
+    two in a chain between hit elements; one above a one-point collapse of
+    the apex (cocones that separate two classes break an identification);
+    one below a hit element of a linear extension of the apex (cocones that
+    are not monotone for the added relations break the order).  None when the
+    apex has no pair a < b to put elements between.
+    """
+    apex = cocone.apex
+    names = list(apex.elements)
+    pairs = [(names[i], names[j]) for i, j in apex.cover_pairs]
+    values = {nid: leg.values for nid, leg in cocone.legs.items()}
+    hit = rng.choice(names)
+    if shape == "isolated":
+        new = ["u"]
+    elif shape == "above":
+        new, pairs = ["u"], pairs + [(hit, "u")]
+    elif shape == "below":
+        new, pairs = ["u"], pairs + [("u", hit)]
+    elif shape == "collapsed":
+        names, new, pairs = ["z"], ["u"], [("z", "u")]
+        values = {nid: ("z",) * len(v) for nid, v in values.items()}
+    elif shape == "linear":
+        total = rng.choice(linear_extensions(apex))
+        new = ["u"]
+        pairs = [(total.elements[i], total.elements[j]) for i, j in total.cover_pairs]
+        pairs.append(("u", hit))
+    else:
+        if not apex.leq_pairs:
+            return None
+        i, j = rng.choice(apex.leq_pairs)
+        lo, hi = names[i], names[j]
+        if shape == "between":
+            new, pairs = ["u"], pairs + [(lo, "u"), ("u", hi)]
+        else:
+            new, pairs = ["u", "v"], pairs + [(lo, "u"), ("u", "v"), ("v", hi)]
+    big = make_poset(names + new, pairs)
+    legs = {nid: MonotoneMap(leg.source, big, values[nid]) for nid, leg in cocone.legs.items()}
+    return Cocone(cocone.diagram, big, legs)
+
+
+def test_verify_universal_unhit_elements_match_brute_force():
+    rng = random.Random(131)
+    checked = 0
+    while checked < 24:
+        diagram = random_diagram(rng, max_nodes=2, max_elems=3)
+        cocone = colimit_pos(diagram)
+        for shape in ("isolated", "above", "below", "between", "chain", "collapsed", "linear"):
+            candidate = with_unhit(cocone, shape, rng)
+            if candidate is None:
+                continue
+            report = verify_universal(diagram, candidate, 3)
+            assert verdicts(report) == brute_force_universal(diagram, candidate, 3), shape
+            checked += 1
+
+
+def test_verify_universal_many_unhit_elements():
+    # 1,100 isolated unhit apex elements: deeper than the recursion limit
+    diagram = PosetDiagram(nodes={"A": ordinal_poset(0)}, edges=[])
+    names = ("0",) + tuple(f"u{k:04d}" for k in range(1100))
+    apex = FinPoset(names, tuple(1 << k for k in range(1101)))
+    candidate = Cocone(diagram, apex, {"A": MonotoneMap(diagram.nodes["A"], apex, ("0",))})
+    report = verify_universal(diagram, candidate, 2)
+    assert report.passed is False
+    assert verdicts(report) == [
+        ("P0.0", 0, True, True),
+        ("P1.0", 1, True, True),
+        ("P2.0", 2, True, False),
+        ("P2.1", 2, True, False),
+    ]
+    assert report.witness.endswith("more than one mediating map")

@@ -1,16 +1,20 @@
-"""Kernel correctness: brute-force oracles, and pure vs compiled agreement."""
+"""Kernel correctness against brute-force oracles."""
 
 import itertools
 import random
 
-import pytest
-
-from poscat._kernels import LEQ, LT, EQ, backend, pure
-
-try:
-    from poscat._kernels import _speedups
-except ImportError:
-    _speedups = None
+from poscat._kernels import (
+    EQ,
+    LEQ,
+    LT,
+    backend,
+    count_maps,
+    count_plan,
+    list_maps,
+    run_plan,
+    transitive_closure,
+    transpose,
+)
 
 
 def naive_closure(rows):
@@ -63,7 +67,7 @@ def test_closure_against_naive():
     for _ in range(50):
         n = rng.randint(0, 8)
         rows = random_relation(rng, n)
-        assert pure.transitive_closure(rows) == naive_closure(rows)
+        assert transitive_closure(rows) == naive_closure(rows)
 
 
 def test_maps_against_naive():
@@ -74,48 +78,34 @@ def test_maps_against_naive():
         if n_slots and rng.random() < 0.5:
             s = rng.randrange(n_slots)
             pairs.append((s, s, rng.choice([LEQ, EQ, LT])))  # a self-pair
-        plan = pure.count_plan(n_slots, pairs)
+        plan = count_plan(n_slots, pairs)
         for _ in range(4):
             n_tgt = rng.randint(0, 4)
             rows = random_relation(rng, n_tgt)  # rows need not be reflexive
             expected = naive_maps(n_slots, n_tgt, rows, pairs)
-            got = pure.list_maps(n_slots, n_tgt, rows, pairs)
+            got = list_maps(n_slots, n_tgt, rows, pairs)
             assert got == expected  # lexicographic order matches itertools.product
-            assert pure.count_maps(n_slots, n_tgt, rows, pairs) == len(expected)
-            planned = 0 if plan is None else pure.run_plan(plan, rows, pure.transpose(rows, n_tgt))
+            assert count_maps(n_slots, n_tgt, rows, pairs) == len(expected)
+            cols = transpose(rows, n_tgt)
+            planned = 0 if plan is None else run_plan(plan, rows, cols)
             assert planned == len(expected)
+            # one random mask of allowed values per slot
+            domains = [rng.randrange(1 << n_tgt) for _ in range(n_slots)]
+            inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
+            planned = 0 if plan is None else run_plan(plan, rows, cols, domains)
+            assert planned == len(inside)
 
 
 def test_list_maps_runs_deep_chains():
     # 3000 chained slots into a one-element target: deeper than the recursion limit
     pairs = [(k, k + 1, LEQ) for k in range(2999)]
-    assert pure.list_maps(3000, 1, [1], pairs) == [(0,) * 3000]
+    assert list_maps(3000, 1, [1], pairs) == [(0,) * 3000]
 
 
 def test_count_handles_disconnected_slots():
     # ten unconstrained slots over a three-element target: counted, not enumerated
-    assert pure.count_maps(10, 3, [1, 2, 4], []) == 3**10
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-def test_compiled_matches_pure():
-    rng = random.Random(13)
-    for _ in range(120):
-        n_slots = rng.randint(0, 5)
-        n_tgt = rng.randint(0, 5)
-        rows = random_relation(rng, n_tgt)
-        pairs = random_pairs(rng, n_slots) if n_slots else []
-        assert _speedups.list_maps(n_slots, n_tgt, rows, pairs) == pure.list_maps(
-            n_slots, n_tgt, rows, pairs
-        )
-        assert _speedups.count_maps(n_slots, n_tgt, rows, pairs) == pure.count_maps(
-            n_slots, n_tgt, rows, pairs
-        )
-    for _ in range(30):
-        n = rng.randint(0, 20)
-        rows = random_relation(rng, n)
-        assert _speedups.transitive_closure(rows) == pure.transitive_closure(rows)
+    assert count_maps(10, 3, [1, 2, 4], []) == 3**10
 
 
 def test_backend_reports_a_known_name():
-    assert backend() in ("pure", "compiled")
+    assert backend() == "pure"

@@ -24,11 +24,17 @@ LAYERS = (
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "poscat"
 
 
+def package_sources():
+    """(path relative to the package, source) for every module of the package."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path.relative_to(PACKAGE), path.read_text(encoding="utf-8")
+
+
 def intra_package_imports(source, package_parts):
     """(target layer, imported name or None) for each import of the package.
 
-    `package_parts` names the package the source lives in, e.g. ("poscat",)
-    or ("poscat", "_kernels"); relative imports are resolved against it.
+    `package_parts` names the package the source lives in, e.g. ("poscat",);
+    relative imports are resolved against it.
     """
     out = []
     for node in ast.walk(ast.parse(source)):
@@ -76,10 +82,29 @@ def test_checker_flags_back_edges_and_private_names():
 
 def test_package_imports_follow_the_layer_order():
     found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        rel = path.relative_to(PACKAGE)
+    for rel, source in package_sources():
         layer = rel.parts[0] if len(rel.parts) > 1 else rel.stem
         package_parts = ("poscat",) + rel.parts[:-1]
         assert layer in LAYERS + ("__init__",), f"{rel} belongs to no layer"
-        found += violations(layer, path.read_text(encoding="utf-8"), package_parts)
+        found += violations(layer, source, package_parts)
+    assert found == []
+
+
+def reads_environment(source):
+    """Whether the source reads `os.environ` or calls `os.getenv`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                return True
+    return False
+
+
+def test_no_module_reads_the_environment():
+    # behaviour depends on arguments only: no run-time switch through the environment
+    assert reads_environment("import os\nx = os.environ.get('A')\n")
+    assert reads_environment("from os import getenv\n")
+    assert not reads_environment("import os\nos.path.join('a')\n")
+    found = [str(rel) for rel, source in package_sources() if reads_environment(source)]
     assert found == []
