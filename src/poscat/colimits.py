@@ -54,9 +54,6 @@ class PosetDiagram:
     def node_ids(self):
         return tuple(sorted(self.nodes))
 
-    def total_elements(self):
-        return sum(p.n for p in self.nodes.values())
-
 
 @dataclass
 class Cocone:
@@ -132,92 +129,38 @@ def _class_relation_pairs(diagram, class_of):
     return sorted(pairs)
 
 
-def _tarjan_scc(succ):
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 def colimit_pos(diagram) -> Cocone:
-    """Colimit in the category of finite posets, by the three-stage recipe."""
+    """Colimit in the category of finite posets, by the three-stage recipe.
+
+    The class relation is closed once: two classes share a strongly connected
+    component when each reaches the other, and component a <= b when a's
+    first class reaches b's.  A component is named 'node.element' after its
+    least (node, element) cell in tuple order; the apex sorts the names.
+    """
     members, class_of = _set_colimit_classes(diagram)
-    n = len(members)
-    pairs = _class_relation_pairs(diagram, class_of)
-    succ = [[] for _ in range(n)]
-    for c1, c2 in pairs:
-        succ[c1].append(c2)
-
-    comps = _tarjan_scc(succ)
-    comp_of = {}
-    comp_names = []
-    comp_members = []
-    for comp in comps:
-        cells = sorted(key for c in comp for key in members[c])
-        comp_members.append(cells)
-        comp_names.append(f"{cells[0][0]}.{cells[0][1]}")
-    order = sorted(range(len(comps)), key=lambda k: comp_names[k])
-    rank = {old: new for new, old in enumerate(order)}
-    for k, comp in enumerate(comps):
-        for c in comp:
-            comp_of[c] = rank[k]
-    names = [comp_names[k] for k in order]
-    m = len(names)
-
-    adj = [0] * m
-    for c1, c2 in pairs:
-        a, b = comp_of[c1], comp_of[c2]
-        if a != b:
-            adj[a] |= 1 << b
-    closed = _kernels.transitive_closure(adj)
-    apex = FinPoset(names, closed, name=diagram.name and f"colim({diagram.name})")
-
-    legs = {}
-    for nid, poset in diagram.nodes.items():
-        values = tuple(names[comp_of[class_of[(nid, e)]]] for e in poset.elements)
-        legs[nid] = MonotoneMap(poset, apex, values)
+    rows = [0] * len(members)
+    for c1, c2 in _class_relation_pairs(diagram, class_of):
+        rows[c1] |= 1 << c2
+    closed = _kernels.transitive_closure(rows)
+    back = _kernels.transpose(closed, len(members))
+    comps = {}
+    for c, row in enumerate(closed):
+        comps.setdefault(row & back[c], []).append(c)
+    named = []
+    for comp in comps.values():
+        node, element = min(cell for c in comp for cell in members[c])
+        named.append((f"{node}.{element}", comp))
+    named.sort()
+    name_of = {}
+    for name, comp in named:
+        name_of.update(dict.fromkeys(comp, name))
+    reps = [comp[0] for _, comp in named]
+    up = [sum(1 << b for b, r in enumerate(reps) if closed[rep] >> r & 1) for rep in reps]
+    apex = FinPoset([name for name, _ in named], up, name=diagram.name and f"colim({diagram.name})")
+    legs = {
+        nid: MonotoneMap(poset, apex, tuple(name_of[class_of[(nid, e)]] for e in poset.elements))
+        for nid, poset in diagram.nodes.items()
+    }
     return Cocone(diagram, apex, legs)
 
 

@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 
 from . import _kernels
 from .colimits import Cocone, colimit_pos, induced_map
+from .delta import DeltaMap
 from .kan import comma_data, inclusion_functor, stabilization_step
 from .posets import FinPoset, MonotoneMap, monotone_maps
 from .simplicial import (
     SimplicialMap,
+    evaluate,
     iter_simplicial_maps,
     nerve,
     nerve_map,
@@ -154,33 +156,24 @@ def extract_order(X) -> Relation:
     return extract_relation(X)
 
 
-def _vertex_tuple(X, n, x):
-    """Vertex tuple of an n-simplex through the iterated-face edge composites.
-
-    Edge k is reached by applying d_n ... d_{k+2} then d_{k-1} ... d_0; the
-    simplex is consistent when consecutive edges share endpoint vertices.
-    """
-    if n == 0:
-        return (x,), True
-    pairs = []
-    for k in range(n):
-        y = x
-        level = n
-        for idx in range(n, k + 1, -1):
-            y = X.face(level, idx, y)
-            level -= 1
-        for idx in range(k - 1, -1, -1):
-            y = X.face(level, idx, y)
-            level -= 1
-        pairs.append(_edge_pair(X, y))
-    consistent = all(pairs[k][1] == pairs[k + 1][0] for k in range(n - 1))
-    points = tuple(p[0] for p in pairs) + (pairs[-1][1],)
-    return points, consistent
-
-
 def _vertex_table(X):
-    """(vertex tuple, consistent) of every simplex, one dict per level."""
-    return [{x: _vertex_tuple(X, n, x) for x in X.levels[n]} for n in range(X.K + 1)]
+    """(vertex tuple, consistent) of every simplex, one dict per level.
+
+    Edge k of an n-simplex is its image under the Delta-map [1] -> [n] with
+    values (k, k + 1), evaluated through X's face tables; its vertices are the
+    edges' endpoints. The simplex is consistent when consecutive edges share
+    endpoint vertices.
+    """
+    table = [{x: ((x,), True) for x in X.levels[0]}]
+    for n in range(1, X.K + 1):
+        edges = [evaluate(X, DeltaMap(1, n, (k, k + 1))) for k in range(n)]
+        level = {}
+        for x in X.levels[n]:
+            pairs = [_edge_pair(X, edge[x]) for edge in edges]
+            consistent = all(pairs[k][1] == pairs[k + 1][0] for k in range(n - 1))
+            level[x] = (tuple(p[0] for p in pairs) + (pairs[-1][1],), consistent)
+        table.append(level)
+    return table
 
 
 def _label_tuple(X, points):
@@ -383,7 +376,7 @@ class DensityResult:
         return self.stabilized and self.iso is not None and self.iso.is_order_isomorphism()
 
 
-def density_colimit(poset, length_bound, check_stability=True) -> DensityResult:
+def density_colimit(poset, length_bound) -> DensityResult:
     """Colimit of the chain diagram of a poset, compared against the poset itself.
 
     The canonical map sends the class of (chain t, position j) to t[j]; density
@@ -400,9 +393,7 @@ def density_colimit(poset, length_bound, check_stability=True) -> DensityResult:
     # the elements of [n] are "0".."n"
     positions = {nid: (lambda j, t=t: t[int(j)]) for nid, t in node_chain.items()}
     iso, _ = induced_map(cocone, poset, positions)
-    stabilized = True
-    if check_stability:
-        _, stabilized = stabilization_step(functor, poset, cocone, length_bound)
+    _, stabilized = stabilization_step(functor, poset, cocone, length_bound)
     return DensityResult(cocone, iso, stabilized, length_bound)
 
 

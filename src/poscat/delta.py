@@ -38,9 +38,6 @@ class DeltaMap:
     def __call__(self, j):
         return self.values[j]
 
-    def is_identity(self):
-        return self.source == self.target and self.values == tuple(range(self.source + 1))
-
 
 def identity_delta(n) -> DeltaMap:
     return DeltaMap(n, n, tuple(range(n + 1)))

@@ -42,6 +42,12 @@ def parse_poset(text) -> FinPoset:
 
 def parse_poset_blocks(text):
     """Parse consecutive `poset` blocks into an ordered name -> FinPoset dict."""
+    return _poset_blocks(_tokenized(text))
+
+
+def _poset_blocks(lines):
+    """`parse_poset_blocks` over (line number, tokens) pairs, so that errors
+    cite the line numbers of the text the pairs came from."""
     out = {}
     name = None
     elements = []
@@ -54,7 +60,7 @@ def parse_poset_blocks(text):
             raise FormatError(f"duplicate poset name {name!r}", line_no)
         out[name] = make_poset(elements, pairs, name=name)
 
-    for line_no, tokens in _tokenized(text):
+    for line_no, tokens in lines:
         head = tokens[0]
         if head == "poset":
             if len(tokens) != 2:
@@ -116,8 +122,7 @@ def parse_diagram(text, base_dir=None) -> PosetDiagram:
             in_diagram = True
             name = tokens[1]
             if poset_lines:
-                text_block = "\n".join(" ".join(t) for _, t in poset_lines)
-                inline = parse_poset_blocks(text_block)
+                inline = _poset_blocks(poset_lines)
         elif head == "node":
             if not in_diagram:
                 raise FormatError("node before diagram header", line_no)

@@ -29,6 +29,11 @@ from .posets import (
 )
 
 
+# Largest ordinal whose generator images and identity instances a
+# FunctorPresentation checks on construction.
+VALIDATE_BOUND = 3
+
+
 class KanError(Exception):
     pass
 
@@ -49,20 +54,17 @@ class FunctorPresentation:
     `on_object(n)` returns a finite poset, `on_generator(kind, n, i)` a
     monotone map matching the generator's endpoints.  Construction checks the
     endpoint discipline and all simplicial identity instances with ordinals up
-    to `validate_bound`; arbitrary maps are then applied through the generator
+    to VALIDATE_BOUND; arbitrary maps are then applied through the generator
     normal form.
     """
 
-    def __init__(self, name, target_kind, on_object, on_generator, validate_bound=3):
+    def __init__(self, name, target_kind, on_object, on_generator):
         if target_kind not in ("pos", "set"):
             raise KanError(f"unknown target kind {target_kind!r}")
-        if validate_bound < 1:
-            raise KanError("validate_bound must be >= 1")
         self.name = name
         self.target_kind = target_kind
         self._on_object = on_object
         self._on_generator = on_generator
-        self.validate_bound = validate_bound
         self._objects = {}
         self._gens = {}
         self._validate()
@@ -79,21 +81,21 @@ class FunctorPresentation:
         return self._gens[key]
 
     def _validate(self):
-        for n in range(self.validate_bound + 1):
+        for n in range(VALIDATE_BOUND + 1):
             value = self.obj(n)
             if self.target_kind == "set" and value.leq_pairs:
                 raise KanError("set-valued functor must produce discrete posets")
-        for n in range(1, self.validate_bound + 1):
+        for n in range(1, VALIDATE_BOUND + 1):
             for i in range(n + 1):
                 g = self.gen("face", n, i)
                 if g.source != self.obj(n - 1) or g.target != self.obj(n):
                     raise KanError(f"face image delta_{i} into [{n}] has wrong endpoints")
-        for n in range(self.validate_bound):
+        for n in range(VALIDATE_BOUND):
             for i in range(n + 1):
                 g = self.gen("degeneracy", n, i)
                 if g.source != self.obj(n + 1) or g.target != self.obj(n):
                     raise KanError(f"degeneracy image sigma_{i} onto [{n}] has wrong endpoints")
-        for family, n, i, j, lhs, rhs in identity_instances(self.validate_bound):
+        for family, n, i, j, lhs, rhs in identity_instances(VALIDATE_BOUND):
             source = instance_source(lhs)
             if self._compose_refs(lhs, source) != self._compose_refs(rhs, source):
                 raise KanError(
@@ -111,16 +113,16 @@ class FunctorPresentation:
         return self._compose_refs(factorize(f).refs(), f.source)
 
 
-def inclusion_functor(validate_bound=3) -> FunctorPresentation:
+def inclusion_functor() -> FunctorPresentation:
     """The identity-on-chains inclusion of the simplex category into posets."""
 
     def on_generator(kind, n, i):
         return delta_to_monotone(generator(kind, n, i))
 
-    return FunctorPresentation("inclusion", "pos", ordinal_poset, on_generator, validate_bound)
+    return FunctorPresentation("inclusion", "pos", ordinal_poset, on_generator)
 
 
-def product_functor(q: FinPoset, validate_bound=3) -> FunctorPresentation:
+def product_functor(q: FinPoset) -> FunctorPresentation:
     """[n] goes to [n] x Q with the componentwise order; maps act on the left factor."""
 
     def on_object(n):
@@ -135,12 +137,10 @@ def product_functor(q: FinPoset, validate_bound=3) -> FunctorPresentation:
                 mapping[f"{a},{y}"] = f"{d(a)},{y}"
         return MonotoneMap.from_dict(src, tgt, mapping)
 
-    return FunctorPresentation(
-        f"product-with-{q.name or 'Q'}", "pos", on_object, on_generator, validate_bound
-    )
+    return FunctorPresentation(f"product-with-{q.name or 'Q'}", "pos", on_object, on_generator)
 
 
-def underlying_set_functor(validate_bound=3) -> FunctorPresentation:
+def underlying_set_functor() -> FunctorPresentation:
     """[n] goes to its bare element set (a discrete poset)."""
 
     def on_object(n):
@@ -152,7 +152,7 @@ def underlying_set_functor(validate_bound=3) -> FunctorPresentation:
             on_object(d.source), on_object(d.target), tuple(str(v) for v in d.values)
         )
 
-    return FunctorPresentation("underlying-set", "set", on_object, on_generator, validate_bound)
+    return FunctorPresentation("underlying-set", "set", on_object, on_generator)
 
 
 def _chain_id(t):

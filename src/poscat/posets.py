@@ -307,26 +307,30 @@ def count_monotone_maps(source, target):
 
 
 def linear_extensions(poset):
-    """Every total order containing the poset, as FinPosets on the same elements."""
-    remaining = list(range(poset.n))
+    """Every total order containing the poset, as FinPosets on the same
+    elements, in lexicographic order of their index sequences.  The search
+    keeps the next index to try at each depth on an explicit stack."""
+    n = poset.n
+    below = [poset.down_rows[i] & ~(1 << i) for i in range(n)]
+    remaining = (1 << n) - 1
     seq = []
-    out = []
-
-    def rec():
-        if not remaining:
-            out.append(chain_poset([poset.elements[i] for i in seq]))
-            return
-        for i in list(remaining):
-            below = poset.down_rows[i] & ~(1 << i)
-            if all(not below & (1 << j) for j in remaining):
-                remaining.remove(i)
-                seq.append(i)
-                rec()
-                seq.pop()
-                remaining.append(i)
-                remaining.sort()
-
-    rec()
+    tried = [0]
+    out = [] if n else [chain_poset([])]
+    while tried:
+        i = tried[-1]
+        while i < n and not (remaining >> i & 1 and not below[i] & remaining):
+            i += 1
+        if i < n:
+            tried[-1] = i + 1
+            tried.append(0)
+            seq.append(i)
+            remaining ^= 1 << i
+            if not remaining:
+                out.append(chain_poset([poset.elements[k] for k in seq]))
+        else:
+            tried.pop()
+            if seq:
+                remaining ^= 1 << seq.pop()
     return out
 
 
@@ -374,14 +378,14 @@ def split_retraction(f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap.from_dict(tgt, src, order)
 
 
-def signatures(poset, rounds=3):
+def signatures(poset):
     """Isomorphism-invariant colour of each element: its down- and up-set
-    sizes, refined `rounds` times by the colours below and above it."""
+    sizes, refined three times by the colours below and above it."""
     sig = [
         (bin(poset.down_rows[i]).count("1"), bin(poset.up_rows[i]).count("1"))
         for i in range(poset.n)
     ]
-    for _ in range(rounds):
+    for _ in range(3):
         sig = [
             (
                 sig[i],
@@ -394,6 +398,8 @@ def signatures(poset, rounds=3):
 
 
 def _iter_isomorphisms(p, q):
+    """Order isomorphisms p -> q by signature-pruned backtracking, which keeps
+    the next candidate to try at each depth on an explicit stack."""
     if p.n != q.n:
         return
     sp, sq = signatures(p), signatures(q)
@@ -402,33 +408,38 @@ def _iter_isomorphisms(p, q):
     cands = [[j for j in range(q.n) if sq[j] == sp[i]] for i in range(p.n)]
     order = sorted(range(p.n), key=lambda i: (len(cands[i]), i))
     assign = [-1] * p.n
-    used = set()
-
-    def rec(k):
+    tried = [0] * (p.n + 1)
+    k = 0
+    while k >= 0:
         if k == p.n:
-            yield MonotoneMap(p, q, tuple(q.elements[assign[i]] for i in range(p.n)))
-            return
-        i = order[k]
-        for j in cands[i]:
-            if j in used:
+            yield MonotoneMap(p, q, tuple(q.elements[a] for a in assign))
+        else:
+            i = order[k]
+            t = tried[k]
+            while t < len(cands[i]) and not (
+                cands[i][t] not in assign and _extends(p, q, order[:k], assign, i, cands[i][t])
+            ):
+                t += 1
+            if t < len(cands[i]):
+                tried[k] = t + 1
+                assign[i] = cands[i][t]
+                k += 1
+                tried[k] = 0
                 continue
-            ok = True
-            for k2 in range(k):
-                i2 = order[k2]
-                if bool(p.up_rows[i] & (1 << i2)) != bool(q.up_rows[j] & (1 << assign[i2])):
-                    ok = False
-                    break
-                if bool(p.up_rows[i2] & (1 << i)) != bool(q.up_rows[assign[i2]] & (1 << j)):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used.add(j)
-                yield from rec(k + 1)
-                used.discard(j)
-                assign[i] = -1
+        k -= 1
+        if k >= 0:
+            assign[order[k]] = -1
 
-    yield from rec(0)
+
+def _extends(p, q, placed, assign, i, j):
+    """Whether sending i to j agrees with the order relations between i and
+    every element already placed."""
+    for i2 in placed:
+        if bool(p.up_rows[i] & (1 << i2)) != bool(q.up_rows[j] & (1 << assign[i2])):
+            return False
+        if bool(p.up_rows[i2] & (1 << i)) != bool(q.up_rows[assign[i2]] & (1 << j)):
+            return False
+    return True
 
 
 def isomorphisms(p, q):
@@ -451,9 +462,9 @@ def chain_poset(elements_in_order, name=""):
     rows = []
     for e in stored:
         mask = 0
-        for f in stored:
+        for k, f in enumerate(stored):
             if index[e] <= index[f]:
-                mask |= 1 << stored.index(f)
+                mask |= 1 << k
         rows.append(mask)
     return FinPoset(stored, rows, name=name)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .delta import DeltaMap, factorize
+from .delta import DeltaMap, factorize, identity_instances
 from .posets import MonotoneMap, chains
 
 
@@ -31,6 +31,24 @@ class SimplicialIdentityError(SimplicialError):
         head = "; ".join(str(v) for v in self.violations[:3])
         more = "" if len(self.violations) <= 3 else f" (+{len(self.violations) - 3} more)"
         super().__init__(head + more)
+
+
+def _dual_family(family):
+    """The dual of a Delta identity family's name: each word reversed, with
+    d_i for delta_i and s_j for sigma_j, citing the Delta equation."""
+    equation = family.split(" (")[0]
+    sides = (" ".join(reversed(side.split())) for side in equation.split(" = "))
+    dual = " = ".join(sides).replace("delta", "d").replace("sigma", "s")
+    return f'{dual} (dual of "{equation}")'
+
+
+def _act(X, refs, simplices):
+    """Iterator over the images of `simplices` under the generator references
+    `refs` ((kind, ordinal, index), ...), the leftmost generator acting first."""
+    tables = {"face": X.faces, "degeneracy": X.degeneracies}
+    for kind, n, i in refs:
+        simplices = map(tables[kind][n, i].__getitem__, simplices)
+    return simplices
 
 
 def simplex_label(simplex):
@@ -105,50 +123,27 @@ class TruncatedSimplicialSet:
         return self.degeneracies[(n, i)][x]
 
     def identity_violations(self):
-        """Instances of the dual simplicial identities that fail, if any."""
-        d, s = self.faces, self.degeneracies
-        out = []
-        for m in range(2, self.K + 1):
-            for j in range(1, m + 1):
-                for i in range(j):
-                    fam = 'd_i d_j = d_{j-1} d_i (dual of "delta_j delta_i = delta_i delta_{j-1}")'
-                    d_i, d_j = d[(m - 1, i)], d[(m, j)]
-                    d_j1, d_i_m = d[(m - 1, j - 1)], d[(m, i)]
-                    for x in self.levels[m]:
-                        if d_i[d_j[x]] != d_j1[d_i_m[x]]:
-                            out.append(IdentityViolation(fam, m, i, j, x))
-        for m in range(0, self.K - 1):
-            for j in range(m + 1):
-                for i in range(j + 1):
-                    fam = 's_i s_j = s_{j+1} s_i (dual of "sigma_j sigma_i = sigma_i sigma_{j+1}")'
-                    s_i, s_j = s[(m + 1, i)], s[(m, j)]
-                    s_j1, s_i_m = s[(m + 1, j + 1)], s[(m, i)]
-                    for x in self.levels[m]:
-                        if s_i[s_j[x]] != s_j1[s_i_m[x]]:
-                            out.append(IdentityViolation(fam, m, i, j, x))
-        for m in range(0, self.K):
-            for j in range(m + 1):
-                s_j = s[(m, j)]
-                for i in range(m + 2):
-                    d_i = d[(m + 1, i)]
-                    if i == j or i == j + 1:
-                        fam = 'd_i s_j = id (dual of "sigma_j delta_i = id")'
-                        for x in self.levels[m]:
-                            if d_i[s_j[x]] != x:
-                                out.append(IdentityViolation(fam, m, i, j, x))
-                    elif i < j:
-                        fam = 'd_i s_j = s_{j-1} d_i (dual of "sigma_j delta_i = delta_i sigma_{j-1}")'
-                        s_j1, d_i_m = s[(m - 1, j - 1)], d[(m, i)]
-                        for x in self.levels[m]:
-                            if d_i[s_j[x]] != s_j1[d_i_m[x]]:
-                                out.append(IdentityViolation(fam, m, i, j, x))
-                    else:
-                        fam = 'd_i s_j = s_j d_{i-1} (dual of "sigma_j delta_i = delta_{i-1} sigma_j")'
-                        s_jm, d_i1 = s[(m - 1, j)], d[(m, i - 1)]
-                        for x in self.levels[m]:
-                            if d_i[s_j[x]] != s_jm[d_i1[x]]:
-                                out.append(IdentityViolation(fam, m, i, j, x))
-        return out
+        """Instances of the dual simplicial identities that fail, if any: both
+        sides of each `delta.identity_instances(K)` instance act on the level
+        its left side starts from.  The faces-only family comes first, then
+        the degeneracies-only one, then the three mixed ones together, each
+        by (level, j, i, simplex)."""
+        if self.K < 1:
+            return []
+        out, mixed = [], []
+        for family, _, i, j, lhs, rhs in identity_instances(self.K):
+            m = lhs[0][1]
+            level = self.levels[m]
+            left, right = list(_act(self, lhs, level)), list(_act(self, rhs, level))
+            if left != right:
+                dual = _dual_family(family)
+                (mixed if lhs[0][0] != lhs[1][0] else out).extend(
+                    IdentityViolation(dual, m, i, j, x)
+                    for x, a, b in zip(level, left, right)
+                    if a != b
+                )
+        mixed.sort(key=lambda v: (v.level, v.j, v.i))
+        return out + mixed
 
     def restrict(self, new_k):
         """Truncate further, keeping tables as they are (no revalidation)."""
@@ -201,27 +196,21 @@ def nerve(poset, K) -> TruncatedSimplicialSet:
 
 
 def evaluate(X, f: DeltaMap):
-    """The presheaf action X(f) : X_{target} -> X_{source} as a dict,
-    computed through the generator normal form of f."""
+    """The presheaf action X(f) : X_{target} -> X_{source} as a dict: the
+    generator normal form of f acts on each simplex through X's tables, its
+    leftmost generator first (the action is contravariant)."""
     if f.source > X.K or f.target > X.K:
         raise SimplicialError(
             f"map [{f.source}]->[{f.target}] exceeds truncation {X.K}"
         )
-    refs = factorize(f).refs()
-    action = {"face": X.face, "degeneracy": X.deg}
-    out = {}
-    for x in X.levels[f.target]:
-        y = x
-        for kind, n, i in refs:  # contravariant: the leftmost generator acts first
-            y = action[kind](n, i, y)
-        out[x] = y
-    return out
+    level = X.levels[f.target]
+    return dict(zip(level, _act(X, factorize(f).refs(), level)))
 
 
 class SimplicialMap:
     """Level-wise function commuting with all face and degeneracy tables."""
 
-    def __init__(self, source, target, components, validate=True):
+    def __init__(self, source, target, components):
         if source.K != target.K:
             raise SimplicialError("source and target truncations differ")
         self.source = source
@@ -229,8 +218,7 @@ class SimplicialMap:
         self.components = tuple(dict(c) for c in components)
         if len(self.components) != source.K + 1:
             raise SimplicialError("one component per level required")
-        if validate:
-            self._check()
+        self._check()
 
     def _check(self):
         for n in range(self.source.K + 1):

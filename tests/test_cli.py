@@ -102,6 +102,21 @@ def test_extensions_command(v_file, capsys):
     assert "PASS" in text
 
 
+def test_extensions_of_a_long_chain(tmp_path, capsys):
+    # deeper than the recursion limit: the search runs on an explicit stack
+    names = [f"e{k:04d}" for k in range(1100)]
+    lines = ["poset chain", "elem " + " ".join(names)]
+    lines += [f"le {a} {b}" for a, b in zip(names, names[1:])]
+    path = tmp_path / "chain.poset"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["extensions", "--format", "machine", "--poset", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "extensions.count=1\n"
+        "extension.0=" + "<".join(names) + "\n"
+        "intersection_equals_order=PASS\n"
+    )
+
+
 def test_density_command(v_file, capsys):
     assert run(["density", "--poset", v_file]) == 0
     assert run(["density", "--format", "machine", "--poset", v_file, "--bound", "2"]) == 0

@@ -77,7 +77,34 @@ def test_scc_collapse_across_distinct_classes():
         ],
     )
     cocone = colimit_pos(diagram)
-    assert cocone.apex.n == 1
+    assert cocone.apex.elements == ("A.a",)
+    assert cocone.apex.up_rows == (1,)
+    assert {nid: leg.values for nid, leg in cocone.legs.items()} == {
+        "A": ("A.a", "A.a"),
+        "B": ("A.a", "A.a"),
+        "C": ("A.a", "A.a"),
+    }
+
+
+def test_component_names_take_the_least_cell_in_tuple_order():
+    # the class {a.1, a,b.0, b.0} is named a.1, its least cell as a tuple, though
+    # "a,b.0" sorts first as a string; the apex then lists the names as strings
+    pt, edge = ordinal_poset(0), ordinal_poset(1)
+    diagram = PosetDiagram(
+        nodes={"a": edge, "a,b": edge, "b": pt},
+        edges=[
+            ("f", "b", "a", MonotoneMap(pt, edge, ("1",))),
+            ("g", "b", "a,b", MonotoneMap(pt, edge, ("0",))),
+        ],
+    )
+    cocone = colimit_pos(diagram)
+    assert cocone.apex.elements == ("a,b.1", "a.0", "a.1")
+    assert cocone.apex.up_rows == (1, 7, 5)
+    assert {nid: leg.values for nid, leg in cocone.legs.items()} == {
+        "a": ("a.0", "a.1"),
+        "a,b": ("a.1", "a,b.1"),
+        "b": ("a.1",),
+    }
 
 
 def test_single_node_diagram_is_identity():

@@ -99,6 +99,12 @@ def test_parse_diagram_errors():
         parse_diagram(missing_map)
 
 
+def test_inline_poset_errors_cite_the_file_line():
+    text = "poset pt\n# a comment\n\nelem x\nle x\ndiagram d\nnode A pt\n"
+    with pytest.raises(FormatError, match="^line 5: usage: le <id> <id>$"):
+        parse_diagram(text)
+
+
 def test_diagram_round_trip():
     d = parse_diagram(DIAGRAM_TEXT)
     again = parse_diagram(serialize_diagram(d))

@@ -108,7 +108,7 @@ def test_functor_presentation_validation_catches_bad_images():
         return delta_to_monotone(degeneracy(n, n - i if i <= n else i))
 
     with pytest.raises(KanError):
-        FunctorPresentation("broken", "pos", ordinal_poset, swapped, validate_bound=2)
+        FunctorPresentation("broken", "pos", ordinal_poset, swapped)
     with pytest.raises(KanError):
         FunctorPresentation("mismatched", "set", ordinal_poset, bad_generator)
 

@@ -108,3 +108,46 @@ def test_no_module_reads_the_environment():
     assert not reads_environment("import os\nos.path.join('a')\n")
     found = [str(rel) for rel, source in package_sources() if reads_environment(source)]
     assert found == []
+
+
+def self_calls(source):
+    """Names of the functions in `source` that call themselves by name, as
+    `f(...)` or, for methods, as `self.f(...)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            by_name = isinstance(func, ast.Name) and func.id == node.name
+            by_self = (
+                isinstance(func, ast.Attribute)
+                and func.attr == node.name
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "self"
+            )
+            if by_name or by_self:
+                found.append(node.name)
+                break
+    return found
+
+
+def test_no_function_calls_itself():
+    # recursion depth is bound by the interpreter's limit, so searches keep
+    # their own stacks
+    source = (
+        "def outer():\n"
+        "    def rec(k):\n"
+        "        yield from rec(k + 1)\n"
+        "    return rec(0)\n"
+        "class C:\n"
+        "    def walk(self):\n"
+        "        return self.walk()\n"
+        "def flat(x):\n"
+        "    return other(x)\n"
+    )
+    assert self_calls(source) == ["rec", "walk"]
+    found = [f"{rel}:{name}" for rel, source in package_sources() for name in self_calls(source)]
+    assert found == []

@@ -21,6 +21,7 @@ from poscat import (
     monotone_maps,
     nerve,
     nerve_map,
+    ordinal_poset,
     simplicial_maps,
 )
 from poscat.posets import MonotoneMap
@@ -73,6 +74,30 @@ def test_make_sset_rejects_partial_tables():
     del faces[(1, 0)][("0", "1")]
     with pytest.raises(SimplicialError):
         make_sset(X.levels, faces, X.degeneracies)
+
+
+def test_identity_violations_list_every_family_in_order():
+    X = nerve(ordinal_poset(1), 3)
+    faces = {key: dict(t) for key, t in X.faces.items()}
+    degs = {key: dict(t) for key, t in X.degeneracies.items()}
+    faces[(1, 0)][("0", "1")] = ("0",)
+    degs[(2, 0)][("0", "1", "1")] = ("0", "0", "0", "1")
+    Y = TruncatedSimplicialSet(X.levels, faces, degs, validate=False)
+    found = [(v.family, v.level, v.i, v.j, v.simplex) for v in Y.identity_violations()]
+    dd = 'd_i d_j = d_{j-1} d_i (dual of "delta_j delta_i = delta_i delta_{j-1}")'
+    ss = 's_i s_j = s_{j+1} s_i (dual of "sigma_j sigma_i = sigma_i sigma_{j+1}")'
+    below = 'd_i s_j = s_{j-1} d_i (dual of "sigma_j delta_i = delta_i sigma_{j-1}")'
+    ident = 'd_i s_j = id (dual of "sigma_j delta_i = id")'
+    above = 'd_i s_j = s_j d_{i-1} (dual of "sigma_j delta_i = delta_{i-1} sigma_j")'
+    assert found == [
+        (dd, 2, 0, 1, ("0", "1", "1")),
+        (dd, 2, 0, 2, ("0", "1", "1")),
+        (ss, 1, 0, 1, ("0", "1")),
+        (below, 1, 0, 1, ("0", "1")),
+        (ident, 2, 0, 0, ("0", "1", "1")),
+        (ident, 2, 1, 0, ("0", "1", "1")),
+        (above, 2, 3, 0, ("0", "1", "1")),
+    ]
 
 
 def test_level_zero_data_is_vacuously_valid():
