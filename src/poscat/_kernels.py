@@ -16,6 +16,9 @@ counting one constraint set into many targets builds the plan once.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 LEQ = 0
 EQ = 1
 LT = 2
@@ -51,6 +54,16 @@ def transpose(rows, n_cols):
             cols[b.bit_length() - 1] |= bit
             m ^= b
     return cols
+
+
+def meet_rows(tables, at):
+    """Row bitmasks of the relation that holds in each of `tables` (row-bitmask
+    tables over one index set, at least one), read through `at`: bit j of row
+    i is set iff bit at[j] of row at[i] is set in every table."""
+    meet = [functools.reduce(operator.and_, rows) for rows in zip(*tables)]
+    if at == list(range(len(at))):
+        return meet
+    return [sum(1 << j for j, b in enumerate(at) if meet[a] >> b & 1) for a in at]
 
 
 def _neighbours(n_slots, pairs):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import formats
+from . import _kernels, formats
 from .colimits import ColimitError, SubcategoryError, colimit_delta, colimit_pos, colimit_tos
 from .continuity import (
     BoundError,
@@ -24,7 +24,6 @@ from .kan import KanError, StabilizationError, extend
 from .posets import (
     PosetError,
     count_monotone_maps,
-    intersection_of_extensions,
     linear_extensions,
 )
 from .simplicial import SimplicialError, count_simplicial_maps, nerve
@@ -155,11 +154,19 @@ def _cmd_colimit(args):
     return 0
 
 
+def _extensions_and_meet(poset):
+    """The poset's linear extensions, listed once, and the row bitmasks of
+    their intersection on the poset's indices (`intersection_of_extensions`
+    without a second listing)."""
+    exts = linear_extensions(poset)
+    at = [exts[0].index(e) for e in poset.elements]
+    return exts, tuple(_kernels.meet_rows([ext.up_rows for ext in exts], at))
+
+
 def _cmd_extensions(args):
     poset = formats.load_poset(args.poset)
-    exts = linear_extensions(poset)
-    meet = intersection_of_extensions(poset)
-    ok = meet.up_rows == poset.up_rows
+    exts, meet = _extensions_and_meet(poset)
+    ok = meet == poset.up_rows
     lines = []
     if args.format == "machine":
         lines.append(f"extensions.count={len(exts)}")

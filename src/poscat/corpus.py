@@ -3,7 +3,13 @@
 Naturally labeled posets on {0,...,n-1} (the integer order extends the poset
 order) are generated by repeatedly adjoining a maximal element above a
 down-closed subset; every finite poset admits such a labeling, so deduplication
-against signature buckets yields one representative per isomorphism class.
+against colour buckets yields one representative per isomorphism class.
+
+Each candidate is coloured once by 1-dimensional colour refinement
+(`posets.signatures`), with every candidate of one size interning its colours
+as ints in one shared table.  A candidate's bucket is its sorted colour tuple,
+and it is tested for isomorphism only against the representatives in its
+bucket, reusing both colour lists.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _kernels
-from .posets import FinPoset, find_isomorphism, signatures
+from .posets import FinPoset, coloured_isomorphisms, nested_colours, signatures
 
 
 def _down_closed_masks(rows, n):
@@ -46,26 +52,34 @@ def naturally_labeled_posets(n):
     return tables
 
 
-def _certificate(poset):
-    return repr(sorted(map(repr, signatures(poset))))
-
-
 @lru_cache(maxsize=None)
 def poset_classes(n):
-    """One FinPoset per isomorphism class with exactly n elements."""
+    """One FinPoset per isomorphism class with exactly n elements, named
+    P{n}.{k} in order of relation size, then of the repr of the element
+    colours' nested values."""
+    table = {}
     buckets = {}
     reps = []
     for rows in naturally_labeled_posets(n):
         candidate = FinPoset(tuple(str(i) for i in range(n)), rows)
-        cert = _certificate(candidate)
-        bucket = buckets.setdefault(cert, [])
-        if any(find_isomorphism(candidate, seen) is not None for seen in bucket):
+        colours = signatures(candidate, table)
+        bucket = buckets.setdefault(tuple(sorted(colours)), [])
+        if any(
+            next(coloured_isomorphisms(candidate, seen, colours, seen_colours), None) is not None
+            for seen, seen_colours in bucket
+        ):
             continue
-        bucket.append(candidate)
-        reps.append(candidate)
-    reps.sort(key=lambda p: (sum(bin(r).count("1") for r in p.up_rows), _certificate(p)))
+        bucket.append((candidate, colours))
+        reps.append((candidate, colours))
+    values = nested_colours(table)
+    reps.sort(
+        key=lambda rep: (
+            sum(bin(r).count("1") for r in rep[0].up_rows),
+            repr(sorted(repr(values[c]) for c in rep[1])),
+        )
+    )
     return tuple(
-        FinPoset(p.elements, p.up_rows, name=f"P{n}.{k}") for k, p in enumerate(reps)
+        FinPoset(p.elements, p.up_rows, name=f"P{n}.{k}") for k, (p, _) in enumerate(reps)
     )
 
 

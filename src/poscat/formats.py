@@ -53,19 +53,18 @@ def _poset_blocks(lines):
     elements = []
     pairs = []
 
-    def flush(line_no):
-        if name is None:
-            return
-        if name in out:
-            raise FormatError(f"duplicate poset name {name!r}", line_no)
-        out[name] = make_poset(elements, pairs, name=name)
+    def flush():
+        if name is not None:
+            out[name] = make_poset(elements, pairs, name=name)
 
     for line_no, tokens in lines:
         head = tokens[0]
         if head == "poset":
             if len(tokens) != 2:
                 raise FormatError("usage: poset <name>", line_no)
-            flush(line_no)
+            flush()
+            if tokens[1] in out:
+                raise FormatError(f"duplicate poset name {tokens[1]!r}", line_no)
             name = tokens[1]
             elements = []
             pairs = []
@@ -83,7 +82,7 @@ def _poset_blocks(lines):
             pairs.append((tokens[1], tokens[2]))
         else:
             raise FormatError(f"unknown directive {head!r} in poset file", line_no)
-    flush(None)
+    flush()
     if not out:
         raise FormatError("no poset block found")
     return out
@@ -242,6 +241,14 @@ def parse_sset(text) -> TruncatedSimplicialSet:
             raise FormatError(f"unknown directive {head!r} in sset file", line_no)
     if levels is None:
         raise FormatError("no sset block found")
+    # a table out of an empty level has no rows to write, so it is present and empty
+    for n, level in enumerate(levels):
+        if not level:
+            for i in range(n + 1):
+                if n:
+                    faces.setdefault((n, i), {})
+                if n < trunc:
+                    degeneracies.setdefault((n, i), {})
     try:
         return TruncatedSimplicialSet(levels, faces, degeneracies, name=name, validate=False)
     except Exception as exc:

@@ -337,14 +337,7 @@ def linear_extensions(poset):
 def intersection_of_extensions(poset):
     """Pointwise conjunction of all linear extensions, as a relation on the poset."""
     exts = linear_extensions(poset)
-    rows = [(1 << poset.n) - 1] * poset.n if exts else list(poset.up_rows)
-    for ext in exts:
-        for i, e in enumerate(poset.elements):
-            mask = 0
-            for j, f in enumerate(poset.elements):
-                if ext.leq(e, f):
-                    mask |= 1 << j
-            rows[i] &= mask
+    rows = _kernels.meet_rows([ext.up_rows for ext in exts], [exts[0].index(e) for e in poset.elements])
     return FinPoset(poset.elements, rows, name=poset.name)
 
 
@@ -378,40 +371,70 @@ def split_retraction(f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap.from_dict(tgt, src, order)
 
 
-def signatures(poset):
-    """Isomorphism-invariant colour of each element: its down- and up-set
-    sizes, refined three times by the colours below and above it."""
-    sig = [
-        (bin(poset.down_rows[i]).count("1"), bin(poset.up_rows[i]).count("1"))
-        for i in range(poset.n)
-    ]
+def signatures(poset, table):
+    """Isomorphism-invariant colour of each element, as a small int: its down-
+    and up-set sizes, refined three times by the colours below and above it.
+
+    Each round interns the triple (own colour, sorted colours below, sorted
+    colours above) in `table`, a dict from key to colour that grows by one
+    entry, numbered len(table), per new key.  Colours are comparable exactly
+    between posets coloured through the same table; there, two elements get
+    equal colours iff their nested (own, below, above) values, which
+    `nested_colours` rebuilds, are equal."""
+    n = poset.n
+    below = [[j for j in range(n) if poset.down_rows[i] >> j & 1 and j != i] for i in range(n)]
+    above = [[j for j in range(n) if poset.up_rows[i] >> j & 1 and j != i] for i in range(n)]
+    colour = [table.setdefault((len(below[i]) + 1, len(above[i]) + 1), len(table)) for i in range(n)]
     for _ in range(3):
-        sig = [
-            (
-                sig[i],
-                tuple(sorted(sig[j] for j in range(poset.n) if poset.up_rows[j] & (1 << i) and j != i)),
-                tuple(sorted(sig[j] for j in range(poset.n) if poset.up_rows[i] & (1 << j) and j != i)),
+        colour = [
+            table.setdefault(
+                (
+                    colour[i],
+                    tuple(sorted(colour[j] for j in below[i])),
+                    tuple(sorted(colour[j] for j in above[i])),
+                ),
+                len(table),
             )
-            for i in range(poset.n)
+            for i in range(n)
         ]
-    return sig
+    return colour
 
 
-def _iter_isomorphisms(p, q):
-    """Order isomorphisms p -> q by signature-pruned backtracking, which keeps
-    the next candidate to try at each depth on an explicit stack."""
-    if p.n != q.n:
+def nested_colours(table):
+    """The nested value each colour of a `signatures` table stands for, listed
+    by colour: (down size, up size) for the first round's colours, and (own,
+    sorted below, sorted above) for the later ones.  A key's colours are
+    numbered before the key, so one pass in numbering order suffices."""
+    values = []
+    for key in table:
+        if len(key) == 2:
+            values.append(key)
+        else:
+            own, below, above = key
+            values.append(
+                (
+                    values[own],
+                    tuple(sorted(values[c] for c in below)),
+                    tuple(sorted(values[c] for c in above)),
+                )
+            )
+    return values
+
+
+def coloured_isomorphisms(p, q, sp, sq):
+    """Order isomorphisms p -> q, lazily, by colour-pruned backtracking: sp and
+    sq are the `signatures` of p and q from one table.  The search keeps the
+    next candidate to try at each depth on an explicit stack."""
+    n = p.n
+    if n != q.n or sorted(sp) != sorted(sq):
         return
-    sp, sq = signatures(p), signatures(q)
-    if sorted(map(repr, sp)) != sorted(map(repr, sq)):
-        return
-    cands = [[j for j in range(q.n) if sq[j] == sp[i]] for i in range(p.n)]
-    order = sorted(range(p.n), key=lambda i: (len(cands[i]), i))
-    assign = [-1] * p.n
-    tried = [0] * (p.n + 1)
+    cands = [[j for j in range(n) if sq[j] == sp[i]] for i in range(n)]
+    order = sorted(range(n), key=lambda i: (len(cands[i]), i))
+    assign = [-1] * n
+    tried = [0] * (n + 1)
     k = 0
     while k >= 0:
-        if k == p.n:
+        if k == n:
             yield MonotoneMap(p, q, tuple(q.elements[a] for a in assign))
         else:
             i = order[k]
@@ -431,6 +454,12 @@ def _iter_isomorphisms(p, q):
             assign[order[k]] = -1
 
 
+def _isomorphism_search(p, q):
+    """`coloured_isomorphisms` with both posets coloured through one table."""
+    table = {}
+    return coloured_isomorphisms(p, q, signatures(p, table), signatures(q, table))
+
+
 def _extends(p, q, placed, assign, i, j):
     """Whether sending i to j agrees with the order relations between i and
     every element already placed."""
@@ -443,13 +472,13 @@ def _extends(p, q, placed, assign, i, j):
 
 
 def isomorphisms(p, q):
-    """All order isomorphisms p -> q, by signature-pruned backtracking."""
-    return list(_iter_isomorphisms(p, q))
+    """All order isomorphisms p -> q, by colour-pruned backtracking."""
+    return list(_isomorphism_search(p, q))
 
 
 def find_isomorphism(p, q):
     """First order isomorphism p -> q in canonical search order, or None."""
-    return next(_iter_isomorphisms(p, q), None)
+    return next(_isomorphism_search(p, q), None)
 
 
 def chain_poset(elements_in_order, name=""):

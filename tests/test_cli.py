@@ -2,6 +2,8 @@
 
 import pytest
 
+import poscat.cli
+import poscat.posets
 from poscat.cli import run
 
 V_POSET = """\
@@ -49,6 +51,18 @@ def test_nerve_then_check_round_trip(tmp_path, v_file, capsys):
     assert run(["check", "--sset", str(out)]) == 0
     text = capsys.readouterr().out
     assert "overall: PASS" in text
+
+
+@pytest.mark.parametrize("trunc", ["0", "1", "2"])
+def test_empty_poset_nerve_round_trip(tmp_path, capsys, trunc):
+    # every level is empty, so the nerve file holds its header only
+    poset = tmp_path / "e.poset"
+    poset.write_text("poset e\n", encoding="utf-8")
+    out = tmp_path / "e.sset"
+    assert run(["nerve", "--poset", str(poset), "--trunc", trunc, "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == f"sset N(e) trunc {trunc}\n"
+    assert run(["check", "--format", "machine", "--sset", str(out)]) == 0
+    assert "overall=PASS" in capsys.readouterr().out
 
 
 def test_check_machine_format_is_stable(tmp_path, v_file, capsys):
@@ -115,6 +129,21 @@ def test_extensions_of_a_long_chain(tmp_path, capsys):
         "extension.0=" + "<".join(names) + "\n"
         "intersection_equals_order=PASS\n"
     )
+
+
+def test_extensions_lists_the_extensions_once(monkeypatch, v_file, capsys):
+    calls = []
+    listing = poscat.posets.linear_extensions
+
+    def counted(poset):
+        calls.append(poset.name)
+        return listing(poset)
+
+    monkeypatch.setattr(poscat.posets, "linear_extensions", counted)
+    monkeypatch.setattr(poscat.cli, "linear_extensions", counted)
+    assert run(["extensions", "--format", "machine", "--poset", v_file]) == 0
+    assert "intersection_equals_order=PASS" in capsys.readouterr().out
+    assert calls == ["V"]
 
 
 def test_density_command(v_file, capsys):

@@ -1,5 +1,6 @@
 """Poset enumeration: exhaustiveness, deduplication, class counts."""
 
+import hashlib
 import itertools
 
 from poscat import find_isomorphism, isomorphisms, linear_extensions
@@ -75,3 +76,15 @@ def test_deterministic_order():
     poset_classes.cache_clear()
     b = [p.up_rows for p in poset_classes(4)]
     assert a == b
+
+
+def test_corpus_is_pinned_n6():
+    # names, elements and relations of all 406 classes, as the P{n}.{k} names
+    # in witnesses and benchmark digests depend on them
+    corpus = all_posets(6)
+    assert sum(p.n == 6 for p in corpus) == 318
+    text = repr([(p.name, p.elements, p.up_rows) for p in corpus])
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "0cc2201651a788f72cc204a154da7c32265be2ccaa116ea73421355ca62a6a35"
+    )

@@ -8,6 +8,7 @@ from poscat.formats import (
     parse_diagram,
     parse_functor,
     parse_poset,
+    parse_poset_blocks,
     parse_sset,
     serialize_diagram,
     serialize_poset,
@@ -142,6 +143,19 @@ def test_parse_sset_rejects_repeated_rows(again):
     # a second row for one (level, index, simplex), with the same or another image
     with pytest.raises(FormatError, match=r"^line 7: duplicate "):
         parse_sset(SSET_TEXT + again + "\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("poset pt\nelem x\nposet q\nelem y\nposet pt\nelem z\nposet r\nelem w\n", 5),
+        ("poset pt\nelem x\nposet q\nelem y\nposet pt\nelem z\n", 5),
+    ],
+)
+def test_duplicate_poset_name_cites_its_header(text, line):
+    # in a middle block and in the last one
+    with pytest.raises(FormatError, match=rf"^line {line}: duplicate poset name 'pt'$"):
+        parse_poset_blocks(text)
 
 
 def test_parse_functor(tmp_path):

@@ -24,6 +24,7 @@ from poscat import (
     split_retraction,
 )
 from poscat.corpus import all_posets
+from poscat.posets import FinPoset, nested_colours, signatures
 
 from helpers import singleton, three_chain, two_antichain, two_chain, v_poset
 
@@ -213,3 +214,81 @@ def test_intersection_property_randomized(p):
 @given(small_posets(), st.integers(min_value=0, max_value=2))
 def test_chains_brute_force_randomized(p, n):
     assert sorted(chains(p, n)) == brute_chains(p, n)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """A poset on at most five elements, a copy of it with new names and the
+    elements shuffled, the shuffle, and another poset of the same size."""
+    n = draw(st.integers(min_value=0, max_value=5))
+
+    def poset():
+        pairs = [(str(i), str(j)) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+        return make_poset([str(i) for i in range(n)], pairs)
+
+    p, other = poset(), poset()
+    perm = draw(st.permutations(range(n)))  # p's element i becomes the copy's element perm[i]
+    inverse = [perm.index(k) for k in range(n)]
+    rows = [sum(1 << perm[j] for j in range(n) if p.up_rows[inverse[k]] >> j & 1) for k in range(n)]
+    return p, FinPoset([f"x{inverse[k]}" for k in range(n)], rows), perm, other
+
+
+def brute_isomorphisms(p, q):
+    return sorted(
+        tuple(q.elements[a] for a in perm)
+        for perm in itertools.permutations(range(q.n))
+        if p.n == q.n
+        and all(
+            bool(p.up_rows[i] >> j & 1) == bool(q.up_rows[perm[i]] >> perm[j] & 1)
+            for i in range(p.n)
+            for j in range(p.n)
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabelled_pairs())
+def test_relabelling_permutes_colours(case):
+    p, copy, perm, _ = case
+    table = {}
+    colours, copy_colours = signatures(p, table), signatures(copy, table)
+    assert [copy_colours[perm[i]] for i in range(p.n)] == colours
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabelled_pairs())
+def test_isomorphisms_match_brute_force(case):
+    p, copy, _, other = case
+    for q in (copy, other):
+        assert sorted(iso.values for iso in isomorphisms(p, q)) == brute_isomorphisms(p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_pairs())
+def test_intersection_property_on_shuffled_elements(case):
+    # the copy lists its elements out of name order, unlike its extensions
+    _, copy, _, _ = case
+    assert intersection_of_extensions(copy).up_rows == copy.up_rows
+
+
+def nested_signatures(p):
+    """Reference colouring without interning: the nested tuples themselves."""
+    sig = [(bin(p.down_rows[i]).count("1"), bin(p.up_rows[i]).count("1")) for i in range(p.n)]
+    for _ in range(3):
+        sig = [
+            (
+                sig[i],
+                tuple(sorted(sig[j] for j in range(p.n) if p.up_rows[j] >> i & 1 and j != i)),
+                tuple(sorted(sig[j] for j in range(p.n) if p.up_rows[i] >> j & 1 and j != i)),
+            )
+            for i in range(p.n)
+        ]
+    return sig
+
+
+def test_nested_colours_rebuild_the_refinement():
+    table = {}
+    colours = [signatures(p, table) for p in all_posets(5)]
+    values = nested_colours(table)
+    for p, cs in zip(all_posets(5), colours):
+        assert [values[c] for c in cs] == nested_signatures(p)
