@@ -69,6 +69,7 @@ from .posets import (
     isomorphisms,
     linear_extensions,
     make_poset,
+    meet_of_extensions,
     monotone_maps,
     ordinal_poset,
     product_poset,

@@ -61,8 +61,6 @@ def meet_rows(tables, at):
     tables over one index set, at least one), read through `at`: bit j of row
     i is set iff bit at[j] of row at[i] is set in every table."""
     meet = [functools.reduce(operator.and_, rows) for rows in zip(*tables)]
-    if at == list(range(len(at))):
-        return meet
     return [sum(1 << j for j, b in enumerate(at) if meet[a] >> b & 1) for a in at]
 
 

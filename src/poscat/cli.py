@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import _kernels, formats
+from . import formats
 from .colimits import ColimitError, SubcategoryError, colimit_delta, colimit_pos, colimit_tos
 from .continuity import (
     BoundError,
@@ -25,6 +25,7 @@ from .posets import (
     PosetError,
     count_monotone_maps,
     linear_extensions,
+    meet_of_extensions,
 )
 from .simplicial import SimplicialError, count_simplicial_maps, nerve
 
@@ -154,19 +155,10 @@ def _cmd_colimit(args):
     return 0
 
 
-def _extensions_and_meet(poset):
-    """The poset's linear extensions, listed once, and the row bitmasks of
-    their intersection on the poset's indices (`intersection_of_extensions`
-    without a second listing)."""
-    exts = linear_extensions(poset)
-    at = [exts[0].index(e) for e in poset.elements]
-    return exts, tuple(_kernels.meet_rows([ext.up_rows for ext in exts], at))
-
-
 def _cmd_extensions(args):
     poset = formats.load_poset(args.poset)
-    exts, meet = _extensions_and_meet(poset)
-    ok = meet == poset.up_rows
+    exts = linear_extensions(poset)
+    ok = meet_of_extensions(poset, exts).up_rows == poset.up_rows
     lines = []
     if args.format == "machine":
         lines.append(f"extensions.count={len(exts)}")

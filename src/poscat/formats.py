@@ -241,9 +241,11 @@ def parse_sset(text) -> TruncatedSimplicialSet:
             raise FormatError(f"unknown directive {head!r} in sset file", line_no)
     if levels is None:
         raise FormatError("no sset block found")
-    # a table out of an empty level has no rows to write, so it is present and empty
-    for n, level in enumerate(levels):
-        if not level:
+    # only the empty simplicial set has an empty level (degeneracies reach every
+    # level from level 0); its tables have no rows to write, so they are present
+    # and empty
+    if not any(levels):
+        for n in range(trunc + 1):
             for i in range(n + 1):
                 if n:
                     faces.setdefault((n, i), {})

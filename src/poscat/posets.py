@@ -334,11 +334,16 @@ def linear_extensions(poset):
     return out
 
 
-def intersection_of_extensions(poset):
-    """Pointwise conjunction of all linear extensions, as a relation on the poset."""
-    exts = linear_extensions(poset)
+def meet_of_extensions(poset, exts):
+    """Pointwise conjunction of `exts`, the poset's listed linear extensions
+    (at least one), as a relation on the poset."""
     rows = _kernels.meet_rows([ext.up_rows for ext in exts], [exts[0].index(e) for e in poset.elements])
     return FinPoset(poset.elements, rows, name=poset.name)
+
+
+def intersection_of_extensions(poset):
+    """Pointwise conjunction of all linear extensions, as a relation on the poset."""
+    return meet_of_extensions(poset, linear_extensions(poset))
 
 
 def split_retraction(f: MonotoneMap) -> MonotoneMap:

@@ -138,6 +138,23 @@ def test_parse_sset_errors():
         parse_sset("sset s trunc 1\nsimplex 0 p\n")  # missing tables
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sset s trunc 1\nsimplex 0 a\n", "missing face table d_0 at level 1"),
+        (
+            "sset s trunc 2\nsimplex 0 a\nsimplex 1 b\nd 1 0 b a\nd 1 1 b a\ns 0 0 a b\n",
+            "missing face table d_0 at level 2",
+        ),
+    ],
+)
+def test_partly_empty_sset_keeps_its_message(text, message):
+    # an empty level above a non-empty one gets no empty tables: the message
+    # names the first missing table, as for any other input
+    with pytest.raises(FormatError, match=rf"^{message}$"):
+        parse_sset(text)
+
+
 @pytest.mark.parametrize("again", ["d 1 0 pp p", "d 1 1 pp q", "s 0 0 p pp"])
 def test_parse_sset_rejects_repeated_rows(again):
     # a second row for one (level, index, simplex), with the same or another image
