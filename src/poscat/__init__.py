@@ -16,14 +16,8 @@ from .continuity import (
     BoundError,
     ContinuityError,
     ContinuityReport,
-    check_antisymmetry,
-    check_chain_condition,
     check_continuity,
-    check_degeneracy_formulas,
-    check_face_formulas,
-    check_relation_injective,
     density_colimit,
-    extract_order,
     fully_faithful_witness,
     reconstruct,
 )

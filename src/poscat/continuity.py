@@ -15,7 +15,7 @@ from . import _kernels
 from .colimits import Cocone, colimit_pos, induced_map
 from .delta import DeltaMap
 from .kan import comma_data, inclusion_functor, stabilization_step
-from .posets import FinPoset, MonotoneMap, monotone_maps
+from .posets import FinPoset, MonotoneMap, antichain_poset, monotone_maps
 from .simplicial import (
     SimplicialMap,
     evaluate,
@@ -52,20 +52,6 @@ class Relation:
 
     labels: tuple
     rows: tuple
-
-    def index(self, label):
-        return self.labels.index(label)
-
-    def holds(self, a, b):
-        return bool(self.rows[self.index(a)] & (1 << self.index(b)))
-
-    def pairs(self):
-        out = []
-        for i, a in enumerate(self.labels):
-            for j, b in enumerate(self.labels):
-                if self.rows[i] & (1 << j):
-                    out.append((a, b))
-        return out
 
 
 @dataclass
@@ -112,64 +98,20 @@ def _vertex_labels(X):
     return labels
 
 
-def _edge_pair(X, e):
-    """(source, target) vertices of a 1-simplex, via d_1 and d_0."""
-    return (X.face(1, 1, e), X.face(1, 0, e))
-
-
-def extract_relation(X) -> Relation:
-    """Image of the edge-pair map as a relation table on level-0 labels."""
-    if X.K < 1:
-        raise ContinuityError("relation extraction needs truncation >= 1")
-    labels = _vertex_labels(X)
-    index = {v: k for k, v in enumerate(X.levels[0])}
-    rows = [0] * len(labels)
-    for e in X.levels[1]:
-        a, b = _edge_pair(X, e)
-        rows[index[a]] |= 1 << index[b]
-    return Relation(labels, tuple(rows))
-
-
-def check_relation_injective(X) -> Verdict:
-    """No two 1-simplices may share the ordered vertex pair."""
-    if X.K < 1:
-        return Verdict("relation_injective", True, "vacuous below truncation 1")
-    seen = {}
-    for e in X.levels[1]:
-        pair = _edge_pair(X, e)
-        if pair in seen:
-            return Verdict(
-                "relation_injective",
-                False,
-                f"1-simplices {simplex_label(seen[pair])} and {simplex_label(e)} "
-                f"both cover ({simplex_label(pair[0])}, {simplex_label(pair[1])})",
-            )
-        seen[pair] = e
-    return Verdict("relation_injective", True)
-
-
-def extract_order(X) -> Relation:
-    """The relation on level-0, available only once injectivity has passed."""
-    verdict = check_relation_injective(X)
-    if not verdict.passed:
-        raise ContinuityError(f"protocol error: {verdict.detail}")
-    return extract_relation(X)
-
-
 def _vertex_table(X):
     """(vertex tuple, consistent) of every simplex, one dict per level.
 
     Edge k of an n-simplex is its image under the Delta-map [1] -> [n] with
     values (k, k + 1), evaluated through X's face tables; its vertices are the
-    edges' endpoints. The simplex is consistent when consecutive edges share
-    endpoint vertices.
+    edges' endpoints (d_1 and d_0 of the edge). The simplex is consistent when
+    consecutive edges share endpoint vertices.
     """
     table = [{x: ((x,), True) for x in X.levels[0]}]
     for n in range(1, X.K + 1):
         edges = [evaluate(X, DeltaMap(1, n, (k, k + 1))) for k in range(n)]
         level = {}
         for x in X.levels[n]:
-            pairs = [_edge_pair(X, edge[x]) for edge in edges]
+            pairs = [(X.face(1, 1, edge[x]), X.face(1, 0, edge[x])) for edge in edges]
             consistent = all(pairs[k][1] == pairs[k + 1][0] for k in range(n - 1))
             level[x] = (tuple(p[0] for p in pairs) + (pairs[-1][1],), consistent)
         table.append(level)
@@ -180,18 +122,32 @@ def _label_tuple(X, points):
     return tuple(simplex_label(p) for p in points)
 
 
-def check_chain_condition(X, n) -> Verdict:
+def _edge_relation(X, edges, index):
+    """The relation_injective verdict and the edge relation on level-0 labels,
+    both from the vertex pairs of the 1-simplices (`edges`, level 1 of the
+    vertex table): no two 1-simplices may share an ordered vertex pair."""
+    labels = _vertex_labels(X)
+    verdict = Verdict("relation_injective", True)
+    first = {}
+    rows = [0] * len(labels)
+    for e, ((a, b), _) in edges.items():
+        other = first.setdefault((a, b), e)
+        if other != e and verdict.passed:
+            verdict = Verdict(
+                "relation_injective",
+                False,
+                f"1-simplices {simplex_label(other)} and {simplex_label(e)} "
+                f"both cover ({simplex_label(a)}, {simplex_label(b)})",
+            )
+        rows[index[a]] |= 1 << index[b]
+    return verdict, Relation(labels, tuple(rows))
+
+
+def _chain_condition(n, level, rel, index):
     """Level n must biject onto the weakly increasing vertex tuples."""
-    if not 2 <= n <= X.K:
-        raise ContinuityError(f"chain condition applies for 2 <= n <= {X.K}")
-    return _chain_condition(X, n, _vertex_table(X), extract_relation(X))
-
-
-def _chain_condition(X, n, table, rel):
     name = f"chain_condition_n{n}"
-    index = {v: k for k, v in enumerate(X.levels[0])}
     seen = {}
-    for x, (points, consistent) in table[n].items():
+    for x, (points, consistent) in level.items():
         if not consistent:
             return Verdict(
                 name, False, f"simplex {simplex_label(x)} has mismatched edge endpoints"
@@ -219,15 +175,9 @@ def _chain_condition(X, n, table, rel):
     return Verdict(name, True, f"{len(seen)} simplices")
 
 
-def check_face_formulas(X) -> Verdict:
+def _face_formulas(X, table, rel):
     """Under the vertex-tuple bijection every d_i must delete position i, and
     the extracted relation must be transitive (the d_1 : X_2 -> X_1 witness)."""
-    return _face_formulas(X, _vertex_table(X), None)
-
-
-def _face_formulas(X, table, rel):
-    """`rel` is None when the relation is still to be extracted, after the
-    face checks, as `check_face_formulas` does."""
     name = "face_formulas"
     if X.K < 2:
         return Verdict(name, True, "no levels >= 2")
@@ -242,8 +192,6 @@ def _face_formulas(X, table, rel):
                         False,
                         f"d_{i} at level {n} on {simplex_label(x)} is not deletion of position {i}",
                     )
-    if rel is None:
-        rel = extract_relation(X)
     m = len(rel.labels)
     for a in range(m):
         for b in range(m):
@@ -259,14 +207,8 @@ def _face_formulas(X, table, rel):
     return Verdict(name, True)
 
 
-def check_degeneracy_formulas(X) -> Verdict:
-    """Every s_i must duplicate position i; s_0 exhibits reflexivity on level 0."""
-    if X.K < 1:
-        return Verdict("degeneracy_formulas", True, "no degeneracy tables below truncation 1")
-    return _degeneracy_formulas(X, _vertex_table(X), extract_relation(X))
-
-
 def _degeneracy_formulas(X, table, rel):
+    """Every s_i must duplicate position i; s_0 exhibits reflexivity on level 0."""
     name = "degeneracy_formulas"
     for k, label in enumerate(rel.labels):
         if not rel.rows[k] & (1 << k):
@@ -285,14 +227,8 @@ def _degeneracy_formulas(X, table, rel):
     return Verdict(name, True)
 
 
-def check_antisymmetry(X) -> Verdict:
-    """Oppositely oriented edge pairs are only allowed on the diagonal."""
-    if X.K < 1:
-        return Verdict("antisymmetry", True, "vacuous below truncation 1")
-    return _antisymmetry(extract_relation(X))
-
-
 def _antisymmetry(rel):
+    """Oppositely oriented edge pairs are only allowed on the diagonal."""
     name = "antisymmetry"
     m = len(rel.labels)
     for a in range(m):
@@ -319,10 +255,11 @@ def check_continuity(X) -> ContinuityReport:
     report.verdicts["validation"] = Verdict("validation", not violations, detail)
     table = _vertex_table(X)
     if X.K >= 1:
-        report.verdicts["relation_injective"] = check_relation_injective(X)
-        rel = report.relation = extract_relation(X)
+        index = {v: k for k, v in enumerate(X.levels[0])}
+        report.verdicts["relation_injective"], rel = _edge_relation(X, table[1], index)
+        report.relation = rel
         for n in range(2, X.K + 1):
-            report.verdicts[f"chain_condition_n{n}"] = _chain_condition(X, n, table, rel)
+            report.verdicts[f"chain_condition_n{n}"] = _chain_condition(n, table[n], rel, index)
         report.verdicts["face_formulas"] = _face_formulas(X, table, rel)
         report.verdicts["degeneracy_formulas"] = _degeneracy_formulas(X, table, rel)
         report.verdicts["antisymmetry"] = _antisymmetry(rel)
@@ -333,19 +270,13 @@ def check_continuity(X) -> ContinuityReport:
 
 def _reconstruct(X, relation, table):
     if relation is None:  # truncation 0 carries no order information
-        labels = _vertex_labels(X)
-        poset = FinPoset(sorted(labels), [1 << i for i in range(len(labels))])
+        poset = antichain_poset(_vertex_labels(X))
     else:
-        order = sorted(range(len(relation.labels)), key=lambda k: relation.labels[k])
-        labels = [relation.labels[k] for k in order]
-        rows = []
-        for k in order:
-            mask = 0
-            for pos, k2 in enumerate(order):
-                if relation.rows[k] & (1 << k2):
-                    mask |= 1 << pos
-            rows.append(mask)
-        poset = FinPoset(labels, rows)
+        # FinPoset refuses an intransitive relation, which no check catches at
+        # truncation 1; make_poset would close it
+        order = sorted(range(len(relation.labels)), key=relation.labels.__getitem__)
+        rows = [sum(1 << p for p, j in enumerate(order) if row >> j & 1) for row in relation.rows]
+        poset = FinPoset([relation.labels[k] for k in order], [rows[k] for k in order])
     comps = [
         {x: _label_tuple(X, points) for x, (points, _) in level.items()} for level in table
     ]

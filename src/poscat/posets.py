@@ -360,20 +360,11 @@ def split_retraction(f: MonotoneMap) -> MonotoneMap:
     if not f.is_injective:
         raise NotSplitMonoError("map is not injective")
     xs = src.sorted_by_order()
-    images = [f(x) for x in xs]
-    values = []
-    for t in tgt.sorted_by_order():
-        if tgt.leq(t, images[0]) and t != images[0]:
-            values.append(xs[0])
-            continue
-        pick = xs[-1]
-        for k in range(len(xs) - 1):
-            if tgt.leq(images[k], t) and tgt.leq(t, images[k + 1]) and t != images[k + 1]:
-                pick = xs[k]
-                break
-        values.append(pick)
-    order = {t: v for t, v in zip(tgt.sorted_by_order(), values)}
-    return MonotoneMap.from_dict(tgt, src, order)
+    g = {}
+    for t in tgt.elements:
+        below = [x for x in xs if tgt.leq(f(x), t)]
+        g[t] = below[-1] if below else xs[0]
+    return MonotoneMap.from_dict(tgt, src, g)
 
 
 def signatures(poset, table):
@@ -427,9 +418,10 @@ def nested_colours(table):
 
 
 def coloured_isomorphisms(p, q, sp, sq):
-    """Order isomorphisms p -> q, lazily, by colour-pruned backtracking: sp and
-    sq are the `signatures` of p and q from one table.  The search keeps the
-    next candidate to try at each depth on an explicit stack."""
+    """Order isomorphisms p -> q, lazily, by colour-pruned backtracking, each as
+    the tuple of target indices of p's elements: sp and sq are the `signatures`
+    of p and q from one table.  The search keeps the next candidate to try at
+    each depth on an explicit stack."""
     n = p.n
     if n != q.n or sorted(sp) != sorted(sq):
         return
@@ -440,7 +432,7 @@ def coloured_isomorphisms(p, q, sp, sq):
     k = 0
     while k >= 0:
         if k == n:
-            yield MonotoneMap(p, q, tuple(q.elements[a] for a in assign))
+            yield tuple(assign)
         else:
             i = order[k]
             t = tried[k]
@@ -460,9 +452,11 @@ def coloured_isomorphisms(p, q, sp, sq):
 
 
 def _isomorphism_search(p, q):
-    """`coloured_isomorphisms` with both posets coloured through one table."""
+    """`coloured_isomorphisms` with both posets coloured through one table, as
+    `MonotoneMap`s."""
     table = {}
-    return coloured_isomorphisms(p, q, signatures(p, table), signatures(q, table))
+    for assign in coloured_isomorphisms(p, q, signatures(p, table), signatures(q, table)):
+        yield MonotoneMap(p, q, tuple(q.elements[a] for a in assign))
 
 
 def _extends(p, q, placed, assign, i, j):

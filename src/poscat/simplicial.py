@@ -111,11 +111,6 @@ class TruncatedSimplicialSet:
             if value not in cod:
                 raise SimplicialError(f"{what} at level {n_from} maps outside X_{n_to}")
 
-    def level(self, n):
-        if not 0 <= n <= self.K:
-            raise SimplicialError(f"level {n} outside truncation {self.K}")
-        return self.levels[n]
-
     def face(self, n, i, x):
         return self.faces[(n, i)][x]
 

@@ -1,23 +1,20 @@
 """Continuity checks, corruption detection, reconstruction, density, full faithfulness."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poscat import (
     BoundError,
     ContinuityError,
-    check_antisymmetry,
-    check_chain_condition,
     check_continuity,
-    check_degeneracy_formulas,
-    check_face_formulas,
-    check_relation_injective,
     density_colimit,
-    extract_order,
     find_isomorphism,
     fully_faithful_witness,
     nerve,
     reconstruct,
 )
+from poscat.cli import CONFIG_ERRORS
 from poscat.continuity import non_monotone_witness
 from poscat.corpus import all_posets
 from poscat.formats import parse_sset, serialize_sset
@@ -82,38 +79,38 @@ def with_symmetric_pair():
     return unvalidated(X, levels=levels, faces=faces)
 
 
+def verdict(X, name):
+    return check_continuity(X).verdicts[name]
+
+
 def test_relation_injective_on_nerves():
-    assert check_relation_injective(nerve(two_chain(), 1)).passed
+    assert verdict(nerve(two_chain(), 1), "relation_injective").passed
     empty = TruncatedSimplicialSet([[], []], {(1, 0): {}, (1, 1): {}}, {(0, 0): {}})
-    assert check_relation_injective(empty).passed  # vacuous with no 1-simplices
+    assert verdict(empty, "relation_injective").passed  # vacuous with no 1-simplices
 
 
 def test_relation_injective_fails_on_duplicate():
-    verdict = check_relation_injective(with_duplicate_edge())
-    assert not verdict.passed
-    assert "0" in verdict.detail and "1" in verdict.detail
+    found = verdict(with_duplicate_edge(), "relation_injective")
+    assert not found.passed
+    assert "0" in found.detail and "1" in found.detail
+    assert found.detail == "1-simplices 0,1 and dup both cover (0, 1)"
 
 
 def test_extract_order_two_chain():
-    rel = extract_order(nerve(two_chain(), 1))
-    assert rel.holds("0", "0") and rel.holds("0", "1") and rel.holds("1", "1")
-    assert not rel.holds("1", "0")
+    rel = check_continuity(nerve(two_chain(), 1)).relation
+    # rows[i] has bit j set iff labels[i] <= labels[j]: 0 <= 0, 0 <= 1, 1 <= 1
+    assert rel.labels == ("0", "1") and rel.rows == (0b11, 0b10)
 
 
 def test_extract_order_antichain_is_diagonal():
-    rel = extract_order(nerve(two_antichain(), 1))
-    assert sorted(rel.pairs()) == [("a", "a"), ("b", "b")]
-
-
-def test_extract_order_protocol_error():
-    with pytest.raises(ContinuityError):
-        extract_order(with_duplicate_edge())
+    rel = check_continuity(nerve(two_antichain(), 1)).relation
+    assert rel.labels == ("a", "b") and rel.rows == (0b01, 0b10)
 
 
 def test_chain_condition_on_nerves():
     X = nerve(three_chain(), 3)
-    assert check_chain_condition(X, 2).passed
-    assert check_chain_condition(X, 3).passed
+    assert verdict(X, "chain_condition_n2").passed
+    assert verdict(X, "chain_condition_n3").passed
 
 
 def test_chain_condition_fails_on_shared_tuple():
@@ -124,8 +121,8 @@ def test_chain_condition_fails_on_shared_tuple():
     for i in range(3):
         faces[(2, i)]["ghost"] = X.faces[(2, i)][("0", "0", "1")]
     broken = unvalidated(X, levels=levels, faces=faces)
-    verdict = check_chain_condition(broken, 2)
-    assert not verdict.passed and "share" in verdict.detail
+    found = verdict(broken, "chain_condition_n2")
+    assert not found.passed and "share" in found.detail
 
 
 def test_chain_condition_fails_on_missing_simplex():
@@ -139,28 +136,28 @@ def test_chain_condition_fails_on_missing_simplex():
     degs = {key: dict(t) for key, t in X.degeneracies.items()}
     degs[(1, 0)][("0", "1")] = ("0", "1", "1")  # keep the table total
     broken = unvalidated(X, levels=levels, faces=faces, degeneracies=degs)
-    verdict = check_chain_condition(broken, 2)
-    assert not verdict.passed and "missing" in verdict.detail
     report = check_continuity(broken)
+    found = report.verdicts["chain_condition_n2"]
+    assert not found.passed and "missing" in found.detail
     assert not report.verdicts["validation"].passed  # the removal also breaks identities
 
 
 def test_face_formulas_on_nerve():
-    assert check_face_formulas(nerve(v_poset(), 3)).passed
+    assert verdict(nerve(v_poset(), 3), "face_formulas").passed
 
 
 def test_face_formulas_vacuous_below_two():
-    verdict = check_face_formulas(nerve(two_chain(), 1))
-    assert verdict.passed and "no levels" in verdict.detail
+    found = verdict(nerve(two_chain(), 1), "face_formulas")
+    assert found.passed and "no levels" in found.detail
 
 
 def test_degeneracy_formulas_on_nerve():
-    assert check_degeneracy_formulas(nerve(two_chain(), 2)).passed
-    assert check_degeneracy_formulas(nerve(singleton(), 2)).passed
+    assert verdict(nerve(two_chain(), 2), "degeneracy_formulas").passed
+    assert verdict(nerve(singleton(), 2), "degeneracy_formulas").passed
 
 
 def test_antisymmetry_on_nerves():
-    assert check_antisymmetry(nerve(v_poset(), 1)).passed
+    assert verdict(nerve(v_poset(), 1), "antisymmetry").passed
 
 
 def test_check_continuity_passes_on_nerves():
@@ -187,6 +184,37 @@ def test_corruptions_fail_exactly_the_named_check():
 
     report = check_continuity(with_broken_identity())
     assert not report.verdicts["validation"].passed
+
+
+@st.composite
+def corrupted_nerves(draw):
+    """The nerve of a poset on at most five elements at truncation at most 3,
+    with up to two face or degeneracy entries pointed at another simplex."""
+    X = nerve(draw(st.sampled_from(all_posets(5))), draw(st.integers(0, 3)))
+    tables = {("d", key): table for key, table in X.faces.items()}
+    tables.update({("s", key): table for key, table in X.degeneracies.items()})
+    keys = sorted(key for key, table in tables.items() if table)
+    faces = {key: dict(t) for key, t in X.faces.items()}
+    degs = {key: dict(t) for key, t in X.degeneracies.items()}
+    for _ in range(draw(st.integers(0, 2)) if keys else 0):
+        kind, (n, i) = draw(st.sampled_from(keys))
+        table, level = (faces, n - 1) if kind == "d" else (degs, n + 1)
+        table[n, i][draw(st.sampled_from(X.levels[n]))] = draw(st.sampled_from(X.levels[level]))
+    return unvalidated(X, faces=faces, degeneracies=degs)
+
+
+def report_lines(X):
+    try:
+        report = check_continuity(X)
+    except CONFIG_ERRORS as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return report.machine_lines(), report.text_lines()
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_nerves())
+def test_check_continuity_survives_corruption_and_round_trip(X):
+    assert report_lines(X) == report_lines(parse_sset(serialize_sset(X)))
 
 
 def test_reconstruct_round_trip():

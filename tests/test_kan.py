@@ -8,14 +8,17 @@ from poscat import (
     DeltaMap,
     FunctorPresentation,
     KanError,
+    MonotoneMap,
     PosetDiagram,
     StabilizationError,
     check_extension_cocontinuity,
     comma_diagram,
     extend,
+    extend_map,
     face,
     find_isomorphism,
     inclusion_functor,
+    monotone_maps,
     ordinal_poset,
     product_functor,
     product_poset,
@@ -170,6 +173,33 @@ def test_injective_only_comma_gives_equal_extensions():
             full = extend(functor, p)
             strict = extend(functor, p, injective_only=True)
             assert find_isomorphism(full.value, strict.value) is not None
+
+
+def test_extend_map_is_a_functor():
+    # at one common bound: extend_map(id) = id, and extend_map(g . f) =
+    # extend_map(g) . extend_map(f) on every composable pair p -> q -> r with
+    # q in all_posets(3) and p, r in all_posets(2)
+    functor = inclusion_functor()
+    small, mid = all_posets(2), all_posets(3)
+    bound = max(p.height for p in mid)
+    extended = {}
+
+    def ext(f):
+        if f not in extended:
+            extended[f] = extend_map(functor, f, bound)
+        return extended[f]
+
+    pairs = 0
+    for q in mid:
+        image = ext(MonotoneMap.identity(q))
+        assert image == MonotoneMap.identity(image.source)
+        for p in small:
+            for f in monotone_maps(p, q):
+                for r in small:
+                    for g in monotone_maps(q, r):
+                        assert ext(g.compose(f)) == ext(g).compose(ext(f))
+                        pairs += 1
+    assert pairs == 1045
 
 
 def test_stabilization_is_monotone_on_corpus():

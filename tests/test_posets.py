@@ -144,6 +144,25 @@ def test_split_retraction_is_left_inverse():
                 assert all(g(f(x)) == x for x in src.elements)
 
 
+def test_split_retraction_is_the_least_retraction():
+    # brute force over every injective monotone map [a] -> [b] with a <= 4 and
+    # b <= 5: g is the pointwise least monotone map [b] -> [a] with g(f(x)) = x
+    swept = 0
+    for a in range(5):
+        for b in range(a, 6):
+            for image in itertools.combinations(range(b + 1), a + 1):
+                f = MonotoneMap(ordinal_poset(a), ordinal_poset(b), tuple(map(str, image)))
+                retractions = [
+                    g
+                    for g in itertools.combinations_with_replacement(range(a + 1), b + 1)
+                    if all(g[image[x]] == x for x in range(a + 1))
+                ]
+                least = tuple(str(min(g[t] for g in retractions)) for t in range(b + 1))
+                assert split_retraction(f).values == least
+                swept += 1
+    assert swept == 119
+
+
 def test_split_retraction_preconditions():
     with pytest.raises(NotSplitMonoError):
         split_retraction(MonotoneMap(ordinal_poset(1), ordinal_poset(0), ("0", "0")))
