@@ -38,7 +38,6 @@ from .kan import (
     ExtensionResult,
     FunctorPresentation,
     KanError,
-    StabilizationError,
     check_extension_cocontinuity,
     comma_diagram,
     extend,

@@ -1,14 +1,17 @@
 """Extending a cocontinuous functor from the simplex category to all finite posets.
 
-The extension of F at P is the colimit of the F-images of all chains of P,
-indexed by the comma category of monotone maps [n] -> P.  The comma category
-is infinite, so it is truncated by chain length and certified by stabilization
-between consecutive bounds.
+The extension of F at P is the colimit of F over the comma category of monotone
+maps [n] -> P.  Its strict chains with face maps form a final subcategory: a
+weak chain x factors as y . sigma with sigma surjective and y the strict chain
+of its image, and y is initial under x.  No strict chain is longer than
+height(P), so one colimit at any bound >= height(P) is exact; the reported
+`stabilization` is that bound and needs no second colimit to certify it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .colimits import Cocone, PosetDiagram, colimit_pos, induced_map
 from .delta import (
@@ -36,16 +39,6 @@ VALIDATE_BOUND = 3
 
 class KanError(Exception):
     pass
-
-
-class StabilizationError(KanError):
-    def __init__(self, bound, apex_small, apex_big):
-        self.bound = bound
-        self.apex_small = apex_small
-        self.apex_big = apex_big
-        super().__init__(
-            f"no stabilization by bound {bound}: apex sizes {apex_small.n} vs {apex_big.n}"
-        )
 
 
 class FunctorPresentation:
@@ -113,6 +106,9 @@ class FunctorPresentation:
         return self._compose_refs(factorize(f).refs(), f.source)
 
 
+# The built-in families are memoized, so each one is validated once per
+# process; a FunctorPresentation built directly validates every time.
+@cache
 def inclusion_functor() -> FunctorPresentation:
     """The identity-on-chains inclusion of the simplex category into posets."""
 
@@ -124,7 +120,12 @@ def inclusion_functor() -> FunctorPresentation:
 
 def product_functor(q: FinPoset) -> FunctorPresentation:
     """[n] goes to [n] x Q with the componentwise order; maps act on the left factor."""
+    # FinPoset equality ignores the name, which the object names use
+    return _product_functor(q, q.name)
 
+
+@cache
+def _product_functor(q, _name):
     def on_object(n):
         return product_poset(ordinal_poset(n), q, name=f"[{n}]x{q.name or 'Q'}")
 
@@ -140,6 +141,7 @@ def product_functor(q: FinPoset) -> FunctorPresentation:
     return FunctorPresentation(f"product-with-{q.name or 'Q'}", "pos", on_object, on_generator)
 
 
+@cache
 def underlying_set_functor() -> FunctorPresentation:
     """[n] goes to its bare element set (a discrete poset)."""
 
@@ -159,22 +161,15 @@ def _chain_id(t):
     return ",".join(t)
 
 
-def comma_data(functor, poset, length_bound, injective_only=False):
-    """Comma diagram of chains of `poset` up to the length bound, with
-    F-payloads, and the chain of each node id.
-
-    Nodes are all monotone maps [n] -> P (weak chains, repeats included);
-    edges are the face/degeneracy triangles, which generate every commuting
-    triangle in the truncation.  With `injective_only` the nodes are the
-    strict chains and only face triangles remain; the colimit is unchanged
-    because degenerate chains glue fully into their non-degenerate images.
-    """
+def comma_data(functor, poset, length_bound):
+    """Comma diagram of the strict chains of `poset` up to the length bound,
+    with F-payloads and face edges, and the chain of each node id."""
     if length_bound < 0:
         raise KanError("length bound must be >= 0")
     node_chain = {}
     nodes = {}
-    for n in range(length_bound + 1):
-        for t in chains(poset, n, strict=injective_only):
+    for n in range(min(length_bound, poset.height) + 1):
+        for t in chains(poset, n, strict=True):
             nid = _chain_id(t)
             if nid in node_chain:
                 raise KanError(f"ambiguous chain id {nid!r}; element names may not contain commas")
@@ -183,19 +178,16 @@ def comma_data(functor, poset, length_bound, injective_only=False):
     edges = []
     for nid, t in sorted(node_chain.items()):
         m = len(t) - 1
-        for i in range(m + 1):
-            if m >= 1:
+        if m:
+            for i in range(m + 1):
                 src = _chain_id(t[:i] + t[i + 1 :])
                 edges.append((f"d{i}>{nid}", src, nid, functor.gen("face", m, i)))
-            if not injective_only and m + 1 <= length_bound:
-                src = _chain_id(t[: i + 1] + t[i:])
-                edges.append((f"s{i}>{nid}", src, nid, functor.gen("degeneracy", m, i)))
     diagram = PosetDiagram(nodes=nodes, edges=edges, name=f"comma({poset.name},{length_bound})")
     return diagram, node_chain
 
 
-def comma_diagram(functor, poset, length_bound, injective_only=False) -> PosetDiagram:
-    return comma_data(functor, poset, length_bound, injective_only=injective_only)[0]
+def comma_diagram(functor, poset, length_bound) -> PosetDiagram:
+    return comma_data(functor, poset, length_bound)[0]
 
 
 @dataclass
@@ -205,43 +197,38 @@ class ExtensionResult:
     stabilization: int
 
 
-def restriction_mediator(cocone_small, cocone_big):
-    """Mediating map induced by including a smaller comma truncation into a
-    bigger one, or None when there is none."""
-    return induced_map(cocone_small, cocone_big.apex, cocone_big.legs)[0]
+def _bound(posets, bound):
+    """`bound`, or the largest height when it is None; a bound below a
+    height would drop chains, so it is refused."""
+    height = max(p.height for p in posets)
+    if bound is not None and bound < height:
+        raise KanError(f"initial bound {bound} is below the poset height {height}")
+    return height if bound is None else bound
 
 
-def stabilization_step(functor, poset, cocone, bound, injective_only=False):
-    """The comma colimit at bound + 1, and whether the restriction mediator
-    from `cocone`, the comma colimit at `bound`, is an order isomorphism."""
-    bigger = colimit_pos(comma_diagram(functor, poset, bound + 1, injective_only=injective_only))
-    u = restriction_mediator(cocone, bigger)
-    return bigger, u is not None and u.is_order_isomorphism()
+def extend(functor, poset, initial_bound=None) -> ExtensionResult:
+    """Left Kan extension value at `poset`: one comma colimit, at
+    `initial_bound` (default the height)."""
+    b = _bound([poset], initial_bound)
+    cocone = colimit_pos(comma_diagram(functor, poset, b))
+    return ExtensionResult(cocone.apex, cocone, b)
 
 
-def extend(functor, poset, initial_bound=None, max_bound=None, injective_only=False) -> ExtensionResult:
-    """Left Kan extension value at `poset`: truncated comma colimits, certified
-    by an isomorphism between consecutive bounds."""
-    b = poset.height if initial_bound is None else initial_bound
-    if b < poset.height:
-        raise KanError(f"initial bound {b} is below the poset height {poset.height}")
-    cap = b + 3 if max_bound is None else max_bound
-    current = colimit_pos(comma_diagram(functor, poset, b, injective_only=injective_only))
-    while True:
-        bigger, stable = stabilization_step(functor, poset, current, b, injective_only)
-        if stable:
-            return ExtensionResult(current.apex, current, b)
-        if b + 1 > cap:
-            raise StabilizationError(b + 1, current.apex, bigger.apex)
-        current = bigger
-        b += 1
+def _postcompose_mediator(functor, g: MonotoneMap, data_src, cone_src, cone_dst):
+    """F-image of postcomposition with g, as a map between comma colimits.
 
-
-def _postcompose_mediator(g: MonotoneMap, data_src, cone_src, cone_dst):
-    """F-image of postcomposition with g, as a map between comma colimits."""
-    node_maps = {
-        nid: cone_dst.legs[_chain_id(tuple(g(p) for p in t))] for nid, t in data_src.items()
-    }
+    g . t may repeat elements; it factors as y . sigma with y the strict chain
+    of its image, and node t goes to the leg of y after F(sigma).
+    """
+    node_maps = {}
+    for nid, t in data_src.items():
+        image = [g(p) for p in t]
+        y = tuple(dict.fromkeys(image))
+        leg = cone_dst.legs[_chain_id(y)]
+        if len(y) < len(t):
+            sigma = DeltaMap(len(t) - 1, len(y) - 1, tuple(y.index(v) for v in image))
+            leg = leg.compose(functor.apply(sigma))
+        node_maps[nid] = leg
     u, failure = induced_map(cone_src, cone_dst.apex, node_maps)
     if u is None:
         raise KanError(f"induced map is {failure}")
@@ -249,13 +236,12 @@ def _postcompose_mediator(g: MonotoneMap, data_src, cone_src, cone_dst):
 
 
 def extend_map(functor, g: MonotoneMap, bound=None) -> MonotoneMap:
-    """The extension applied to a monotone map, at a common truncation bound."""
-    b = max(g.source.height, g.target.height) if bound is None else bound
+    """The extension applied to a monotone map."""
+    b = _bound([g.source, g.target], bound)
     dia_s, data_s = comma_data(functor, g.source, b)
-    dia_t, _ = comma_data(functor, g.target, b)
     cone_s = colimit_pos(dia_s)
-    cone_t = colimit_pos(dia_t)
-    return _postcompose_mediator(g, data_s, cone_s, cone_t)
+    cone_t = colimit_pos(comma_diagram(functor, g.target, b))
+    return _postcompose_mediator(functor, g, data_s, cone_s, cone_t)
 
 
 @dataclass
@@ -269,17 +255,12 @@ class CocontinuityReport:
 def check_extension_cocontinuity(functor, diagram, bound=None) -> CocontinuityReport:
     """Compare the extension of a colimit with the colimit of the extensions.
 
-    Both sides are computed at one common truncation bound; the comparison map
-    is the canonical mediator and must be an order isomorphism.
+    Each poset's comma colimit is taken once, at one common bound; the
+    comparison map is the canonical mediator and must be an order isomorphism.
     """
     base = colimit_pos(diagram)
-    posets = [base.apex] + [diagram.nodes[nid] for nid in diagram.node_ids]
-    b = max(p.height for p in posets) if bound is None else bound
-    for p in posets:
-        b = max(b, extend(functor, p, initial_bound=b).stabilization)
-
-    comma_apex, _ = comma_data(functor, base.apex, b)
-    cone_apex = colimit_pos(comma_apex)
+    b = _bound([base.apex] + [diagram.nodes[nid] for nid in diagram.node_ids], bound)
+    cone_apex = colimit_pos(comma_diagram(functor, base.apex, b))
 
     cones = {}
     datas = {}
@@ -291,14 +272,14 @@ def check_extension_cocontinuity(functor, diagram, bound=None) -> CocontinuityRe
     image_nodes = {nid: cones[nid].apex for nid in diagram.node_ids}
     image_edges = []
     for eid, src, dst, f in diagram.edges:
-        induced = _postcompose_mediator(f, datas[src], cones[src], cones[dst])
+        induced = _postcompose_mediator(functor, f, datas[src], cones[src], cones[dst])
         image_edges.append((eid, src, dst, induced))
     image_diagram = PosetDiagram(nodes=image_nodes, edges=image_edges, name="F-images")
     rhs = colimit_pos(image_diagram)
 
     # canonical comparison legs F~(P_j) -> F~(colim D)
     compare = {
-        nid: _postcompose_mediator(base.legs[nid], datas[nid], cones[nid], cone_apex)
+        nid: _postcompose_mediator(functor, base.legs[nid], datas[nid], cones[nid], cone_apex)
         for nid in diagram.node_ids
     }
     mediator, failure = induced_map(rhs, cone_apex.apex, compare)

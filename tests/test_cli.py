@@ -88,6 +88,23 @@ def test_check_fails_on_corrupted_sset(tmp_path, v_file, capsys):
     assert "relation_injective: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+def test_intransitive_truncation_one_sset_fails_with_a_witness(tmp_path, capsys, command):
+    # edges a->b and b->c without a->c: only the transitivity scan catches it
+    vertices = ["a", "b", "c"]
+    edges = ["a,a", "a,b", "b,b", "b,c", "c,c"]
+    lines = ["sset bad trunc 1"]
+    lines += [f"simplex 0 {v}" for v in vertices] + [f"simplex 1 {e}" for e in edges]
+    lines += [f"d 1 {i} {e} {e.split(',')[1 - i]}" for i in (0, 1) for e in edges]
+    lines += [f"s 0 0 {v} {v},{v}" for v in vertices]
+    path = tmp_path / "bad.sset"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run([command, "--format", "machine", "--sset", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "check.face_formulas.witness=relation not transitive: a <= b <= c without a <= c" in out
+    assert "overall=FAIL" in out
+
+
 def test_reconstruct_emits_poset(tmp_path, v_file, capsys):
     out = tmp_path / "v.sset"
     run(["nerve", "--poset", v_file, "--trunc", "2", "--output", str(out)])
@@ -166,6 +183,27 @@ def test_extend_command(tmp_path, v_file, capsys):
     prod = tmp_path / "prod.fun"
     prod.write_text("functor product-with q.poset\n", encoding="utf-8")
     assert run(["extend", "--functor", str(prod), "--poset", v_file]) == 0
+
+
+@pytest.mark.parametrize("command", ["density", "extend"])
+def test_bound_beyond_the_height_gives_the_same_apex(tmp_path, capsys, command):
+    # strict chains stop at the height, so a large bound adds nothing
+    chain = tmp_path / "c5.poset"
+    chain.write_text("poset c5\nelem 0 1 2 3 4\nle 0 1\nle 1 2\nle 2 3\nle 3 4\n", encoding="utf-8")
+    fun = tmp_path / "inc.fun"
+    fun.write_text("functor inclusion\n", encoding="utf-8")
+    argv = [command, "--format", "machine", "--poset", str(chain)]
+    if command == "extend":
+        argv += ["--functor", str(fun)]
+    reports = {}
+    for bound in ("4", "16"):
+        assert run(argv + ["--bound", bound]) == 0
+        reports[bound] = capsys.readouterr().out.splitlines()
+    bound_key = "bound=" if command == "density" else "stabilization="
+    assert f"{bound_key}16" in reports["16"]
+    same = [[line for line in lines if not line.startswith(bound_key)] for lines in reports.values()]
+    assert same[0] == same[1]
+    assert "apex.size=5" in same[0] or "value.size=5" in same[0]
 
 
 def test_verify_identities_command(capsys):

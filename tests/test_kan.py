@@ -1,4 +1,4 @@
-"""Comma diagrams, Kan extension values, stabilization, cocontinuity checks."""
+"""Comma diagrams, Kan extension values, functor maps, cocontinuity checks."""
 
 import itertools
 
@@ -6,13 +6,15 @@ import pytest
 
 from poscat import (
     DeltaMap,
+    FinPoset,
     FunctorPresentation,
     KanError,
     MonotoneMap,
     PosetDiagram,
-    StabilizationError,
     check_extension_cocontinuity,
+    colimit_pos,
     comma_diagram,
+    density_colimit,
     extend,
     extend_map,
     face,
@@ -27,31 +29,42 @@ from poscat import (
 from poscat.corpus import all_posets
 from poscat.delta import degeneracy, delta_to_monotone
 
-from helpers import relabel, singleton, two_antichain, two_chain, v_poset
+from helpers import relabel, singleton, two_antichain, two_chain, v_poset, weak_comma_data
 
 
 def test_comma_diagram_singleton_bound_one():
-    diagram = comma_diagram(inclusion_functor(), singleton(), 1)
+    diagram, _ = weak_comma_data(inclusion_functor(), singleton(), 1)
     assert len(diagram.nodes) == 2  # the point chain and the constant 1-chain
     kinds = sorted(eid.split(">")[0] for eid, *_ in diagram.edges)
     assert kinds == ["d0", "d1", "s0"]
 
 
 def test_comma_diagram_antichain_bound_zero():
-    diagram = comma_diagram(inclusion_functor(), two_antichain(), 0)
+    diagram, _ = weak_comma_data(inclusion_functor(), two_antichain(), 0)
     assert len(diagram.nodes) == 2 and not diagram.edges
 
 
 def test_comma_diagram_two_chain_bound_one():
-    diagram = comma_diagram(inclusion_functor(), two_chain(), 1)
+    diagram, _ = weak_comma_data(inclusion_functor(), two_chain(), 1)
     assert len(diagram.nodes) == 5  # two points plus three weak 1-chains
+
+
+def test_strict_comma_singleton():
+    diagram = comma_diagram(inclusion_functor(), singleton(), 1)
+    assert len(diagram.nodes) == 1 and not diagram.edges
+
+
+def test_strict_comma_two_chain():
+    diagram = comma_diagram(inclusion_functor(), two_chain(), 1)
+    assert sorted(diagram.nodes) == ["0", "0,1", "1"]
+    assert sorted(eid for eid, *_ in diagram.edges) == ["d0>0,1", "d1>0,1"]
 
 
 def test_extend_inclusion_recovers_the_poset():
     for p in (singleton(), two_chain(), two_antichain(), v_poset()):
         result = extend(inclusion_functor(), p)
         assert find_isomorphism(result.value, p) is not None
-        assert result.stabilization <= p.height + 1
+        assert result.stabilization == p.height
         assert result.cocone.commutes()
 
 
@@ -89,14 +102,18 @@ def test_extend_bound_below_height():
         extend(inclusion_functor(), v_poset(), initial_bound=0)
 
 
-def test_extend_cap_error_path(monkeypatch):
-    # the cap is a defensive guard: force the stabilization test to fail
-    import poscat.kan as kan
-
-    monkeypatch.setattr(kan, "restriction_mediator", lambda small, big: None)
-    with pytest.raises(StabilizationError) as err:
-        kan.extend(inclusion_functor(), two_chain(), max_bound=2)
-    assert err.value.bound == 3
+def test_built_in_functors_are_memoized():
+    assert inclusion_functor() is inclusion_functor()
+    assert underlying_set_functor() is underlying_set_functor()
+    q = ordinal_poset(1)
+    assert product_functor(q) is product_functor(ordinal_poset(1))
+    # FinPoset equality ignores names, but the functor's object names use them
+    a = FinPoset(q.elements, q.up_rows, name="a")
+    b = FinPoset(q.elements, q.up_rows, name="b")
+    fa, fb = product_functor(a), product_functor(b)
+    assert a == b and fa is not fb
+    assert (fa.name, fb.name) == ("product-with-a", "product-with-b")
+    assert (fa.obj(0).name, fb.obj(0).name) == ("[0]xa", "[0]xb")
 
 
 def test_functor_presentation_validation_catches_bad_images():
@@ -166,13 +183,30 @@ def test_extend_value_at_chains_is_the_functor_value():
             assert find_isomorphism(result.value, functor.obj(n)) is not None
 
 
-def test_injective_only_comma_gives_equal_extensions():
-    q = ordinal_poset(1)
-    for functor in (inclusion_functor(), product_functor(q)):
-        for p in all_posets(3):
-            full = extend(functor, p)
-            strict = extend(functor, p, injective_only=True)
-            assert find_isomorphism(full.value, strict.value) is not None
+def _leg_partition(cocone, node_ids):
+    """The (node, element) pairs of the given nodes, grouped by apex element."""
+    blocks = {}
+    for nid in node_ids:
+        leg = cocone.legs[nid]
+        for x, a in zip(leg.source.elements, leg.values):
+            blocks.setdefault(a, set()).add((nid, x))
+    return sorted(sorted(block) for block in blocks.values())
+
+
+def test_strict_and_weak_comma_colimits_agree():
+    # finality: the weak truncation at the height, an independent oracle,
+    # gives an isomorphic value that glues the strict chains' elements alike
+    functors = [inclusion_functor(), underlying_set_functor()]
+    functors += [product_functor(q) for q in (ordinal_poset(1),) + all_posets(2)]
+    cases = 0
+    for functor in functors:
+        for p in all_posets(5):
+            strict = extend(functor, p).cocone
+            weak = colimit_pos(weak_comma_data(functor, p, p.height)[0])
+            assert find_isomorphism(strict.apex, weak.apex) is not None
+            assert _leg_partition(strict, strict.legs) == _leg_partition(weak, strict.legs)
+            cases += 1
+    assert cases == 7 * 88
 
 
 def test_extend_map_is_a_functor():
@@ -202,18 +236,26 @@ def test_extend_map_is_a_functor():
     assert pairs == 1045
 
 
-def test_stabilization_is_monotone_on_corpus():
-    from poscat.kan import restriction_mediator
-    from poscat import colimit_pos
-
+def test_extend_map_on_collapsing_maps():
+    # g . t repeats elements of a strict chain t; under the canonical
+    # isomorphism of density, extend_map(inclusion, g) is g itself
     functor = inclusion_functor()
-    for p in all_posets(3):
-        result = extend(functor, p)
-        b = result.stabilization
-        one_more = colimit_pos(comma_diagram(functor, p, b + 1))
-        two_more = colimit_pos(comma_diagram(functor, p, b + 2))
-        u = restriction_mediator(one_more, two_more)
-        assert u is not None and u.is_order_isomorphism()
+    point = ordinal_poset(0)
+    maps = [
+        MonotoneMap.from_dict(ordinal_poset(2), point, {x: "0" for x in ordinal_poset(2).elements}),
+        MonotoneMap.from_dict(v_poset(), point, {x: "0" for x in "abc"}),
+    ]
+    small = all_posets(3)
+    maps += [g for p in small for q in small for g in monotone_maps(p, q)]
+    collapsing = 0
+    for g in maps:
+        bound = max(g.source.height, g.target.height)
+        u = extend_map(functor, g, bound)
+        iso_s = density_colimit(g.source, bound).iso
+        iso_t = density_colimit(g.target, bound).iso
+        assert iso_t.compose(u) == g.compose(iso_s)
+        collapsing += len(set(g.values)) < g.source.n
+    assert collapsing > 2
 
 
 def test_comma_rejects_ambiguous_chain_ids():
