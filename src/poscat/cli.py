@@ -23,13 +23,20 @@ from .delta import DeltaError, verify_simplicial_identities
 from .kan import KanError, extend
 from .posets import (
     PosetError,
+    chain_counts,
     count_monotone_maps,
     linear_extensions,
     meet_of_extensions,
 )
 from .simplicial import SimplicialError, count_simplicial_maps, nerve
 
+
+class BudgetError(Exception):
+    """The nerves asked for would hold more simplices than MAX_SIMPLICES."""
+
+
 CONFIG_ERRORS = (
+    BudgetError,
     formats.FormatError,
     PosetError,
     SimplicialError,
@@ -43,6 +50,10 @@ CONFIG_ERRORS = (
 
 # Largest --max-n accepted; --trunc is bounded by formats.MAX_TRUNC.
 MAX_IDENTITY_N = 32
+
+# Most simplices `nerve` and `homcount` may build, summed over their nerves.
+# Near the top truncation levels that is about half a gigabyte.
+MAX_SIMPLICES = 50_000
 
 
 def _parser():
@@ -98,8 +109,22 @@ def _emit(args, lines):
         sys.stdout.write(payload)
 
 
+def _check_budget(posets, K):
+    """Refuse, before building them, nerves at truncation K of `posets` that
+    would hold more than MAX_SIMPLICES simplices in all."""
+    total = 0
+    for poset in posets:
+        for count in chain_counts(poset, K):
+            total += count
+            if total > MAX_SIMPLICES:
+                raise BudgetError(
+                    f"the nerves at --trunc {K} would hold more than {MAX_SIMPLICES} simplices"
+                )
+
+
 def _cmd_nerve(args):
     poset = formats.load_poset(args.poset)
+    _check_budget([poset], args.trunc)
     X = nerve(poset, args.trunc)
     _emit(args, formats.serialize_sset(X).splitlines())
     return 0
@@ -232,6 +257,7 @@ def _cmd_verify_identities(args):
 def _cmd_homcount(args):
     p = formats.load_poset(args.poset)
     q = formats.load_poset(args.poset2)
+    _check_budget([p, q], args.trunc)
     n_mono = count_monotone_maps(p, q)
     n_simp = count_simplicial_maps(nerve(p, args.trunc), nerve(q, args.trunc))
     ok = n_mono == n_simp

@@ -1,15 +1,34 @@
-"""Exhaustive enumeration of finite posets up to isomorphism.
+"""Exhaustive enumeration of finite posets up to isomorphism, by orderly
+generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978;
+Brinkmann & McKay, "Posets on up to 16 Points", Order 2002).
 
-Naturally labeled posets on {0,...,n-1} (the integer order extends the poset
-order) are generated by repeatedly adjoining a maximal element above a
-down-closed subset; every finite poset admits such a labeling, so deduplication
-against colour buckets yields one representative per isomorphism class.
+A labelling of a poset on {0,...,n-1} is natural when the integer order
+extends the poset order.  Element k is then maximal among 0..k, and it is
+given by its strict down-mask, a down-closed subset of {0,...,k-1}; every
+finite poset has a natural labelling.  Natural labellings compare by their
+tuples of strict down-masks (mask_1, ..., mask_{n-1}), lexicographically, and
+each class is represented by its lex-least natural labelling.
 
-Each candidate is coloured once by 1-dimensional colour refinement
-(`posets.signatures`), with every candidate of one size interning its colours
-as ints in one shared table.  A candidate's bucket is its sorted colour tuple,
-and it is tested for isomorphism only against the representatives in its
-bucket, reusing both colour lists.
+Deleting the top element n-1 of a lex-least labelling leaves a lex-least
+labelling: a smaller labelling of the rest would stay smaller with n-1 put
+back on top.  So every representative with n elements is a child of a
+representative with n - 1 elements: that poset with one maximal element added
+above a down-closed set.  `poset_classes(n)` grows only those children.  It
+walks the parents in lex order of their mask tuples and each parent's masks in
+ascending order, so the children come in lex order, and the first child met
+in each class is the class's lex-least labelling.  That is the same
+representative that deduplicating every natural labelling in lex order would
+keep, found by colouring 939 children for 1 <= n <= 6 instead of 5,231
+labellings.
+
+Each child is coloured once by 1-dimensional colour refinement
+(`posets.signatures`), with every child of one size interning its colours as
+ints in one shared table.  A child's bucket is its sorted colour tuple, and it
+is tested for isomorphism only against the representatives in its bucket,
+reusing both colour lists.
+
+`naturally_labeled_posets` lists every natural labelling; it is the oracle
+for exhaustiveness and for the orbit identity.
 """
 
 from __future__ import annotations
@@ -38,39 +57,43 @@ def _down_closed_masks(rows, n):
     return out
 
 
+def _children(rows, k):
+    """Row tables of the posets on {0..k} that put k, maximal, above each
+    down-closed subset of the poset on {0..k-1} with up-rows `rows`, in
+    ascending order of the subset's mask."""
+    for mask in _down_closed_masks(rows, k):
+        grown = [row | (1 << k) if mask & (1 << i) else row for i, row in enumerate(rows)]
+        grown.append(1 << k)
+        yield tuple(grown)
+
+
 def naturally_labeled_posets(n):
     """Row-mask tables of every naturally labeled poset on {0,...,n-1}."""
     tables = [tuple()]
     for k in range(n):
-        grown = []
-        for rows in tables:
-            for mask in _down_closed_masks(rows, k):
-                new_rows = [row | (1 << k) if mask & (1 << i) else row for i, row in enumerate(rows)]
-                new_rows.append(1 << k)
-                grown.append(tuple(new_rows))
-        tables = grown
+        tables = [child for rows in tables for child in _children(rows, k)]
     return tables
 
 
-@lru_cache(maxsize=None)
-def poset_classes(n):
-    """One FinPoset per isomorphism class with exactly n elements, named
-    P{n}.{k} in order of relation size, then of the repr of the element
-    colours' nested values."""
+def _grow(parents, n):
+    """The classes with n >= 1 elements, named, from `parents`, the classes
+    with n - 1 elements."""
+    elements = tuple(str(i) for i in range(n))
     table = {}
     buckets = {}
     reps = []
-    for rows in naturally_labeled_posets(n):
-        candidate = FinPoset(tuple(str(i) for i in range(n)), rows)
-        colours = signatures(candidate, table)
-        bucket = buckets.setdefault(tuple(sorted(colours)), [])
-        if any(
-            next(coloured_isomorphisms(candidate, seen, colours, seen_colours), None) is not None
-            for seen, seen_colours in bucket
-        ):
-            continue
-        bucket.append((candidate, colours))
-        reps.append((candidate, colours))
+    for parent in sorted(parents, key=lambda p: p.down_rows):
+        for rows in _children(parent.up_rows, n - 1):
+            candidate = FinPoset(elements, rows)
+            colours = signatures(candidate, table)
+            bucket = buckets.setdefault(tuple(sorted(colours)), [])
+            if any(
+                next(coloured_isomorphisms(candidate, seen, colours, seen_colours), None) is not None
+                for seen, seen_colours in bucket
+            ):
+                continue
+            bucket.append((candidate, colours))
+            reps.append((candidate, colours))
     values = nested_colours(table)
     reps.sort(
         key=lambda rep: (
@@ -81,6 +104,23 @@ def poset_classes(n):
     return tuple(
         FinPoset(p.elements, p.up_rows, name=f"P{n}.{k}") for k, (p, _) in enumerate(reps)
     )
+
+
+# _classes[n] holds the classes with n elements, grown one size at a time.
+_classes = [(FinPoset((), (), name="P0.0"),)]
+
+
+def poset_classes(n):
+    """One FinPoset per isomorphism class with exactly n elements, the lex-
+    least natural labelling of its class on the elements "0".."n-1", named
+    P{n}.{k} in order of relation size, then of the repr of the element
+    colours' nested values, then of the labelling.  The sizes up to n not
+    yet grown are grown in turn, each from the one below."""
+    if n < 0:
+        raise ValueError("poset size must be >= 0")
+    while len(_classes) <= n:
+        _classes.append(_grow(_classes[-1], len(_classes)))
+    return _classes[n]
 
 
 @lru_cache(maxsize=None)

@@ -48,15 +48,8 @@ class FinPoset:
                 raise PosetError("relation table out of range")
             if not row & (1 << i):
                 raise PosetError(f"relation not reflexive at {self.elements[i]}")
-        for i in range(n):
-            for j in range(n):
-                if self.up_rows[i] & (1 << j):
-                    if i != j and self.up_rows[j] & (1 << i):
-                        raise PosetError(
-                            f"relation not antisymmetric at {self.elements[i]}, {self.elements[j]}"
-                        )
-                    if self.up_rows[j] & ~self.up_rows[i]:
-                        raise PosetError("relation not transitive")
+        if not _is_partial_order(self.up_rows):
+            raise _first_failure(self.elements, self.up_rows)
 
     @property
     def n(self):
@@ -139,6 +132,41 @@ class FinPoset:
         if not self.is_total:
             raise PosetError("poset is not totally ordered")
         return tuple(self.elements[i] for i in self.toposort)
+
+
+def _is_partial_order(rows):
+    """Whether reflexive row masks are transitive and antisymmetric.
+
+    One OR of the rows under each row's set bits decides transitivity, and a
+    transitive relation is antisymmetric iff its rows are distinct (i <= j <= i
+    makes the two rows equal)."""
+    for row in rows:
+        under = 0
+        m = row
+        while m:
+            b = m & -m
+            under |= rows[b.bit_length() - 1]
+            m ^= b
+        if under != row:
+            return False
+    return len(set(rows)) == len(rows)
+
+
+def _first_failure(elements, rows):
+    """The error for the first pair (i, j), in row-major order with i <= j,
+    where j <= i for j != i, or j's row is not inside i's; antisymmetry is
+    named first on a tie."""
+    for i, row in enumerate(rows):
+        m = row
+        while m:
+            b = m & -m
+            j = b.bit_length() - 1
+            if j != i and rows[j] & (1 << i):
+                return PosetError(f"relation not antisymmetric at {elements[i]}, {elements[j]}")
+            if rows[j] & ~row:
+                return PosetError("relation not transitive")
+            m ^= b
+    raise AssertionError("no failing pair in an invalid relation")
 
 
 def make_poset(elements, pairs, name="") -> FinPoset:
@@ -290,6 +318,25 @@ def chains(poset, n, strict=False):
                 rows[a] |= 1 << b
     tuples = _kernels.list_maps(n + 1, poset.n, rows, pairs)
     return [tuple(poset.elements[order[v]] for v in t) for t in tuples]
+
+
+def chain_counts(poset, K):
+    """The number of weakly increasing (n+1)-tuples, the size of level n of
+    the nerve, for n = 0..K in turn, lazily: 1^T Z^n 1 for the zeta matrix Z
+    (Stanley, Enumerative Combinatorics I, 3.12).  Each level is one pass of
+    the last one's per-element end counts over the up-rows."""
+    ends = [1] * poset.n
+    yield sum(ends)
+    for _ in range(K):
+        grown = [0] * poset.n
+        for i, row in enumerate(poset.up_rows):
+            m = row
+            while m:
+                b = m & -m
+                grown[b.bit_length() - 1] += ends[i]
+                m ^= b
+        ends = grown
+        yield sum(ends)
 
 
 def monotone_maps(source, target):

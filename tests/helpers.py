@@ -29,6 +29,21 @@ def relabel(poset, prefix):
     return FinPoset(tuple(prefix + e for e in poset.elements), poset.up_rows, name=poset.name)
 
 
+def pairwise_order_error(elements, up_rows):
+    """The message FinPoset raises for reflexive in-range rows that are not a
+    partial order, or None: the pair-by-pair check over every (i, j) with
+    i <= j in row-major order, antisymmetry before transitivity."""
+    n = len(elements)
+    for i in range(n):
+        for j in range(n):
+            if up_rows[i] & (1 << j):
+                if i != j and up_rows[j] & (1 << i):
+                    return f"relation not antisymmetric at {elements[i]}, {elements[j]}"
+                if up_rows[j] & ~up_rows[i]:
+                    return "relation not transitive"
+    return None
+
+
 def random_diagram(rng, max_nodes=4, max_elems=4):
     """Seeded random multidigraph of small posets with monotone edge maps."""
     n_nodes = rng.randint(1, max_nodes)

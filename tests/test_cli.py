@@ -281,6 +281,29 @@ def test_oversized_options_exit_two(point_file, capsys, command, option, value):
     assert captured.err == f"error: {option} {value} exceeds the limit 32\n"
 
 
+@pytest.fixture
+def ten_chain_file(tmp_path):
+    path = tmp_path / "c10.poset"
+    covers = "".join(f"le {i} {i + 1}\n" for i in range(9))
+    path.write_text("poset c10\nelem " + " ".join(map(str, range(10))) + "\n" + covers, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["nerve", "homcount"])
+def test_oversized_nerves_exit_two_before_building(ten_chain_file, capsys, command):
+    # the ten-element chain's nerve at truncation 32 would hold 1,917,334,782 simplices
+    from poscat.cli import MAX_SIMPLICES
+
+    posets = {"nerve": ["--poset", ten_chain_file]}
+    posets["homcount"] = posets["nerve"] + ["--poset2", ten_chain_file]
+    assert run([command, "--trunc", "32"] + posets[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the nerves at --trunc 32 would hold more than {MAX_SIMPLICES} simplices\n"
+    )
+
+
 def test_nerve_at_the_truncation_limit(point_file, tmp_path):
     from poscat.formats import MAX_TRUNC, load_sset
 

@@ -217,6 +217,35 @@ def test_check_continuity_survives_corruption_and_round_trip(X):
     assert report_lines(X) == report_lines(parse_sset(serialize_sset(X)))
 
 
+@st.composite
+def rewired_edge_nerves(draw):
+    """The nerve at truncation 1 of a poset on at most five elements, with one
+    face entry of one 1-simplex pointed at another vertex."""
+    X = nerve(draw(st.sampled_from(all_posets(5)[1:])), 1)
+    faces = {key: dict(t) for key, t in X.faces.items()}
+    i = draw(st.integers(0, 1))
+    faces[1, i][draw(st.sampled_from(X.levels[1]))] = draw(st.sampled_from(X.levels[0]))
+    return unvalidated(X, faces=faces)
+
+
+def intransitive(X):
+    """Whether the edge relation, read straight from the face tables, has
+    a <= b <= c without a <= c."""
+    pairs = {(X.faces[1, 1][e], X.faces[1, 0][e]) for e in X.levels[1]}
+    return any((a, d) not in pairs for a, b in pairs for c, d in pairs if b == c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rewired_edge_nerves())
+def test_rewired_edge_nerves_get_a_report(X):
+    report = check_continuity(X)  # never raises
+    if intransitive(X):
+        verdict = report.verdicts["face_formulas"]
+        assert not verdict.passed
+        assert verdict.detail.startswith("relation not transitive: ")
+        assert report.poset is None
+
+
 def test_reconstruct_round_trip():
     p = v_poset()
     poset, iso = reconstruct(nerve(p, 3))

@@ -49,11 +49,36 @@ def test_classes_pairwise_nonisomorphic_n4():
         assert find_isomorphism(a, b) is None
 
 
-def test_every_labeled_poset_is_represented_n4():
-    classes = poset_classes(4)
-    for rows in naturally_labeled_posets(4):
-        candidate = FinPoset(tuple(str(i) for i in range(4)), rows)
-        assert any(find_isomorphism(candidate, rep) is not None for rep in classes)
+def test_every_labeled_poset_is_represented():
+    for n in range(6):
+        classes = poset_classes(n)
+        for rows in naturally_labeled_posets(n):
+            candidate = FinPoset(tuple(str(i) for i in range(n)), rows)
+            assert any(find_isomorphism(candidate, rep) is not None for rep in classes)
+
+
+def strict_down_masks(poset, order):
+    """The strict down-mask of each position of `order`, a linear extension
+    of the poset given as a sequence of element indices."""
+    position = {e: k for k, e in enumerate(order)}
+    return tuple(
+        sum(1 << position[j] for j in range(poset.n) if j != i and poset.down_rows[i] >> j & 1)
+        for i in order
+    )
+
+
+def test_representatives_are_lex_least_labellings():
+    # the invariant that lets each size grow from the one below: every
+    # representative's strict down-masks, in label order, are the least over
+    # all natural relabellings of its class
+    for n in range(6):
+        for p in poset_classes(n):
+            own = strict_down_masks(p, range(n))
+            relabellings = [
+                strict_down_masks(p, [p.index(e) for e in ext.sorted_by_order()])
+                for ext in linear_extensions(p)
+            ]
+            assert own == min(relabellings), p.name
 
 
 def test_orbit_identity_n4():
@@ -72,10 +97,28 @@ def test_all_posets_accumulates_sizes():
 
 
 def test_deterministic_order():
-    a = [p.up_rows for p in poset_classes(4)]
-    poset_classes.cache_clear()
-    b = [p.up_rows for p in poset_classes(4)]
-    assert a == b
+    # the classes, their order and names are the same under any hash seed
+    import os
+    import subprocess
+    import sys
+
+    import poscat
+
+    import_root = os.path.dirname(os.path.dirname(os.path.abspath(poscat.__file__)))
+    code = (
+        "from poscat.corpus import poset_classes\n"
+        "print(repr([(p.name, p.up_rows) for p in poset_classes(5)]))"
+    )
+    here = repr([(p.name, p.up_rows) for p in poset_classes(5)])
+    for seed in ("0", "424242"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed, "PYTHONPATH": import_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == here
 
 
 def test_corpus_is_pinned_n6():
@@ -87,4 +130,16 @@ def test_corpus_is_pinned_n6():
     assert (
         hashlib.sha256(text.encode()).hexdigest()
         == "0cc2201651a788f72cc204a154da7c32265be2ccaa116ea73421355ca62a6a35"
+    )
+
+
+def test_corpus_is_pinned_n7():
+    # computed by deduplicating every naturally labeled poset on seven
+    # elements, before each size was grown from the one below
+    classes = poset_classes(7)
+    assert len(classes) == 2045
+    text = repr([(p.name, p.elements, p.up_rows) for p in classes])
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "29c7e7b8d83e343dc937d47a01bdf877c015ae8a0d85781284b706943b5aa827"
     )

@@ -23,10 +23,18 @@ from poscat import (
     product_poset,
     split_retraction,
 )
+from poscat._kernels import transitive_closure
 from poscat.corpus import all_posets
-from poscat.posets import FinPoset, nested_colours, signatures
+from poscat.posets import FinPoset, chain_counts, nested_colours, signatures
 
-from helpers import singleton, three_chain, two_antichain, two_chain, v_poset
+from helpers import (
+    pairwise_order_error,
+    singleton,
+    three_chain,
+    two_antichain,
+    two_chain,
+    v_poset,
+)
 
 
 def test_make_poset_closure():
@@ -311,3 +319,32 @@ def test_nested_colours_rebuild_the_refinement():
     values = nested_colours(table)
     for p, cs in zip(all_posets(5), colours):
         assert [values[c] for c in cs] == nested_signatures(p)
+
+
+@st.composite
+def reflexive_relations(draw):
+    """Reflexive row masks on at most six elements, transitively closed half
+    of the time, so that every check of FinPoset is reached."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    rows = [draw(st.integers(0, (1 << n) - 1)) | (1 << i) for i in range(n)]
+    if draw(st.booleans()):
+        rows = transitive_closure(rows)
+    return tuple(f"e{i}" for i in range(n)), tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reflexive_relations())
+def test_poset_validation_matches_the_pairwise_check(case):
+    elements, rows = case
+    expected = pairwise_order_error(elements, rows)
+    if expected is None:
+        assert FinPoset(elements, rows).up_rows == rows
+    else:
+        with pytest.raises(PosetError) as err:
+            FinPoset(elements, rows)
+        assert str(err.value) == expected
+
+
+def test_chain_counts_match_the_chains():
+    for p in all_posets(4):
+        assert list(chain_counts(p, 3)) == [len(chains(p, n)) for n in range(4)]
