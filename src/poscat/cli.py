@@ -180,10 +180,25 @@ def _cmd_colimit(args):
     return 0
 
 
+def _order_difference(poset, meet):
+    """One pair on which the order of `poset` and `meet`, the meet of its
+    extensions on the same elements, differ."""
+    for i, (mine, theirs) in enumerate(zip(poset.up_rows, meet.up_rows)):
+        diff = mine ^ theirs
+        if diff:
+            j = (diff & -diff).bit_length() - 1
+            x, y = poset.elements[i], poset.elements[j]
+            if mine >> j & 1:
+                return f"{x}<={y} in the order but not in every extension"
+            return f"{x}<={y} in every extension but not in the order"
+    return ""
+
+
 def _cmd_extensions(args):
     poset = formats.load_poset(args.poset)
     exts = linear_extensions(poset)
-    ok = meet_of_extensions(poset, exts).up_rows == poset.up_rows
+    meet = meet_of_extensions(poset, exts)
+    ok = meet.up_rows == poset.up_rows
     lines = []
     if args.format == "machine":
         lines.append(f"extensions.count={len(exts)}")
@@ -195,6 +210,9 @@ def _cmd_extensions(args):
         for ext in exts:
             lines.append("  " + " < ".join(ext.sorted_by_order()))
         lines.append(f"intersection equals the original order: {'PASS' if ok else 'FAIL'}")
+    if not ok:
+        key = "extensions.witness=" if args.format == "machine" else "witness: "
+        lines.append(key + _order_difference(poset, meet))
     _emit(args, lines)
     return 0 if ok else 1
 
@@ -245,6 +263,9 @@ def _cmd_verify_identities(args):
         lines.append(f"instances={report.checked}")
         lines.append(f"failures={len(report.failures())}")
         lines.append(f"overall={'PASS' if report.passed else 'FAIL'}")
+        if not report.passed:
+            family, n, i, j, _ = report.failures()[0]
+            lines.append(f"verify-identities.witness={family} at n={n}, i={i}, j={j}")
     else:
         lines.append(f"checked {report.checked} identity instances up to [{args.max_n}]")
         for family, n, i, j, ok in report.failures():

@@ -7,8 +7,6 @@ node relations, and condensation of its strongly connected components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import _kernels
 from .corpus import all_posets
 from .delta import (
@@ -30,24 +28,21 @@ class SubcategoryError(ColimitError):
     """A diagram node lies outside the requested subcategory."""
 
 
-@dataclass
 class PosetDiagram:
     """Finite multidigraph with poset nodes and monotone edge maps."""
 
-    nodes: dict
-    edges: list  # (edge_id, src_node, dst_node, MonotoneMap)
-    name: str = ""
-
-    def __post_init__(self):
-        self.edges = [tuple(e) for e in self.edges]
+    def __init__(self, nodes: dict, edges: list, name: str = ""):
+        self.nodes = nodes
+        self.edges = [tuple(e) for e in edges]  # (edge_id, src_node, dst_node, MonotoneMap)
+        self.name = name
         seen = set()
         for edge_id, src, dst, f in self.edges:
             if edge_id in seen:
                 raise ColimitError(f"duplicate edge id {edge_id!r}")
             seen.add(edge_id)
-            if src not in self.nodes or dst not in self.nodes:
+            if src not in nodes or dst not in nodes:
                 raise ColimitError(f"edge {edge_id!r} references an unknown node")
-            if f.source != self.nodes[src] or f.target != self.nodes[dst]:
+            if f.source != nodes[src] or f.target != nodes[dst]:
                 raise ColimitError(f"edge {edge_id!r} map endpoints do not match its nodes")
 
     @property
@@ -55,18 +50,16 @@ class PosetDiagram:
         return tuple(sorted(self.nodes))
 
 
-@dataclass
 class Cocone:
-    diagram: PosetDiagram
-    apex: FinPoset
-    legs: dict  # node id -> MonotoneMap into apex
-
-    def __post_init__(self):
-        for nid in self.diagram.nodes:
-            if nid not in self.legs:
+    def __init__(self, diagram: PosetDiagram, apex: FinPoset, legs: dict):
+        self.diagram = diagram
+        self.apex = apex
+        self.legs = legs  # node id -> MonotoneMap into apex
+        for nid in diagram.nodes:
+            if nid not in legs:
                 raise ColimitError(f"missing leg for node {nid!r}")
-            leg = self.legs[nid]
-            if leg.source != self.diagram.nodes[nid] or leg.target != self.apex:
+            leg = legs[nid]
+            if leg.source != diagram.nodes[nid] or leg.target != apex:
                 raise ColimitError(f"leg for node {nid!r} has wrong endpoints")
 
     def commutes(self):
@@ -217,24 +210,26 @@ def induced_map(cocone, target, node_maps):
         return None, "not monotone"
 
 
-@dataclass
 class ApexVerdict:
-    apex_label: str
-    apex_size: int
-    cocones: int
-    existence_ok: bool
-    uniqueness_ok: bool
+    def __init__(
+        self, apex_label: str, apex_size: int, cocones: int, existence_ok: bool, uniqueness_ok: bool
+    ):
+        self.apex_label = apex_label
+        self.apex_size = apex_size
+        self.cocones = cocones
+        self.existence_ok = existence_ok
+        self.uniqueness_ok = uniqueness_ok
 
     @property
     def ok(self):
         return self.existence_ok and self.uniqueness_ok
 
 
-@dataclass
 class UniversalReport:
-    bound: int
-    entries: list = field(default_factory=list)
-    witness: str = ""
+    def __init__(self, bound: int, entries: list | None = None, witness: str = ""):
+        self.bound = bound
+        self.entries = [] if entries is None else entries
+        self.witness = witness
 
     @property
     def passed(self):

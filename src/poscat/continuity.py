@@ -9,8 +9,6 @@ Passing data is the nerve of the poset it determines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import _kernels
 from .colimits import Cocone, colimit_pos, induced_map
 from .delta import DeltaMap
@@ -35,32 +33,39 @@ class BoundError(ContinuityError):
     pass
 
 
-@dataclass
 class Verdict:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     @property
     def status(self):
         return "PASS" if self.passed else "FAIL"
 
 
-@dataclass
 class Relation:
     """The edge relation on vertex labels extracted from level one."""
 
-    labels: tuple
-    rows: tuple
+    def __init__(self, labels: tuple, rows: tuple):
+        self.labels = labels
+        self.rows = rows
 
 
-@dataclass
 class ContinuityReport:
-    truncation: int
-    verdicts: dict = field(default_factory=dict)
-    relation: Relation | None = None
-    poset: FinPoset | None = None
-    iso: SimplicialMap | None = None
+    def __init__(
+        self,
+        truncation: int,
+        verdicts: dict | None = None,
+        relation: Relation | None = None,
+        poset: FinPoset | None = None,
+        iso: SimplicialMap | None = None,
+    ):
+        self.truncation = truncation
+        self.verdicts = {} if verdicts is None else verdicts
+        self.relation = relation
+        self.poset = poset
+        self.iso = iso
 
     @property
     def passed(self):
@@ -293,12 +298,13 @@ def reconstruct(X):
     return report.poset, report.iso
 
 
-@dataclass
 class DensityResult:
-    cocone: Cocone
-    iso: MonotoneMap | None
-    bound: int
     stabilized = True  # exact: the strict chains are final (see kan)
+
+    def __init__(self, cocone: Cocone, iso: MonotoneMap | None, bound: int):
+        self.cocone = cocone
+        self.iso = iso
+        self.bound = bound
 
     @property
     def passed(self):
@@ -324,12 +330,14 @@ def density_colimit(poset, length_bound) -> DensityResult:
     return DensityResult(cocone, iso, length_bound)
 
 
-@dataclass
 class FullFaithfulnessReport:
-    monotone_count: int
-    simplicial_count: int
-    injective: bool
-    surjective: bool
+    def __init__(
+        self, monotone_count: int, simplicial_count: int, injective: bool, surjective: bool
+    ):
+        self.monotone_count = monotone_count
+        self.simplicial_count = simplicial_count
+        self.injective = injective
+        self.surjective = surjective
 
     @property
     def passed(self):

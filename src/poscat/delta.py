@@ -8,8 +8,6 @@ faces (strictly increasing indices, smallest applied first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .posets import MonotoneMap, ordinal_poset
 
 
@@ -17,23 +15,44 @@ class DeltaError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DeltaMap:
-    source: int
-    target: int
-    values: tuple
+class Frozen:
+    """Base of the immutable value records: `==` and `hash` go by the
+    fields, in the order `__init__` stores them, and assigning or deleting an
+    attribute raises AttributeError.  A subclass's `__init__` stores its
+    fields once, through `self.__dict__`."""
 
-    def __post_init__(self):
-        if self.source < 0 or self.target < 0:
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DeltaMap(Frozen):
+    def __init__(self, source: int, target: int, values: tuple):
+        if source < 0 or target < 0:
             raise DeltaError("ordinals must be non-negative")
-        if len(self.values) != self.source + 1:
+        if len(values) != source + 1:
             raise DeltaError("value table does not cover the source ordinal")
-        for v in self.values:
-            if not 0 <= v <= self.target:
-                raise DeltaError(f"value {v} outside [{self.target}]")
-        for a, b in zip(self.values, self.values[1:]):
+        for v in values:
+            if not 0 <= v <= target:
+                raise DeltaError(f"value {v} outside [{target}]")
+        for a, b in zip(values, values[1:]):
             if a > b:
                 raise DeltaError("value table is not weakly increasing")
+        self.__dict__.update(source=source, target=target, values=values)
 
     def __call__(self, j):
         return self.values[j]
@@ -74,19 +93,15 @@ def compose(g: DeltaMap, f: DeltaMap) -> DeltaMap:
     return DeltaMap(f.source, g.target, tuple(g.values[v] for v in f.values))
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
+class GeneratorWord(Frozen):
     """Normal form of a map out of [source]: degeneracies then faces."""
 
-    source: int
-    faces: tuple
-    degeneracies: tuple
-
-    def __post_init__(self):
-        for seq in (self.faces, self.degeneracies):
+    def __init__(self, source: int, faces: tuple, degeneracies: tuple):
+        for seq in (faces, degeneracies):
             for a, b in zip(seq, seq[1:]):
                 if a >= b:
                     raise DeltaError("word indices must be strictly increasing")
+        self.__dict__.update(source=source, faces=faces, degeneracies=degeneracies)
 
     @property
     def target(self):
@@ -202,10 +217,10 @@ def _evaluate_refs(refs, source):
     return out
 
 
-@dataclass
 class IdentityReport:
-    max_n: int
-    entries: list  # (family, n, i, j, passed)
+    def __init__(self, max_n: int, entries: list):
+        self.max_n = max_n
+        self.entries = entries  # (family, n, i, j, passed)
 
     @property
     def passed(self):

@@ -10,7 +10,6 @@ height(P), so one colimit at any bound >= height(P) is exact; the reported
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .colimits import Cocone, PosetDiagram, colimit_pos, induced_map
@@ -190,11 +189,11 @@ def comma_diagram(functor, poset, length_bound) -> PosetDiagram:
     return comma_data(functor, poset, length_bound)[0]
 
 
-@dataclass
 class ExtensionResult:
-    value: FinPoset
-    cocone: Cocone
-    stabilization: int
+    def __init__(self, value: FinPoset, cocone: Cocone, stabilization: int):
+        self.value = value
+        self.cocone = cocone
+        self.stabilization = stabilization
 
 
 def _bound(posets, bound):
@@ -244,12 +243,18 @@ def extend_map(functor, g: MonotoneMap, bound=None) -> MonotoneMap:
     return _postcompose_mediator(functor, g, data_s, cone_s, cone_t)
 
 
-@dataclass
 class CocontinuityReport:
-    extension_of_colimit: FinPoset
-    colimit_of_extensions: FinPoset
-    passed: bool
-    detail: str = ""
+    def __init__(
+        self,
+        extension_of_colimit: FinPoset,
+        colimit_of_extensions: FinPoset,
+        passed: bool,
+        detail: str = "",
+    ):
+        self.extension_of_colimit = extension_of_colimit
+        self.colimit_of_extensions = colimit_of_extensions
+        self.passed = passed
+        self.detail = detail
 
 
 def check_extension_cocontinuity(functor, diagram, bound=None) -> CocontinuityReport:

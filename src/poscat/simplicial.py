@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .delta import DeltaMap, factorize, identity_instances
+from .delta import DeltaMap, Frozen, factorize, identity_instances
 from .posets import MonotoneMap, chains
 
 
@@ -12,13 +10,9 @@ class SimplicialError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class IdentityViolation:
-    family: str
-    level: int
-    i: int
-    j: int
-    simplex: object
+class IdentityViolation(Frozen):
+    def __init__(self, family: str, level: int, i: int, j: int, simplex: object):
+        self.__dict__.update(family=family, level=level, i=i, j=j, simplex=simplex)
 
     def __str__(self):
         spot = f"level {self.level}, simplex {simplex_label(self.simplex)}"
@@ -177,14 +171,19 @@ def nerve(poset, K) -> TruncatedSimplicialSet:
     if K < 0:
         raise SimplicialError("truncation level must be >= 0")
     levels = [tuple(chains(poset, n)) for n in range(K + 1)]
+    # each table entry is looked up among the adjacent level's own tuples, so
+    # it costs a reference instead of a fresh tuple of up to K + 2 points
+    own = [{t: t for t in level} for level in levels]
     faces = {}
     degeneracies = {}
     for n in range(1, K + 1):
+        below = own[n - 1]
         for i in range(n + 1):
-            faces[(n, i)] = {t: t[:i] + t[i + 1 :] for t in levels[n]}
+            faces[(n, i)] = {t: below[t[:i] + t[i + 1 :]] for t in levels[n]}
     for n in range(K):
+        above = own[n + 1]
         for i in range(n + 1):
-            degeneracies[(n, i)] = {t: t[: i + 1] + t[i:] for t in levels[n]}
+            degeneracies[(n, i)] = {t: above[t[: i + 1] + t[i:]] for t in levels[n]}
     return TruncatedSimplicialSet(
         levels, faces, degeneracies, name=f"N({poset.name})" if poset.name else "", validate=False
     )

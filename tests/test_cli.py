@@ -1,10 +1,16 @@
 """CLI dispatch, exit codes, and report stability."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import poscat.cli
 import poscat.posets
 from poscat.cli import run
+from poscat.delta import IdentityReport
 
 V_POSET = """\
 poset V
@@ -43,6 +49,20 @@ def v_file(tmp_path):
     path = tmp_path / "v.poset"
     path.write_text(V_POSET, encoding="utf-8")
     return str(path)
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # each `poscat` process pays for what the package imports; these two
+    # (with ast, dis and tokenize behind them) cost about 19 ms a start on a
+    # 2-vCPU VM
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "import poscat.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_nerve_then_check_round_trip(tmp_path, v_file, capsys):
@@ -163,6 +183,20 @@ def test_extensions_lists_the_extensions_once(monkeypatch, v_file, capsys):
     assert calls == ["V"]
 
 
+def test_extensions_failure_names_a_witness(monkeypatch, v_file, capsys):
+    # a meet that also puts a below b, as if an extension had been dropped
+    monkeypatch.setattr(
+        poscat.cli, "meet_of_extensions", lambda poset, exts: poscat.posets.chain_poset(poset.elements)
+    )
+    witness = "a<=b in every extension but not in the order"
+    assert run(["extensions", "--format", "machine", "--poset", v_file]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["intersection_equals_order=FAIL", f"extensions.witness={witness}"]
+    assert run(["extensions", "--poset", v_file]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["intersection equals the original order: FAIL", f"witness: {witness}"]
+
+
 def test_density_command(v_file, capsys):
     assert run(["density", "--poset", v_file]) == 0
     assert run(["density", "--format", "machine", "--poset", v_file, "--bound", "2"]) == 0
@@ -211,6 +245,20 @@ def test_verify_identities_command(capsys):
     assert "overall: PASS" in capsys.readouterr().out
     assert run(["verify-identities", "--format", "machine", "--max-n", "2"]) == 0
     assert "failures=0" in capsys.readouterr().out
+
+
+def test_verify_identities_failure_names_a_witness(monkeypatch, capsys):
+    passing = "delta_j delta_i = delta_i delta_{j-1} (i < j)"
+    family = "sigma_j delta_i = id (i = j or i = j+1)"
+    entries = [(passing, 0, 0, 1, True), (family, 1, 2, 1, False), (family, 2, 3, 2, False)]
+    monkeypatch.setattr(
+        poscat.cli, "verify_simplicial_identities", lambda max_n: IdentityReport(max_n, entries)
+    )
+    assert run(["verify-identities", "--format", "machine", "--max-n", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "instances=3\nfailures=2\noverall=FAIL\n"
+        f"verify-identities.witness={family} at n=1, i=2, j=1\n"
+    )
 
 
 def test_homcount_command(v_file, capsys):

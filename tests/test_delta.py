@@ -20,6 +20,7 @@ from poscat import (
     paper_pushout_square,
     verify_simplicial_identities,
 )
+from poscat.simplicial import IdentityViolation
 
 
 def all_delta_maps(n, m):
@@ -55,6 +56,26 @@ def test_delta_map_validation():
         DeltaMap(1, 1, (1, 0))  # not weakly increasing
     with pytest.raises(DeltaError):
         DeltaMap(1, 1, (0, 2))  # value out of range
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DeltaMap(1, 2, (0, 2)),
+        lambda: GeneratorWord(2, (1,), (0,)),
+        lambda: IdentityViolation("d_i d_j = d_{j-1} d_i", 2, 0, 1, ("a", "b", "c")),
+    ],
+)
+def test_value_records_compare_hash_and_refuse_assignment(make):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "first"}[b] == "first"
+    field = next(iter(vars(a)))
+    with pytest.raises(AttributeError):
+        setattr(a, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
 
 
 def test_compose_examples():

@@ -53,6 +53,15 @@ def test_nerve_faces_and_degeneracies_by_position():
     assert X.deg(1, 0, ("0", "2")) == ("0", "0", "2")
 
 
+def test_nerve_tables_hold_the_simplices_of_their_levels():
+    X = nerve(v_poset(), 3)
+    own = [{id(t) for t in level} for level in X.levels]
+    for (n, i), table in X.faces.items():
+        assert all(id(t) in own[n] and id(s) in own[n - 1] for t, s in table.items()), (n, i)
+    for (n, i), table in X.degeneracies.items():
+        assert all(id(t) in own[n] and id(s) in own[n + 1] for t, s in table.items()), (n, i)
+
+
 def test_nerves_pass_validation():
     for poset in all_posets(4):
         X = nerve(poset, 3)
