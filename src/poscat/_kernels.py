@@ -6,11 +6,15 @@ EQ: f[i] == f[j], LT: f[i] < f[j], interpreted in the target relation.  The
 searches keep their state in explicit stacks, so their depth is not bounded by
 the interpreter's recursion limit.
 
+Everything the searches read about a target relation is its view,
+`target_view(up_rows, down_rows)`: the mask of all values, the mask of
+reflexive values and the row tables by constraint code.  A `FinPoset` caches
+its view as `kernel_view`, so counting into it builds nothing per call.
+
 Counting is split in two: `count_plan(n_slots, pairs)` fixes everything that
 does not depend on the target (the branching order and the slots closed at
-each level), and `run_plan(plan, up_rows, down_rows, domains)` runs that plan
-against one target, given its rows and columns (a `FinPoset` caches the latter
-as `down_rows`) and optionally a mask of allowed values per slot.  A caller
+each level), and `run_plan(plan, view, domains)` runs that plan against one
+target view, optionally with a mask of allowed values per slot.  A caller
 counting one constraint set into many targets builds the plan once.
 """
 
@@ -70,8 +74,8 @@ def _neighbours(n_slots, pairs):
     Returns (reflexive, nbrs): reflexive[s] is true when a pair f[s] <= f[s]
     restricts s to reflexive target points, and nbrs[s] lists (o, code) for
     every pair between s and another slot o.  The code names the row table
-    (see `_tables`) that, indexed by the value of o, gives the values allowed
-    for s.
+    (see `target_view`) that, indexed by the value of o, gives the values
+    allowed for s.
     """
     reflexive = [False] * n_slots
     nbrs = [[] for _ in range(n_slots)]
@@ -94,18 +98,25 @@ def _neighbours(n_slots, pairs):
     return reflexive, nbrs
 
 
-def _tables(up_rows, down_rows):
-    """Row tables by code: table[code][w] is the mask of values v allowed
-    for a slot whose neighbour holds w, for v <= w (0), w <= v (1), v == w
-    (2), v < w (3) and w < v (4)."""
-    bits = [1 << w for w in range(len(up_rows))]
-    return (
-        down_rows,
-        up_rows,
-        bits,
-        [row & ~bit for row, bit in zip(down_rows, bits)],
-        [row & ~bit for row, bit in zip(up_rows, bits)],
+def target_view(up_rows, down_rows):
+    """What the searches read about a target relation with rows `up_rows`
+    and columns `down_rows`: (full, diag, tables).
+
+    full masks every value and diag the reflexive ones.  tables[code][w] is
+    the mask of values v allowed for a slot whose neighbour holds w, for
+    v <= w (0), w <= v (1), v == w (2), v < w (3) and w < v (4).
+    """
+    n = len(up_rows)
+    bits = [1 << w for w in range(n)]
+    diag = sum(bit for row, bit in zip(up_rows, bits) if row & bit)
+    tables = (
+        tuple(down_rows),
+        tuple(up_rows),
+        tuple(bits),
+        tuple(row & ~bit for row, bit in zip(down_rows, bits)),
+        tuple(row & ~bit for row, bit in zip(up_rows, bits)),
     )
+    return (1 << n) - 1, diag, tables
 
 
 def count_plan(n_slots, pairs):
@@ -155,18 +166,16 @@ def count_plan(n_slots, pairs):
     return tuple(free), tuple(loops), tuple(levels)
 
 
-def run_plan(plan, up_rows, down_rows, domains=None):
+def run_plan(plan, view, domains=None):
     """Number of functions satisfying the constraints `plan` was built from,
-    into the target relation with rows `up_rows` and columns `down_rows`.
+    into the target relation whose `target_view` is `view`.
 
     When `domains` is given, slot s may take only the values in the mask
     domains[s].  Runs the plan depth first with an explicit stack, one level
     per branch slot.
     """
     free, loops, levels = plan
-    n_tgt = len(up_rows)
-    full = (1 << n_tgt) - 1
-    diag = sum(1 << v for v in range(n_tgt) if up_rows[v] >> v & 1)
+    full, diag, tables = view
     if domains is None:
         prod = full.bit_count() ** len(free) * diag.bit_count() ** len(loops)
     else:
@@ -177,7 +186,6 @@ def run_plan(plan, up_rows, down_rows, domains=None):
             prod *= (domains[s] & diag).bit_count()
     if not levels or not prod:
         return prod
-    tables = _tables(up_rows, down_rows)
     depth = len(levels)
     values = [0] * depth
     masks = [0] * depth
@@ -225,7 +233,7 @@ def count_maps(n_slots, n_tgt, up_rows, pairs):
     plan = count_plan(n_slots, pairs)
     if plan is None:
         return 0
-    return run_plan(plan, up_rows, transpose(up_rows, n_tgt))
+    return run_plan(plan, target_view(up_rows, transpose(up_rows, n_tgt)))
 
 
 def list_maps(n_slots, n_tgt, up_rows, pairs):
@@ -240,9 +248,7 @@ def list_maps(n_slots, n_tgt, up_rows, pairs):
     if n_slots == 0:
         return [()]
     reflexive, nbrs = built
-    full = (1 << n_tgt) - 1
-    diag = sum(1 << v for v in range(n_tgt) if up_rows[v] >> v & 1)
-    tables = _tables(up_rows, transpose(up_rows, n_tgt))
+    full, diag, tables = target_view(up_rows, transpose(up_rows, n_tgt))
     back = [[(o, code) for o, code in nbrs[s] if o < s] for s in range(n_slots)]
     values = [0] * n_slots
     masks = [0] * n_slots

@@ -232,6 +232,9 @@ def _cmd_density(args):
         lines.append(f"apex has {result.cocone.apex.n} elements; poset has {poset.n}")
         lines.append(f"stabilized at bound+1: {'yes' if result.stabilized else 'no'}")
         lines.append(f"apex isomorphic to the poset: {'PASS' if result.passed else 'FAIL'}")
+    if not result.passed:
+        key = "density.witness=" if args.format == "machine" else "witness: "
+        lines.append(f"{key}the canonical map is {result.witness}")
     _emit(args, lines)
     return 0 if result.passed else 1
 

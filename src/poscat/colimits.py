@@ -251,13 +251,17 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
 
     When the legs hit every apex element, the mediating map is forced, so
     existence and uniqueness reduce to counting constraint-satisfying
-    functions, one connected component at a time.  Each component's two
-    constraint lists (the node relations alone, and with the candidate's
-    identifications and order added) are built once, and each distinct list
-    is compiled once into a target-independent plan.  Plans run against each
-    target's rows and cached `FinPoset.down_rows`, and a dict local to the
-    call keeps one count per (shape, target), so components of the same shape
-    are counted once per target.
+    functions, one connected component at a time: for each component, the
+    cocones (the node relations alone) against those with a mediating map
+    (the candidate's identifications and order added).  The targets are
+    posets, reflexive, transitive and antisymmetric, so a constraint list has
+    the same solutions as its reflexive-transitive closure, with EQ read as
+    both directions.  Each list is therefore keyed by that closure, and lists
+    with one closure are counted once; when the candidate is the colimit,
+    both lists of every component close to the same relation.  Counting is
+    shape-major: each distinct closure is compiled once into a plan, from the
+    first list that has it, and run against every target's cached
+    `FinPoset.kernel_view`.  The counts live for this call only.
 
     When the legs miss some apex elements, every cocone is enumerated and its
     mediating maps are counted by one plan over the unhit elements, built
@@ -292,43 +296,38 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
         for i, j in apex.leq_pairs:
             extra.append((rep_slot[i], rep_slot[j], _kernels.LEQ))
         good_pairs = node_pairs + extra
-        shapes = {}  # (slot count, constraint list) -> shape id
+        shapes = {}  # closure -> (shape id, slot count, the first list with that closure)
+
+        def shape_of(size, pairs):
+            return shapes.setdefault(_closure(size, pairs), (len(shapes), size, pairs))[0]
+
         jobs = []
         for comp in sorted(_partition(range(n), ((i, j) for i, j, _ in good_pairs))):
             slot_pos = {s: k for k, s in enumerate(comp)}
             sub_all = [(slot_pos[i], slot_pos[j], k) for i, j, k in node_pairs if i in slot_pos]
             sub_good = [(slot_pos[i], slot_pos[j], k) for i, j, k in good_pairs if i in slot_pos]
-            a = shapes.setdefault((len(comp), tuple(sub_all)), len(shapes))
-            g = shapes.setdefault((len(comp), tuple(sub_good)), len(shapes))
+            a, g = shape_of(len(comp), sub_all), shape_of(len(comp), sub_good)
             jobs.append((comp, sub_all, sub_good, a, g))
-        plans = [_kernels.count_plan(size, pairs) for size, pairs in shapes]
-        counts = {}
+        targets = all_posets(apex_size_bound)
+        counts = []  # per shape id, per target
+        for _, size, pairs in shapes.values():
+            plan = _kernels.count_plan(size, pairs)  # never None: no LT pairs
+            counts.append([_kernels.run_plan(plan, target.kernel_view) for target in targets])
 
-        def component_count(shape, t, target):
-            key = (shape, t)
-            if key not in counts:
-                plan = plans[shape]
-                counts[key] = (
-                    0 if plan is None else _kernels.run_plan(plan, target.up_rows, target.down_rows)
-                )
-            return counts[key]
-
-        for t, target in enumerate(all_posets(apex_size_bound)):
+        # the legs are jointly epic, so a mediating map is unique when it exists
+        for t, target in enumerate(targets):
             total = 1
-            ok = True
+            exists = True
             for comp, sub_all, sub_good, a, g in jobs:
-                c_all = component_count(a, t, target)
-                c_good = c_all if a == g else component_count(g, t, target)
+                c_all = counts[a][t]
                 total *= c_all
-                if c_all != c_good:
-                    ok = False
+                if c_all != counts[g][t]:
+                    exists = False
                     if not report.witness:
                         report.witness = _describe_witness(
                             comp, sub_all, sub_good, target, members
                         )
-            report.entries.append(
-                ApexVerdict(_label(target), target.n, total, ok, ok)
-            )
+            report.entries.append(ApexVerdict(_label(target), target.n, total, exists, True))
         return report
 
     # Some apex elements are unhit: a cocone fixes the mediating map on the hit
@@ -374,6 +373,17 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     return report
 
 
+def _closure(size, pairs):
+    """Reflexive-transitive closure of LEQ and EQ pairs on `size` slots, EQ
+    read as both directions, as a tuple of row bitmasks."""
+    rows = [0] * size
+    for i, j, kind in pairs:
+        rows[i] |= 1 << j
+        if kind == _kernels.EQ:
+            rows[j] |= 1 << i
+    return tuple(_kernels.transitive_closure(rows))
+
+
 def _completions(plan, class_to_apex, hit_pairs, below, above, h, target):
     """Number of monotone maps apex -> target through which the cocone h
     factors: 0 when h breaks an identification or an order relation among
@@ -386,7 +396,8 @@ def _completions(plan, class_to_apex, hit_pairs, below, above, h, target):
     for a, b in hit_pairs:
         if not up[value[a]] >> value[b] & 1:
             return 0
-    full = (1 << target.n) - 1
+    view = target.kernel_view
+    full = view[0]
     domains = []
     for lower, upper in zip(below, above):
         mask = full
@@ -395,7 +406,7 @@ def _completions(plan, class_to_apex, hit_pairs, below, above, h, target):
         for b in upper:
             mask &= down[value[b]]
         domains.append(mask)
-    return _kernels.run_plan(plan, up, down, domains)
+    return _kernels.run_plan(plan, view, domains)
 
 
 def _label(poset):

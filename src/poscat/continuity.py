@@ -301,10 +301,11 @@ def reconstruct(X):
 class DensityResult:
     stabilized = True  # exact: the strict chains are final (see kan)
 
-    def __init__(self, cocone: Cocone, iso: MonotoneMap | None, bound: int):
+    def __init__(self, cocone: Cocone, iso: MonotoneMap | None, bound: int, witness: str = ""):
         self.cocone = cocone
         self.iso = iso
         self.bound = bound
+        self.witness = witness
 
     @property
     def passed(self):
@@ -316,7 +317,9 @@ def density_colimit(poset, length_bound) -> DensityResult:
 
     The canonical map sends the class of (chain t, position j) to t[j]; density
     of the chain inclusion makes it an order isomorphism once the length bound
-    reaches the poset height.
+    reaches the poset height.  When it is not, the witness says why: it
+    completes "the canonical map is ..." with `induced_map`'s reason, or with
+    "not an order isomorphism" when the map exists.
     """
     if length_bound < poset.height:
         raise BoundError(
@@ -326,18 +329,26 @@ def density_colimit(poset, length_bound) -> DensityResult:
     cocone = colimit_pos(diagram)
     # the elements of [n] are "0".."n"
     positions = {nid: (lambda j, t=t: t[int(j)]) for nid, t in node_chain.items()}
-    iso, _ = induced_map(cocone, poset, positions)
-    return DensityResult(cocone, iso, length_bound)
+    iso, reason = induced_map(cocone, poset, positions)
+    if iso is not None and not iso.is_order_isomorphism():
+        reason = "not an order isomorphism"
+    return DensityResult(cocone, iso, length_bound, reason)
 
 
 class FullFaithfulnessReport:
     def __init__(
-        self, monotone_count: int, simplicial_count: int, injective: bool, surjective: bool
+        self,
+        monotone_count: int,
+        simplicial_count: int,
+        injective: bool,
+        surjective: bool,
+        witness: str = "",
     ):
         self.monotone_count = monotone_count
         self.simplicial_count = simplicial_count
         self.injective = injective
         self.surjective = surjective
+        self.witness = witness
 
     @property
     def passed(self):
@@ -350,7 +361,10 @@ class FullFaithfulnessReport:
 
 def fully_faithful_witness(p, q, K) -> FullFaithfulnessReport:
     """Compare monotone maps p -> q with simplicial maps between the nerves:
-    the nerve functor must induce a bijection."""
+    the nerve functor must induce a bijection.  A failing report's witness
+    names the first simplicial map whose vertex map is not monotone, else the
+    first monotone map whose nerve is missing, else the first two maps with
+    equal images."""
     if K < 1:
         raise ContinuityError("full faithfulness needs truncation >= 1")
     monotone = monotone_maps(p, q)
@@ -360,10 +374,56 @@ def fully_faithful_witness(p, q, K) -> FullFaithfulnessReport:
         return tuple(tuple(sorted(c.items())) for c in components)
 
     image_keys = [key(nerve_map(f, K).components) for f in monotone]
-    simp_keys = {key(m.components) for m in simplicial}
+    simp_keys = [key(m.components) for m in simplicial]
     injective = len(set(image_keys)) == len(image_keys)
-    surjective = simp_keys == set(image_keys)
-    return FullFaithfulnessReport(len(monotone), len(simplicial), injective, surjective)
+    surjective = set(simp_keys) == set(image_keys)
+    report = FullFaithfulnessReport(len(monotone), len(simplicial), injective, surjective)
+    if not report.passed:
+        report.witness = _faithfulness_witness(p, q, monotone, simplicial, image_keys, simp_keys)
+    return report
+
+
+def _faithfulness_witness(p, q, monotone, simplicial, image_keys, simp_keys):
+    for m in simplicial:
+        witness = _vertex_map_witness(p, q, m)
+        if witness:
+            return witness
+    names = [_assignment(zip(f.source.elements, f.values)) for f in monotone]
+    present = set(simp_keys)
+    for name, k in zip(names, image_keys):
+        if k not in present:
+            return f"the nerve of {name} is missing"
+    vertex_maps = [
+        _assignment((x[0], y[0]) for x, y in m.components[0].items()) for m in simplicial
+    ]
+    for labels, keys, equal in (
+        (names, image_keys, "have equal nerves"),
+        (vertex_maps, simp_keys, "are one simplicial map listed twice"),
+    ):
+        seen = {}
+        for label, k in zip(labels, keys):
+            if k in seen:
+                return f"{seen[k]} and {label} {equal}"
+            seen[k] = label
+    return ""
+
+
+def _assignment(items):
+    return " ".join(f"{x}->{y}" for x, y in items)
+
+
+def _vertex_map_witness(p, q, m):
+    """The vertex assignment of the simplicial map m : N(p) -> N(q) and the
+    first order pair of p it breaks, or "" when it is monotone."""
+    image = {x[0]: y[0] for x, y in m.components[0].items()}
+    for i, j in p.leq_pairs:
+        a, b = p.elements[i], p.elements[j]
+        if not q.leq(image[a], image[b]):
+            return (
+                f"{_assignment(image.items())} is not monotone: {a}<={b} "
+                f"but not {image[a]}<={image[b]}"
+            )
+    return ""
 
 
 def non_monotone_witness(p, q, K) -> str:
@@ -372,13 +432,7 @@ def non_monotone_witness(p, q, K) -> str:
     order pair of p it breaks. "" when every vertex map is monotone, which
     full faithfulness guarantees from truncation 1 on."""
     for m in iter_simplicial_maps(nerve(p, K), nerve(q, K)):
-        image = {x[0]: y[0] for x, y in m.components[0].items()}
-        for i, j in p.leq_pairs:
-            a, b = p.elements[i], p.elements[j]
-            if not q.leq(image[a], image[b]):
-                assignment = " ".join(f"{x}->{y}" for x, y in image.items())
-                return (
-                    f"{assignment} is not monotone: {a}<={b} "
-                    f"but not {image[a]}<={image[b]}"
-                )
+        witness = _vertex_map_witness(p, q, m)
+        if witness:
+            return witness
     return ""

@@ -84,6 +84,11 @@ class FinPoset:
         return tuple(_kernels.transpose(self.up_rows, self.n))
 
     @cached_property
+    def kernel_view(self):
+        """`_kernels.target_view` of the order: what counting into it reads."""
+        return _kernels.target_view(self.up_rows, self.down_rows)
+
+    @cached_property
     def leq_pairs(self):
         """Index pairs (i, j) with i <= j and i != j."""
         return tuple(
@@ -349,8 +354,8 @@ def monotone_maps(source, target):
 
 
 def count_monotone_maps(source, target):
-    pairs = [(i, j, _kernels.LEQ) for i, j in source.cover_pairs]
-    return _kernels.count_maps(source.n, target.n, list(target.up_rows), pairs)
+    plan = _kernels.count_plan(source.n, [(i, j, _kernels.LEQ) for i, j in source.cover_pairs])
+    return _kernels.run_plan(plan, target.kernel_view)
 
 
 def linear_extensions(poset):

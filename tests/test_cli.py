@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import poscat.cli
+import poscat.continuity
 import poscat.posets
 from poscat.cli import run
+from poscat.continuity import DensityResult
 from poscat.delta import IdentityReport
 
 V_POSET = """\
@@ -201,6 +203,22 @@ def test_density_command(v_file, capsys):
     assert run(["density", "--poset", v_file]) == 0
     assert run(["density", "--format", "machine", "--poset", v_file, "--bound", "2"]) == 0
     assert "isomorphic=PASS" in capsys.readouterr().out
+
+
+def test_density_failure_names_a_witness(monkeypatch, v_file, capsys):
+    density_colimit = poscat.continuity.density_colimit
+
+    def not_epic(poset, bound):
+        return DensityResult(density_colimit(poset, bound).cocone, None, bound, "not jointly epic")
+
+    monkeypatch.setattr(poscat.cli, "density_colimit", not_epic)
+    witness = "the canonical map is not jointly epic"
+    assert run(["density", "--format", "machine", "--poset", v_file]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["isomorphic=FAIL", f"density.witness={witness}"]
+    assert run(["density", "--poset", v_file]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["apex isomorphic to the poset: FAIL", f"witness: {witness}"]
 
 
 def test_density_bad_bound_is_config_error(v_file):

@@ -285,33 +285,64 @@ def verdicts(report):
     return [(e.apex_label, e.cocones, e.existence_ok, e.uniqueness_ok) for e in report.entries]
 
 
-def brute_force_passed(diagram, candidate, bound):
-    found = brute_force_universal(diagram, candidate, bound)
-    return all(exists and unique for _, _, exists, unique in found)
+def hit_candidates(cocone, rng):
+    """Wrong candidates whose legs hit every apex element, by kind: the
+    one-point collapse of the apex, the quotient that glues two apex elements,
+    and the apex with one more order relation.  The kinds the apex cannot
+    give (it has one element, or it is a chain) are left out."""
+    diagram, apex = cocone.diagram, cocone.apex
+    names = apex.elements
+    out = {}
+    if apex.n >= 2:
+        point = FinPoset(("z",), (1,))
+        out["collapsed"] = Cocone(
+            diagram,
+            point,
+            {k: MonotoneMap(leg.source, point, ("z",) * leg.source.n) for k, leg in cocone.legs.items()},
+        )
+        a, b = rng.sample(names, 2)
+        glue = PosetDiagram(
+            nodes={"apex": apex, "pt": point},
+            edges=[
+                ("f", "pt", "apex", MonotoneMap(point, apex, (a,))),
+                ("g", "pt", "apex", MonotoneMap(point, apex, (b,))),
+            ],
+        )
+        quotient = colimit_pos(glue).legs["apex"]
+        out["quotient"] = Cocone(
+            diagram,
+            quotient.target,
+            {nid: quotient.compose(leg) for nid, leg in cocone.legs.items()},
+        )
+    incomparable = [
+        (x, y) for x in names for y in names if x != y and not apex.leq(x, y) and not apex.leq(y, x)
+    ]
+    if incomparable:
+        covers = [(names[i], names[j]) for i, j in apex.cover_pairs]
+        ordered = make_poset(names, covers + [rng.choice(incomparable)])
+        out["ordered"] = Cocone(
+            diagram,
+            ordered,
+            {nid: MonotoneMap(leg.source, ordered, leg.values) for nid, leg in cocone.legs.items()},
+        )
+    return out
 
 
 def test_verify_universal_matches_brute_force():
+    # the colimit and wrong candidates that hit every apex element: the whole
+    # report agrees with brute force, and a witness comes with every failure
     rng = random.Random(99)
-    checked_fail = 0
+    kinds = set()
     for _ in range(12):
         diagram = random_diagram(rng, max_nodes=2, max_elems=3)
         cocone = colimit_pos(diagram)
-        report = verify_universal(diagram, cocone, 3)
-        assert report.passed == brute_force_passed(diagram, cocone, 3)
-
-        # also compare on a deliberately wrong candidate: collapse the apex
-        if cocone.apex.n >= 2:
-            point = FinPoset(("z",), (1,))
-            legs = {
-                nid: MonotoneMap(leg.source, point, ("z",) * leg.source.n)
-                for nid, leg in cocone.legs.items()
-            }
-            bad = Cocone(diagram, point, legs)
-            got = verify_universal(diagram, bad, 3).passed
-            assert got == brute_force_passed(diagram, bad, 3)
-            assert not got
-            checked_fail += 1
-    assert checked_fail > 0
+        for kind, candidate in {"colimit": cocone, **hit_candidates(cocone, rng)}.items():
+            report = verify_universal(diagram, candidate, 3)
+            assert verdicts(report) == brute_force_universal(diagram, candidate, 3), kind
+            assert report.passed == (kind == "colimit"), kind
+            assert bool(report.witness) == (not report.passed), kind
+            kinds.add(kind)
+    assert kinds == {"colimit", "collapsed", "quotient", "ordered"}
 
 
 def with_unhit(cocone, shape, rng):

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poscat.continuity
 from poscat import (
     BoundError,
     ContinuityError,
+    MonotoneMap,
     check_continuity,
     density_colimit,
     find_isomorphism,
@@ -314,3 +316,38 @@ def test_non_monotone_witness_only_below_level_one():
 def test_fully_faithful_requires_level_one():
     with pytest.raises(ContinuityError):
         fully_faithful_witness(two_chain(), two_chain(), 0)
+
+
+def test_density_witness_says_why_the_canonical_map_fails(monkeypatch):
+    assert density_colimit(v_poset(), 1).witness == ""
+    monkeypatch.setattr(poscat.continuity, "induced_map", lambda *_: (None, "not monotone"))
+    result = density_colimit(v_poset(), 1)
+    assert not result.passed and result.witness == "not monotone"
+
+    def to_top(cocone, target, node_maps):
+        return MonotoneMap(cocone.apex, target, ("c",) * cocone.apex.n), ""
+
+    monkeypatch.setattr(poscat.continuity, "induced_map", to_top)
+    result = density_colimit(v_poset(), 1)
+    assert not result.passed and result.witness == "not an order isomorphism"
+
+
+@pytest.mark.parametrize("fault", ["vertex map", "missing nerve", "equal images"])
+def test_full_faithfulness_failure_names_a_witness(monkeypatch, fault):
+    listing, nerve_of = poscat.continuity.simplicial_maps, poscat.continuity.nerve_map
+    v = v_poset()
+    if fault == "vertex map":  # every function on the vertices, as at truncation 0
+        monkeypatch.setattr(
+            poscat.continuity, "simplicial_maps", lambda X, Y: listing(X.restrict(0), Y.restrict(0))
+        )
+        witness = "a->a b->a c->b is not monotone: a<=c but not a<=b"
+    elif fault == "missing nerve":
+        monkeypatch.setattr(poscat.continuity, "simplicial_maps", lambda X, Y: listing(X, Y)[1:])
+        witness = "the nerve of a->a b->a c->a is missing"
+    else:
+        bottom = MonotoneMap(v, v, ("a", "a", "a"))
+        monkeypatch.setattr(poscat.continuity, "nerve_map", lambda f, K: nerve_of(bottom, K))
+        witness = "a->a b->a c->a and a->a b->a c->c have equal nerves"
+    report = fully_faithful_witness(v, v, 1)
+    assert not report.passed
+    assert report.witness == witness

@@ -12,9 +12,12 @@ from poscat._kernels import (
     count_plan,
     list_maps,
     run_plan,
+    target_view,
     transitive_closure,
     transpose,
 )
+from poscat.colimits import _closure
+from poscat.corpus import all_posets
 
 
 def naive_closure(rows):
@@ -87,12 +90,12 @@ def test_maps_against_naive():
             assert got == expected  # lexicographic order matches itertools.product
             assert count_maps(n_slots, n_tgt, rows, pairs) == len(expected)
             cols = transpose(rows, n_tgt)
-            planned = 0 if plan is None else run_plan(plan, rows, cols)
+            planned = 0 if plan is None else run_plan(plan, target_view(rows, cols))
             assert planned == len(expected)
             # one random mask of allowed values per slot
             domains = [rng.randrange(1 << n_tgt) for _ in range(n_slots)]
             inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
-            planned = 0 if plan is None else run_plan(plan, rows, cols, domains)
+            planned = 0 if plan is None else run_plan(plan, target_view(rows, cols), domains)
             assert planned == len(inside)
 
 
@@ -109,3 +112,53 @@ def test_count_handles_disconnected_slots():
 
 def test_backend_reports_a_known_name():
     assert backend() == "pure"
+
+
+def same_closure(rng, n_slots, pairs):
+    """Another LEQ/EQ list with the reflexive-transitive closure of `pairs`:
+    every pair of the closure, an EQ for some two-way pairs, a few repeats,
+    shuffled."""
+    rows = [0] * n_slots
+    for i, j, kind in pairs:
+        rows[i] |= 1 << j
+        if kind == EQ:
+            rows[j] |= 1 << i
+    closed = naive_closure(rows)
+    out = []
+    for i in range(n_slots):
+        for j in range(n_slots):
+            if closed[i] >> j & 1 and (i != j or rng.random() < 0.2):
+                both = closed[j] >> i & 1 and i < j and rng.random() < 0.5
+                out.append((i, j, EQ if both else LEQ))
+    out += rng.choices(out, k=min(2, len(out)))
+    rng.shuffle(out)
+    return out
+
+
+def test_equal_closures_count_alike_into_posets():
+    # verify_universal counts a constraint list once per closure, with the
+    # plan of the first list that has it: into a poset, lists with one
+    # closure have the same solutions
+    rng = random.Random(17)
+    targets = all_posets(4)
+    seen = {}  # closure -> solution counts into every target
+    for _ in range(40):
+        n_slots = rng.choice([1, 2, 2, 3, 3, 4, 5])
+        pairs = [
+            (rng.randrange(n_slots), rng.randrange(n_slots), rng.choice([LEQ, EQ]))
+            for _ in range(rng.randint(0, 2 * n_slots))
+        ]
+        other = same_closure(rng, n_slots, pairs)
+        assert _closure(n_slots, other) == _closure(n_slots, pairs)
+        for constraints in (pairs, other):
+            counts = tuple(
+                len(naive_maps(n_slots, t.n, t.up_rows, constraints)) for t in targets
+            )
+            assert seen.setdefault(_closure(n_slots, constraints), counts) == counts
+        plan = count_plan(n_slots, pairs)
+        for target in targets:
+            expected = naive_maps(n_slots, target.n, target.up_rows, pairs)
+            domains = [rng.randrange(1 << target.n) for _ in range(n_slots)]
+            inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
+            assert run_plan(plan, target.kernel_view, domains) == len(inside)
+    assert len(seen) < 40  # lists drawn in different rounds shared a closure
