@@ -1,31 +1,28 @@
-"""Bitmask kernels: relation closure and order-constrained function search.
+"""Bitmask kernels: relation closure, counting and listing monotone maps into
+a poset, and growing chains.
 
 Relations on k elements are handled as k row bitmasks (bit j of row i set iff
-i relates to j).  Constraint pairs are (i, j, kind) with kind LEQ: f[i] <= f[j],
-EQ: f[i] == f[j], LT: f[i] < f[j], interpreted in the target relation.  The
-searches keep their state in explicit stacks, so their depth is not bounded by
-the interpreter's recursion limit.
-
-Everything the searches read about a target relation is its view,
-`target_view(up_rows, down_rows)`: the mask of all values, the mask of
-reflexive values and the row tables by constraint code.  A `FinPoset` caches
-its view as `kernel_view`, so counting into it builds nothing per call.
+i relates to j).  A target poset is read through two such tables: its up-rows
+(bit w of row v set iff v <= w) and its down-rows, their transpose; every
+`FinPoset` caches both.  The maps searched for send slots 0..n-1 into the
+target with f[i] <= f[j] for each constraint pair (i, j).  The searches keep
+their state in explicit stacks, so their depth is not bounded by the
+interpreter's recursion limit.
 
 Counting is split in two: `count_plan(n_slots, pairs)` fixes everything that
 does not depend on the target (the branching order and the slots closed at
-each level), and `run_plan(plan, view, domains)` runs that plan against one
-target view, optionally with a mask of allowed values per slot.  A caller
-counting one constraint set into many targets builds the plan once.
+each level), and `run_plan(plan, up_rows, down_rows, domains)` runs that plan
+against one target, optionally with a mask of allowed values per slot.  A
+caller counting one constraint set into many targets builds the plan once.
+
+Chains are not searched for: `chain_levels` grows the (n+1)-tuples of a
+relation from its n-tuples, one successor at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-
-LEQ = 0
-EQ = 1
-LT = 2
 
 
 def backend() -> str:
@@ -69,59 +66,20 @@ def meet_rows(tables, at):
 
 
 def _neighbours(n_slots, pairs):
-    """Per-slot constraint lists for `pairs`, or None when they are unsatisfiable.
-
-    Returns (reflexive, nbrs): reflexive[s] is true when a pair f[s] <= f[s]
-    restricts s to reflexive target points, and nbrs[s] lists (o, code) for
-    every pair between s and another slot o.  The code names the row table
-    (see `target_view`) that, indexed by the value of o, gives the values
-    allowed for s.
-    """
-    reflexive = [False] * n_slots
+    """Per-slot constraint lists: nbrs[s] lists (o, code) for every pair
+    between s and o, where code 0 (s <= o) or 1 (o <= s) picks the row table,
+    down-rows or up-rows, that gives the values allowed for s once o holds a
+    value.  A self-pair holds in every poset; it makes s its own neighbour,
+    which neither search reads."""
     nbrs = [[] for _ in range(n_slots)]
-    for i, j, kind in pairs:
-        if i == j:
-            if kind == LT:
-                return None
-            if kind == LEQ:
-                reflexive[i] = True
-            continue
-        if kind == EQ:
-            nbrs[i].append((j, 2))
-            nbrs[j].append((i, 2))
-        elif kind == LEQ:
-            nbrs[i].append((j, 0))
-            nbrs[j].append((i, 1))
-        else:
-            nbrs[i].append((j, 3))
-            nbrs[j].append((i, 4))
-    return reflexive, nbrs
-
-
-def target_view(up_rows, down_rows):
-    """What the searches read about a target relation with rows `up_rows`
-    and columns `down_rows`: (full, diag, tables).
-
-    full masks every value and diag the reflexive ones.  tables[code][w] is
-    the mask of values v allowed for a slot whose neighbour holds w, for
-    v <= w (0), w <= v (1), v == w (2), v < w (3) and w < v (4).
-    """
-    n = len(up_rows)
-    bits = [1 << w for w in range(n)]
-    diag = sum(bit for row, bit in zip(up_rows, bits) if row & bit)
-    tables = (
-        tuple(down_rows),
-        tuple(up_rows),
-        tuple(bits),
-        tuple(row & ~bit for row, bit in zip(down_rows, bits)),
-        tuple(row & ~bit for row, bit in zip(up_rows, bits)),
-    )
-    return (1 << n) - 1, diag, tables
+    for i, j in pairs:
+        nbrs[i].append((j, 0))
+        nbrs[j].append((i, 1))
+    return nbrs
 
 
 def count_plan(n_slots, pairs):
-    """The target-independent part of `count_maps`, or None when `pairs` are
-    unsatisfiable.
+    """The target-independent part of counting the maps that satisfy `pairs`.
 
     The search branches on one slot per level, always the unassigned slot
     with most assigned neighbours (ties to the lower index).  A slot whose
@@ -129,30 +87,17 @@ def count_plan(n_slots, pairs):
     of allowed values as a factor, so tree-shaped constraint graphs are
     counted without enumerating every function.  Which slots are assigned
     at each level does not depend on the values, so the whole order is fixed
-    here.  The plan is (free, loops, levels): the isolated slots without and
-    with a reflexivity constraint, and per level the branch slot and the
-    slots closed after it, each as (slot, reflexive, cons) with cons the
-    (level, code) pairs it must satisfy.
+    here.  The plan is (free, levels): the unconstrained slots, and per level
+    the branch slot and the slots closed after it, each as (slot, cons) with
+    cons the (level, code) pairs it must satisfy.
     """
-    built = _neighbours(n_slots, pairs)
-    if built is None:
-        return None
-    reflexive, nbrs = built
+    nbrs = _neighbours(n_slots, pairs)
     level_of = [-1] * n_slots
-    todo = set()
-    free = []
-    loops = []
-    for s in range(n_slots):
-        if nbrs[s]:
-            todo.add(s)
-        elif reflexive[s]:
-            loops.append(s)
-        else:
-            free.append(s)
+    todo = {s for s in range(n_slots) if nbrs[s]}
+    free = tuple(s for s in range(n_slots) if not nbrs[s])
 
     def entry(s):
-        cons = tuple((level_of[o], code) for o, code in nbrs[s] if level_of[o] >= 0)
-        return s, reflexive[s], cons
+        return s, tuple((level_of[o], code) for o, code in nbrs[s] if level_of[o] >= 0)
 
     levels = []
     while todo:
@@ -163,27 +108,26 @@ def count_plan(n_slots, pairs):
         closed = [t for t in sorted(todo) if all(level_of[o] >= 0 for o, _ in nbrs[t])]
         todo.difference_update(closed)
         levels.append((branch, tuple(entry(t) for t in closed)))
-    return tuple(free), tuple(loops), tuple(levels)
+    return free, tuple(levels)
 
 
-def run_plan(plan, view, domains=None):
-    """Number of functions satisfying the constraints `plan` was built from,
-    into the target relation whose `target_view` is `view`.
+def run_plan(plan, up_rows, down_rows, domains=None):
+    """Number of maps into the poset with rows `up_rows` and `down_rows` that
+    satisfy the constraints `plan` was built from.
 
     When `domains` is given, slot s may take only the values in the mask
     domains[s].  Runs the plan depth first with an explicit stack, one level
     per branch slot.
     """
-    free, loops, levels = plan
-    full, diag, tables = view
+    free, levels = plan
+    full = (1 << len(up_rows)) - 1
+    tables = (down_rows, up_rows)
     if domains is None:
-        prod = full.bit_count() ** len(free) * diag.bit_count() ** len(loops)
+        prod = len(up_rows) ** len(free)
     else:
         prod = 1
         for s in free:
             prod *= (domains[s] & full).bit_count()
-        for s in loops:
-            prod *= (domains[s] & diag).bit_count()
     if not levels or not prod:
         return prod
     depth = len(levels)
@@ -191,10 +135,8 @@ def run_plan(plan, view, domains=None):
     masks = [0] * depth
     prods = [0] * depth
 
-    def allowed(s, reflexive, cons):
-        mask = diag if reflexive else full
-        if domains is not None:
-            mask &= domains[s]
+    def allowed(s, cons):
+        mask = full if domains is None else full & domains[s]
         for level, code in cons:
             mask &= tables[code][values[level]]
         return mask
@@ -212,8 +154,8 @@ def run_plan(plan, view, domains=None):
         masks[k] = mask ^ bit
         values[k] = bit.bit_length() - 1
         p = prods[k]
-        for s, reflexive, cons in levels[k][1]:
-            p *= allowed(s, reflexive, cons).bit_count()
+        for s, cons in levels[k][1]:
+            p *= allowed(s, cons).bit_count()
             if not p:
                 break
         if not p:
@@ -227,34 +169,24 @@ def run_plan(plan, view, domains=None):
     return total
 
 
-def count_maps(n_slots, n_tgt, up_rows, pairs):
-    """Number of functions {0..n_slots-1} -> {0..n_tgt-1} satisfying `pairs`:
-    `count_plan` and `run_plan` run together."""
-    plan = count_plan(n_slots, pairs)
-    if plan is None:
-        return 0
-    return run_plan(plan, target_view(up_rows, transpose(up_rows, n_tgt)))
-
-
-def list_maps(n_slots, n_tgt, up_rows, pairs):
-    """All satisfying functions as value tuples, in lexicographic order.
+def list_maps(n_slots, up_rows, down_rows, pairs):
+    """All maps into the poset with rows `up_rows` and `down_rows` that
+    satisfy `pairs`, as value tuples in lexicographic order.
 
     Slots are assigned in index order, each checked against its constraints
     to earlier slots, with an explicit stack.
     """
-    built = _neighbours(n_slots, pairs)
-    if built is None:
-        return []
     if n_slots == 0:
         return [()]
-    reflexive, nbrs = built
-    full, diag, tables = target_view(up_rows, transpose(up_rows, n_tgt))
+    tables = (down_rows, up_rows)
+    full = (1 << len(up_rows)) - 1
+    nbrs = _neighbours(n_slots, pairs)
     back = [[(o, code) for o, code in nbrs[s] if o < s] for s in range(n_slots)]
     values = [0] * n_slots
     masks = [0] * n_slots
 
     def allowed(s):
-        mask = diag if reflexive[s] else full
+        mask = full
         for o, code in back[s]:
             mask &= tables[code][values[o]]
         return mask
@@ -276,3 +208,16 @@ def list_maps(n_slots, n_tgt, up_rows, pairs):
         s += 1
         masks[s] = allowed(s)
     return out
+
+
+def chain_levels(above, K):
+    """Levels 0..K of the tuples in which each entry is followed by one of
+    its successors: above[v] lists, in order, the values that may follow v,
+    and level 0 holds the 1-tuples of the keys of `above`, in their order.
+    Level n + 1 extends each tuple of level n by each successor of its last
+    entry, so when the successor lists follow the key order every level is
+    in lexicographic order."""
+    levels = [[(v,) for v in above]]
+    for _ in range(K):
+        levels.append([t + (v,) for t in levels[-1] for v in above[t[-1]]])
+    return levels

@@ -11,9 +11,8 @@ import argparse
 import sys
 
 from . import formats
-from .colimits import ColimitError, SubcategoryError, colimit_delta, colimit_pos, colimit_tos
+from .colimits import ColimitError, colimit_delta, colimit_pos, colimit_tos
 from .continuity import (
-    BoundError,
     ContinuityError,
     check_continuity,
     density_colimit,
@@ -42,13 +41,12 @@ CONFIG_ERRORS = (
     SimplicialError,
     ContinuityError,
     DeltaError,
-    SubcategoryError,
     ColimitError,
     KanError,
     OSError,
 )
 
-# Largest --max-n accepted; --trunc is bounded by formats.MAX_TRUNC.
+# Largest --max-n accepted; --trunc and --bound are bounded by formats.MAX_TRUNC.
 MAX_IDENTITY_N = 32
 
 # Most simplices `nerve` and `homcount` may build, summed over their nerves.
@@ -320,6 +318,7 @@ def _over_limit(args):
     for option, dest, limit in (
         ("--trunc", "trunc", formats.MAX_TRUNC),
         ("--max-n", "max_n", MAX_IDENTITY_N),
+        ("--bound", "bound", formats.MAX_TRUNC),
     ):
         value = getattr(args, dest, None)
         if value is not None and value > limit:
@@ -336,9 +335,6 @@ def run(argv) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args)
-    except BoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -245,23 +245,25 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     apex has at most `apex_size_bound` elements (one apex per isomorphism
     class).
 
-    A cocone corresponds to a function on the stage-one quotient classes that
-    respects every node relation.  One plan kernel (`_kernels.count_plan` and
-    `_kernels.run_plan`) does all the counting, in one of two ways.
+    A cocone corresponds to a monotone map from the stage-one quotient
+    classes, ordered by the node relations, into the apex: a function on the
+    classes with f[i] <= f[j] for every class pair (i, j).  One plan kernel
+    (`_kernels.count_plan` and `_kernels.run_plan`) does all the counting, in
+    one of two ways.
 
     When the legs hit every apex element, the mediating map is forced, so
-    existence and uniqueness reduce to counting constraint-satisfying
-    functions, one connected component at a time: for each component, the
-    cocones (the node relations alone) against those with a mediating map
-    (the candidate's identifications and order added).  The targets are
-    posets, reflexive, transitive and antisymmetric, so a constraint list has
-    the same solutions as its reflexive-transitive closure, with EQ read as
-    both directions.  Each list is therefore keyed by that closure, and lists
-    with one closure are counted once; when the candidate is the colimit,
-    both lists of every component close to the same relation.  Counting is
-    shape-major: each distinct closure is compiled once into a plan, from the
-    first list that has it, and run against every target's cached
-    `FinPoset.kernel_view`.  The counts live for this call only.
+    existence and uniqueness reduce to counting such functions, one
+    connected component at a time: for each component, the cocones (the
+    node relations alone) against those with a mediating map (the
+    candidate's order added, and each identification as a pair in each
+    direction).  The targets are posets, so a pair list has the same
+    solutions as its reflexive-transitive closure.  Each list is therefore
+    keyed by that closure, and lists with one closure are counted once; when
+    the candidate is the colimit, both lists of every component close to the
+    same relation.  Counting is shape-major: each distinct closure is
+    compiled once into a plan, from the first list that has it, and run
+    against every target's cached up- and down-rows.  The counts live for
+    this call only.
 
     When the legs miss some apex elements, every cocone is enumerated and its
     mediating maps are counted by one plan over the unhit elements, built
@@ -273,7 +275,7 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
 
     members, class_of = _set_colimit_classes(diagram)
     n = len(members)
-    node_pairs = [(a, b, _kernels.LEQ) for a, b in _class_relation_pairs(diagram, class_of)]
+    node_pairs = _class_relation_pairs(diagram, class_of)
 
     apex = candidate.apex
     class_to_apex = []
@@ -291,10 +293,9 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
             rep_slot.setdefault(a, slot)
         extra = []
         for slot, a in enumerate(class_to_apex):
-            if rep_slot[a] != slot:
-                extra.append((rep_slot[a], slot, _kernels.EQ))
-        for i, j in apex.leq_pairs:
-            extra.append((rep_slot[i], rep_slot[j], _kernels.LEQ))
+            if rep_slot[a] != slot:  # an identification: a pair each way
+                extra += [(rep_slot[a], slot), (slot, rep_slot[a])]
+        extra += [(rep_slot[i], rep_slot[j]) for i, j in apex.leq_pairs]
         good_pairs = node_pairs + extra
         shapes = {}  # closure -> (shape id, slot count, the first list with that closure)
 
@@ -302,17 +303,17 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
             return shapes.setdefault(_closure(size, pairs), (len(shapes), size, pairs))[0]
 
         jobs = []
-        for comp in sorted(_partition(range(n), ((i, j) for i, j, _ in good_pairs))):
+        for comp in sorted(_partition(range(n), good_pairs)):
             slot_pos = {s: k for k, s in enumerate(comp)}
-            sub_all = [(slot_pos[i], slot_pos[j], k) for i, j, k in node_pairs if i in slot_pos]
-            sub_good = [(slot_pos[i], slot_pos[j], k) for i, j, k in good_pairs if i in slot_pos]
+            sub_all = [(slot_pos[i], slot_pos[j]) for i, j in node_pairs if i in slot_pos]
+            sub_good = [(slot_pos[i], slot_pos[j]) for i, j in good_pairs if i in slot_pos]
             a, g = shape_of(len(comp), sub_all), shape_of(len(comp), sub_good)
             jobs.append((comp, sub_all, sub_good, a, g))
         targets = all_posets(apex_size_bound)
         counts = []  # per shape id, per target
         for _, size, pairs in shapes.values():
-            plan = _kernels.count_plan(size, pairs)  # never None: no LT pairs
-            counts.append([_kernels.run_plan(plan, target.kernel_view) for target in targets])
+            plan = _kernels.count_plan(size, pairs)
+            counts.append([_kernels.run_plan(plan, t.up_rows, t.down_rows) for t in targets])
 
         # the legs are jointly epic, so a mediating map is unique when it exists
         for t, target in enumerate(targets):
@@ -339,17 +340,13 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     slot_of = {a: s for s, a in enumerate(unhit)}
     plan = _kernels.count_plan(
         len(unhit),
-        [
-            (slot_of[a], slot_of[b], _kernels.LEQ)
-            for a, b in apex.cover_pairs
-            if a in slot_of and b in slot_of
-        ],
+        [(slot_of[a], slot_of[b]) for a, b in apex.cover_pairs if a in slot_of and b in slot_of],
     )
     hit_pairs = [(a, b) for a, b in apex.leq_pairs if a in hit and b in hit]
     below = [[b for b in hit if apex.up_rows[b] >> u & 1] for u in unhit]
     above = [[b for b in hit if apex.up_rows[u] >> b & 1] for u in unhit]
     for target in all_posets(apex_size_bound):
-        assignments = _kernels.list_maps(n, target.n, list(target.up_rows), node_pairs)
+        assignments = _kernels.list_maps(n, target.up_rows, target.down_rows, node_pairs)
         exist_ok = True
         unique_ok = True
         for h in assignments:
@@ -374,13 +371,11 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
 
 
 def _closure(size, pairs):
-    """Reflexive-transitive closure of LEQ and EQ pairs on `size` slots, EQ
-    read as both directions, as a tuple of row bitmasks."""
+    """Reflexive-transitive closure of the pairs on `size` slots, as a tuple
+    of row bitmasks."""
     rows = [0] * size
-    for i, j, kind in pairs:
+    for i, j in pairs:
         rows[i] |= 1 << j
-        if kind == _kernels.EQ:
-            rows[j] |= 1 << i
     return tuple(_kernels.transitive_closure(rows))
 
 
@@ -396,8 +391,7 @@ def _completions(plan, class_to_apex, hit_pairs, below, above, h, target):
     for a, b in hit_pairs:
         if not up[value[a]] >> value[b] & 1:
             return 0
-    view = target.kernel_view
-    full = view[0]
+    full = (1 << target.n) - 1
     domains = []
     for lower, upper in zip(below, above):
         mask = full
@@ -406,7 +400,7 @@ def _completions(plan, class_to_apex, hit_pairs, below, above, h, target):
         for b in upper:
             mask &= down[value[b]]
         domains.append(mask)
-    return _kernels.run_plan(plan, view, domains)
+    return _kernels.run_plan(plan, up, down, domains)
 
 
 def _label(poset):
@@ -414,15 +408,17 @@ def _label(poset):
 
 
 def _describe_witness(comp, sub_all, sub_good, target, members):
-    for h in _kernels.list_maps(len(comp), target.n, list(target.up_rows), sub_all):
-        for i, j, kind in sub_good:
-            vi, vj = h[i], h[j]
-            bad_eq = kind == _kernels.EQ and vi != vj
-            bad_le = kind == _kernels.LEQ and not target.up_rows[vi] & (1 << vj)
-            if bad_eq or bad_le:
-                cells = ", ".join(f"{n}.{e}" for n, e in members[comp[i]])
+    up = target.up_rows
+    good = set(sub_good)
+    for h in _kernels.list_maps(len(comp), up, target.down_rows, sub_all):
+        for i, j in sub_good:
+            if not up[h[i]] >> h[j] & 1:
+                # an identification is a pair each way: name its first slot
+                # whichever way it breaks
+                k = min(i, j) if (j, i) in good else i
+                cells = ", ".join(f"{n}.{e}" for n, e in members[comp[k]])
                 return (
-                    f"cocone into {_label(target)} assigns {target.elements[vi]} to "
+                    f"cocone into {_label(target)} assigns {target.elements[h[k]]} to "
                     f"[{cells}] but admits no mediating map"
                 )
     return "mediating map missing or ambiguous"

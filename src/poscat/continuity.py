@@ -148,8 +148,9 @@ def _edge_relation(X, edges, index):
     return verdict, Relation(labels, tuple(rows))
 
 
-def _chain_condition(n, level, rel, index):
-    """Level n must biject onto the weakly increasing vertex tuples."""
+def _chain_condition(n, level, expected, rel, index):
+    """Level n must biject onto the weakly increasing vertex tuples, listed
+    as index tuples in `expected`."""
     name = f"chain_condition_n{n}"
     seen = {}
     for x, (points, consistent) in level.items():
@@ -165,8 +166,6 @@ def _chain_condition(n, level, rel, index):
                 f"vertex tuple ({','.join(simplex_label(p) for p in points)})",
             )
         seen[points] = x
-    pairs = [(k, k + 1, _kernels.LEQ) for k in range(n)]
-    expected = _kernels.list_maps(n + 1, len(rel.labels), list(rel.rows), pairs)
     if len(expected) != len(seen):
         got = {tuple(index[p] for p in points) for points in seen}
         missing = next(t for t in expected if t not in got)
@@ -262,8 +261,13 @@ def check_continuity(X) -> ContinuityReport:
         index = {v: k for k, v in enumerate(X.levels[0])}
         report.verdicts["relation_injective"], rel = _edge_relation(X, table[1], index)
         report.relation = rel
+        m = len(rel.labels)
+        above = {a: [b for b in range(m) if rel.rows[a] >> b & 1] for a in range(m)}
+        expected = _kernels.chain_levels(above, X.K)
         for n in range(2, X.K + 1):
-            report.verdicts[f"chain_condition_n{n}"] = _chain_condition(n, table[n], rel, index)
+            report.verdicts[f"chain_condition_n{n}"] = _chain_condition(
+                n, table[n], expected[n], rel, index
+            )
         report.verdicts["face_formulas"] = _face_formulas(X, table, rel)
         report.verdicts["degeneracy_formulas"] = _degeneracy_formulas(X, table, rel)
         report.verdicts["antisymmetry"] = _antisymmetry(rel)

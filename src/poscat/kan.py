@@ -25,7 +25,7 @@ from .posets import (
     FinPoset,
     MonotoneMap,
     antichain_poset,
-    chains,
+    chain_levels,
     ordinal_poset,
     product_poset,
 )
@@ -167,8 +167,8 @@ def comma_data(functor, poset, length_bound):
         raise KanError("length bound must be >= 0")
     node_chain = {}
     nodes = {}
-    for n in range(min(length_bound, poset.height) + 1):
-        for t in chains(poset, n, strict=True):
+    for n, level in enumerate(chain_levels(poset, min(length_bound, poset.height), strict=True)):
+        for t in level:
             nid = _chain_id(t)
             if nid in node_chain:
                 raise KanError(f"ambiguous chain id {nid!r}; element names may not contain commas")

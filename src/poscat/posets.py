@@ -84,11 +84,6 @@ class FinPoset:
         return tuple(_kernels.transpose(self.up_rows, self.n))
 
     @cached_property
-    def kernel_view(self):
-        """`_kernels.target_view` of the order: what counting into it reads."""
-        return _kernels.target_view(self.up_rows, self.down_rows)
-
-    @cached_property
     def leq_pairs(self):
         """Index pairs (i, j) with i <= j and i != j."""
         return tuple(
@@ -309,20 +304,24 @@ class MonotoneMap:
         return MonotoneMap.from_dict(self.target, self.source, inv)
 
 
+def chain_levels(poset, K, strict=False):
+    """Levels 0..K of the weakly (or strictly) increasing tuples: level n
+    holds the (n+1)-tuples, in lexicographic order of the element names."""
+    if K < 0:
+        raise PosetError("chain length must be >= 0")
+    order = sorted(range(poset.n), key=poset.elements.__getitem__)
+    above = {
+        poset.elements[i]: [
+            poset.elements[j] for j in order if poset.up_rows[i] >> j & 1 and not (strict and i == j)
+        ]
+        for i in order
+    }
+    return _kernels.chain_levels(above, K)
+
+
 def chains(poset, n, strict=False):
     """All weakly (or strictly) increasing (n+1)-tuples, lexicographically ordered."""
-    if n < 0:
-        raise PosetError("chain length must be >= 0")
-    kind = _kernels.LT if strict else _kernels.LEQ
-    pairs = [(k, k + 1, kind) for k in range(n)]
-    order = sorted(range(poset.n), key=lambda i: poset.elements[i])
-    rows = [0] * poset.n
-    for a in range(poset.n):
-        for b in range(poset.n):
-            if poset.up_rows[order[a]] & (1 << order[b]):
-                rows[a] |= 1 << b
-    tuples = _kernels.list_maps(n + 1, poset.n, rows, pairs)
-    return [tuple(poset.elements[order[v]] for v in t) for t in tuples]
+    return chain_levels(poset, n, strict)[n]
 
 
 def chain_counts(poset, K):
@@ -346,16 +345,15 @@ def chain_counts(poset, K):
 
 def monotone_maps(source, target):
     """All monotone maps source -> target, deterministically ordered."""
-    pairs = [(i, j, _kernels.LEQ) for i, j in source.cover_pairs]
-    tables = _kernels.list_maps(source.n, target.n, list(target.up_rows), pairs)
+    tables = _kernels.list_maps(source.n, target.up_rows, target.down_rows, source.cover_pairs)
     return [
         MonotoneMap(source, target, tuple(target.elements[v] for v in t)) for t in tables
     ]
 
 
 def count_monotone_maps(source, target):
-    plan = _kernels.count_plan(source.n, [(i, j, _kernels.LEQ) for i, j in source.cover_pairs])
-    return _kernels.run_plan(plan, target.kernel_view)
+    plan = _kernels.count_plan(source.n, source.cover_pairs)
+    return _kernels.run_plan(plan, target.up_rows, target.down_rows)
 
 
 def linear_extensions(poset):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .delta import DeltaMap, Frozen, factorize, identity_instances
-from .posets import MonotoneMap, chains
+from .posets import MonotoneMap, chain_levels
 
 
 class SimplicialError(Exception):
@@ -170,7 +170,7 @@ def nerve(poset, K) -> TruncatedSimplicialSet:
     d_i deletes position i and s_i duplicates it."""
     if K < 0:
         raise SimplicialError("truncation level must be >= 0")
-    levels = [tuple(chains(poset, n)) for n in range(K + 1)]
+    levels = [tuple(level) for level in chain_levels(poset, K)]
     # each table entry is looked up among the adjacent level's own tuples, so
     # it costs a reference instead of a fresh tuple of up to K + 2 points
     own = [{t: t for t in level} for level in levels]

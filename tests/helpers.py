@@ -29,6 +29,17 @@ def relabel(poset, prefix):
     return FinPoset(tuple(prefix + e for e in poset.elements), poset.up_rows, name=poset.name)
 
 
+def shuffled(poset, rng):
+    """Copy with the same element names at randomly permuted indices, so that
+    its index order is not its name order."""
+    n = poset.n
+    perm = list(range(n))  # element i moves to index perm[i]
+    rng.shuffle(perm)
+    inverse = sorted(range(n), key=perm.__getitem__)
+    rows = [sum(1 << perm[j] for j in range(n) if poset.up_rows[i] >> j & 1) for i in inverse]
+    return FinPoset([poset.elements[i] for i in inverse], rows, name=poset.name)
+
+
 def pairwise_order_error(elements, up_rows):
     """The message FinPoset raises for reflexive in-range rows that are not a
     partial order, or None: the pair-by-pair check over every (i, j) with

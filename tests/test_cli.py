@@ -337,10 +337,24 @@ def point_file(tmp_path):
 
 @pytest.mark.parametrize(
     "command, option, value",
-    [("nerve", "--trunc", "1200"), ("homcount", "--trunc", "33"), ("verify-identities", "--max-n", "33")],
+    [
+        ("nerve", "--trunc", "1200"),
+        ("homcount", "--trunc", "33"),
+        ("verify-identities", "--max-n", "33"),
+        ("density", "--bound", "33"),
+        ("extend", "--bound", "33"),
+        ("extend", "--bound", "99999999999999999999"),
+    ],
 )
-def test_oversized_options_exit_two(point_file, capsys, command, option, value):
-    posets = {"nerve": ["--poset", point_file], "homcount": ["--poset", point_file, "--poset2", point_file]}
+def test_oversized_options_exit_two(point_file, tmp_path, capsys, command, option, value):
+    fun = tmp_path / "inc.fun"
+    fun.write_text("functor inclusion\n", encoding="utf-8")
+    posets = {
+        "nerve": ["--poset", point_file],
+        "homcount": ["--poset", point_file, "--poset2", point_file],
+        "density": ["--poset", point_file],
+        "extend": ["--poset", point_file, "--functor", str(fun)],
+    }
     assert run([command, option, value] + posets.get(command, [])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

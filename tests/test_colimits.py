@@ -208,6 +208,18 @@ def test_verify_universal_rejects_wrong_quotient():
     assert report.witness
 
 
+def test_broken_identification_is_named_after_its_first_class():
+    # the candidate glues a < b into one point; the first cocone that keeps
+    # them apart sends a below b, so it breaks the pair b <= a of the
+    # identification, and the witness still names a's class
+    chain = make_poset(["a", "b"], [("a", "b")])
+    diagram = PosetDiagram(nodes={"B": chain}, edges=[])
+    point = FinPoset(("z",), (1,))
+    candidate = Cocone(diagram, point, {"B": MonotoneMap(chain, point, ("z", "z"))})
+    report = verify_universal(diagram, candidate, 2)
+    assert report.witness == "cocone into P2.1 assigns 0 to [B.a] but admits no mediating map"
+
+
 def test_verify_universal_noncommuting_candidate():
     diagram = coequalizer_loop()
     apex = ordinal_poset(1)

@@ -4,20 +4,17 @@ import itertools
 import random
 
 from poscat._kernels import (
-    EQ,
-    LEQ,
-    LT,
     backend,
-    count_maps,
+    chain_levels,
     count_plan,
     list_maps,
     run_plan,
-    target_view,
     transitive_closure,
-    transpose,
 )
 from poscat.colimits import _closure
 from poscat.corpus import all_posets
+
+from helpers import shuffled
 
 
 def naive_closure(rows):
@@ -30,21 +27,13 @@ def naive_closure(rows):
     return [sum(1 << j for j in range(n) if mat[i][j]) for i in range(n)]
 
 
-def naive_maps(n_slots, n_tgt, up_rows, pairs):
-    out = []
-    for f in itertools.product(range(n_tgt), repeat=n_slots):
-        ok = True
-        for i, j, kind in pairs:
-            le = bool(up_rows[f[i]] & (1 << f[j]))
-            if kind == LEQ and not le:
-                ok = False
-            elif kind == EQ and f[i] != f[j]:
-                ok = False
-            elif kind == LT and not (le and f[i] != f[j]):
-                ok = False
-        if ok:
-            out.append(f)
-    return out
+def naive_maps(n_slots, target, pairs):
+    up = target.up_rows
+    return [
+        f
+        for f in itertools.product(range(target.n), repeat=n_slots)
+        if all(up[f[i]] >> f[j] & 1 for i, j in pairs)
+    ]
 
 
 def random_relation(rng, n):
@@ -57,12 +46,14 @@ def random_relation(rng, n):
 
 
 def random_pairs(rng, n_slots):
-    pairs = []
-    for _ in range(rng.randint(0, 2 * n_slots)):
-        pairs.append(
-            (rng.randrange(n_slots), rng.randrange(n_slots), rng.choice([LEQ, EQ, LT]))
-        )
-    return pairs
+    return [(rng.randrange(n_slots), rng.randrange(n_slots)) for _ in range(rng.randint(0, 2 * n_slots))]
+
+
+def poset_targets(rng):
+    """Every poset of `all_posets(4)`, and a copy of each whose index order is
+    shuffled."""
+    base = all_posets(4)
+    return list(base) + [shuffled(p, rng) for p in base]
 
 
 def test_closure_against_naive():
@@ -75,39 +66,54 @@ def test_closure_against_naive():
 
 def test_maps_against_naive():
     rng = random.Random(11)
+    targets = poset_targets(rng)
     for _ in range(80):
         n_slots = rng.randint(0, 6)
         pairs = random_pairs(rng, n_slots) if n_slots else []
         if n_slots and rng.random() < 0.5:
             s = rng.randrange(n_slots)
-            pairs.append((s, s, rng.choice([LEQ, EQ, LT])))  # a self-pair
+            pairs.append((s, s))  # a self-pair, which every poset satisfies
         plan = count_plan(n_slots, pairs)
-        for _ in range(4):
-            n_tgt = rng.randint(0, 4)
-            rows = random_relation(rng, n_tgt)  # rows need not be reflexive
-            expected = naive_maps(n_slots, n_tgt, rows, pairs)
-            got = list_maps(n_slots, n_tgt, rows, pairs)
+        for target in rng.sample(targets, 4):
+            up, down = target.up_rows, target.down_rows
+            expected = naive_maps(n_slots, target, pairs)
+            got = list_maps(n_slots, up, down, pairs)
             assert got == expected  # lexicographic order matches itertools.product
-            assert count_maps(n_slots, n_tgt, rows, pairs) == len(expected)
-            cols = transpose(rows, n_tgt)
-            planned = 0 if plan is None else run_plan(plan, target_view(rows, cols))
-            assert planned == len(expected)
+            assert run_plan(plan, up, down) == len(expected)
             # one random mask of allowed values per slot
-            domains = [rng.randrange(1 << n_tgt) for _ in range(n_slots)]
+            domains = [rng.randrange(1 << target.n) for _ in range(n_slots)]
             inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
-            planned = 0 if plan is None else run_plan(plan, target_view(rows, cols), domains)
-            assert planned == len(inside)
+            assert run_plan(plan, up, down, domains) == len(inside)
 
 
 def test_list_maps_runs_deep_chains():
     # 3000 chained slots into a one-element target: deeper than the recursion limit
-    pairs = [(k, k + 1, LEQ) for k in range(2999)]
-    assert list_maps(3000, 1, [1], pairs) == [(0,) * 3000]
+    pairs = [(k, k + 1) for k in range(2999)]
+    assert list_maps(3000, (1,), (1,), pairs) == [(0,) * 3000]
 
 
 def test_count_handles_disconnected_slots():
     # ten unconstrained slots over a three-element target: counted, not enumerated
-    assert count_maps(10, 3, [1, 2, 4], []) == 3**10
+    assert run_plan(count_plan(10, []), (1, 2, 4), (1, 2, 4)) == 3**10
+
+
+def test_chain_levels_grow_every_walk_in_order():
+    # the chain condition grows the tuples of an edge relation that need be
+    # neither reflexive nor transitive
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(0, 5)
+        rows = random_relation(rng, n)
+        above = {a: [b for b in range(n) if rows[a] >> b & 1] for a in range(n)}
+        K = rng.randint(0, 3)
+        levels = chain_levels(above, K)
+        assert len(levels) == K + 1
+        for k, level in enumerate(levels):
+            assert level == [
+                t
+                for t in itertools.product(range(n), repeat=k + 1)
+                if all(rows[a] >> b & 1 for a, b in zip(t, t[1:]))
+            ]
 
 
 def test_backend_reports_a_known_name():
@@ -115,50 +121,46 @@ def test_backend_reports_a_known_name():
 
 
 def same_closure(rng, n_slots, pairs):
-    """Another LEQ/EQ list with the reflexive-transitive closure of `pairs`:
-    every pair of the closure, an EQ for some two-way pairs, a few repeats,
-    shuffled."""
+    """Another pair list with the reflexive-transitive closure of `pairs`:
+    every pair of the closure, some self-pairs, a few repeats, shuffled."""
     rows = [0] * n_slots
-    for i, j, kind in pairs:
+    for i, j in pairs:
         rows[i] |= 1 << j
-        if kind == EQ:
-            rows[j] |= 1 << i
     closed = naive_closure(rows)
-    out = []
-    for i in range(n_slots):
-        for j in range(n_slots):
-            if closed[i] >> j & 1 and (i != j or rng.random() < 0.2):
-                both = closed[j] >> i & 1 and i < j and rng.random() < 0.5
-                out.append((i, j, EQ if both else LEQ))
+    out = [
+        (i, j)
+        for i in range(n_slots)
+        for j in range(n_slots)
+        if closed[i] >> j & 1 and (i != j or rng.random() < 0.2)
+    ]
     out += rng.choices(out, k=min(2, len(out)))
     rng.shuffle(out)
     return out
 
 
 def test_equal_closures_count_alike_into_posets():
-    # verify_universal counts a constraint list once per closure, with the
-    # plan of the first list that has it: into a poset, lists with one
-    # closure have the same solutions
+    # verify_universal counts a pair list once per closure, with the plan of
+    # the first list that has it: into a poset, lists with one closure have
+    # the same solutions
     rng = random.Random(17)
-    targets = all_posets(4)
+    targets = poset_targets(rng)
     seen = {}  # closure -> solution counts into every target
     for _ in range(40):
         n_slots = rng.choice([1, 2, 2, 3, 3, 4, 5])
-        pairs = [
-            (rng.randrange(n_slots), rng.randrange(n_slots), rng.choice([LEQ, EQ]))
-            for _ in range(rng.randint(0, 2 * n_slots))
-        ]
+        pairs = []
+        for _ in range(rng.randint(0, 2 * n_slots)):
+            i, j = rng.randrange(n_slots), rng.randrange(n_slots)
+            # an identification is two pairs, one in each direction
+            pairs += [(i, j), (j, i)] if rng.random() < 0.5 else [(i, j)]
         other = same_closure(rng, n_slots, pairs)
         assert _closure(n_slots, other) == _closure(n_slots, pairs)
         for constraints in (pairs, other):
-            counts = tuple(
-                len(naive_maps(n_slots, t.n, t.up_rows, constraints)) for t in targets
-            )
+            counts = tuple(len(naive_maps(n_slots, t, constraints)) for t in targets)
             assert seen.setdefault(_closure(n_slots, constraints), counts) == counts
         plan = count_plan(n_slots, pairs)
         for target in targets:
-            expected = naive_maps(n_slots, target.n, target.up_rows, pairs)
+            expected = naive_maps(n_slots, target, pairs)
             domains = [rng.randrange(1 << target.n) for _ in range(n_slots)]
             inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
-            assert run_plan(plan, target.kernel_view, domains) == len(inside)
+            assert run_plan(plan, target.up_rows, target.down_rows, domains) == len(inside)
     assert len(seen) < 40  # lists drawn in different rounds shared a closure
