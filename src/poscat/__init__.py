@@ -56,7 +56,6 @@ from .posets import (
     chain_poset,
     chains,
     count_monotone_maps,
-    empty_poset,
     find_isomorphism,
     intersection_of_extensions,
     isomorphisms,

@@ -31,7 +31,8 @@ from .simplicial import SimplicialError, count_simplicial_maps, nerve
 
 
 class BudgetError(Exception):
-    """The nerves asked for would hold more simplices than MAX_SIMPLICES."""
+    """The nerves asked for would hold more simplices than MAX_SIMPLICES, or
+    `homcount`'s map search would take more than MAX_MAP_WORK steps."""
 
 
 CONFIG_ERRORS = (
@@ -52,6 +53,11 @@ MAX_IDENTITY_N = 32
 # Most simplices `nerve` and `homcount` may build, summed over their nerves.
 # Near the top truncation levels that is about half a gigabyte.
 MAX_SIMPLICES = 50_000
+
+# Most steps `homcount`'s simplicial map search may take, predicted as the
+# maps it finds times the simplices of the source nerve: about 4 s of search
+# on a 2-vCPU VM.
+MAX_MAP_WORK = 2_000_000
 
 
 def _parser():
@@ -118,6 +124,21 @@ def _check_budget(posets, K):
                 raise BudgetError(
                     f"the nerves at --trunc {K} would hold more than {MAX_SIMPLICES} simplices"
                 )
+
+
+def _check_map_work(p, q, n_mono, K):
+    """Refuse, before searching, a count of the simplicial maps N(p) -> N(q) at
+    truncation K that would take more than MAX_MAP_WORK steps: the maps found,
+    each met after one step per simplex of N(p).  At K = 0 every function
+    p -> q is one; at K >= 1 the monotone maps are, if the nerve is fully
+    faithful, which is what `homcount` tests."""
+    maps = n_mono if K >= 1 else q.n**p.n
+    work = maps * sum(chain_counts(p, K))
+    if work > MAX_MAP_WORK:
+        raise BudgetError(
+            f"the simplicial map search at --trunc {K} would take about {work} steps, "
+            f"more than {MAX_MAP_WORK}"
+        )
 
 
 def _cmd_nerve(args):
@@ -281,6 +302,7 @@ def _cmd_homcount(args):
     q = formats.load_poset(args.poset2)
     _check_budget([p, q], args.trunc)
     n_mono = count_monotone_maps(p, q)
+    _check_map_work(p, q, n_mono, args.trunc)
     n_simp = count_simplicial_maps(nerve(p, args.trunc), nerve(q, args.trunc))
     ok = n_mono == n_simp
     if args.format == "machine":

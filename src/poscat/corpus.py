@@ -27,6 +27,16 @@ ints in one shared table.  A child's bucket is its sorted colour tuple, and it
 is tested for isomorphism only against the representatives in its bucket,
 reusing both colour lists.
 
+The representatives of one size are named P{n}.{k} in order of relation size,
+then of the sorted list of their elements' colour texts, then of the
+labelling.  `posets.colour_texts` builds each colour's text, the repr of its
+nested value, once, from the texts of the colours it refines.  Comparing the
+lists orders them as comparing their reprs did when the names were pinned:
+every list of one size holds n texts, no text holds a quote, and each text is
+a tuple with balanced parentheses, so none is a proper prefix of another and
+the first difference between two lists' reprs lies where the lists first
+differ.
+
 `naturally_labeled_posets` lists every natural labelling; it is the oracle
 for exhaustiveness and for the orbit identity.
 """
@@ -36,7 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _kernels
-from .posets import FinPoset, coloured_isomorphisms, nested_colours, signatures
+from .posets import FinPoset, colour_texts, coloured_isomorphisms, signatures
 
 
 def _down_closed_masks(rows, n):
@@ -94,11 +104,11 @@ def _grow(parents, n):
                 continue
             bucket.append((candidate, colours))
             reps.append((candidate, colours))
-    values = nested_colours(table)
+    texts = colour_texts(table)
     reps.sort(
         key=lambda rep: (
             sum(bin(r).count("1") for r in rep[0].up_rows),
-            repr(sorted(repr(values[c]) for c in rep[1])),
+            sorted(texts[c] for c in rep[1]),
         )
     )
     return tuple(
@@ -113,9 +123,10 @@ _classes = [(FinPoset((), (), name="P0.0"),)]
 def poset_classes(n):
     """One FinPoset per isomorphism class with exactly n elements, the lex-
     least natural labelling of its class on the elements "0".."n-1", named
-    P{n}.{k} in order of relation size, then of the repr of the element
-    colours' nested values, then of the labelling.  The sizes up to n not
-    yet grown are grown in turn, each from the one below."""
+    P{n}.{k} in order of relation size, then of the sorted texts of the
+    element colours (`posets.colour_texts`), then of the labelling.  The
+    sizes up to n not yet grown are grown in turn, each from the one below;
+    for 1 <= n <= 6 that colours 939 children."""
     if n < 0:
         raise ValueError("poset size must be >= 0")
     while len(_classes) <= n:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import _kernels
 
@@ -417,6 +417,14 @@ def split_retraction(f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap.from_dict(tgt, src, g)
 
 
+@lru_cache(maxsize=1 << 12)
+def _set_bits(mask):
+    """The indices of the set bits of mask, ascending.  The same few masks
+    recur across the thousands of small posets the corpus colours; the cache
+    is bounded, not a table of all 2^n masks, as a poset may be large."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 def signatures(poset, table):
     """Isomorphism-invariant colour of each element, as a small int: its down-
     and up-set sizes, refined three times by the colours below and above it.
@@ -425,46 +433,69 @@ def signatures(poset, table):
     colours above) in `table`, a dict from key to colour that grows by one
     entry, numbered len(table), per new key.  Colours are comparable exactly
     between posets coloured through the same table; there, two elements get
-    equal colours iff their nested (own, below, above) values, which
-    `nested_colours` rebuilds, are equal."""
-    n = poset.n
-    below = [[j for j in range(n) if poset.down_rows[i] >> j & 1 and j != i] for i in range(n)]
-    above = [[j for j in range(n) if poset.up_rows[i] >> j & 1 and j != i] for i in range(n)]
-    colour = [table.setdefault((len(below[i]) + 1, len(above[i]) + 1), len(table)) for i in range(n)]
+    equal colours iff their nested (own, below, above) values are equal, and
+    `colour_texts` writes those values out."""
+    below = [_set_bits(row & ~(1 << i)) for i, row in enumerate(poset.down_rows)]
+    above = [_set_bits(row & ~(1 << i)) for i, row in enumerate(poset.up_rows)]
+    colour = [table.setdefault((len(b) + 1, len(a) + 1), len(table)) for b, a in zip(below, above)]
     for _ in range(3):
+        get = colour.__getitem__
         colour = [
             table.setdefault(
-                (
-                    colour[i],
-                    tuple(sorted(colour[j] for j in below[i])),
-                    tuple(sorted(colour[j] for j in above[i])),
-                ),
+                (own, tuple(sorted(map(get, b))), tuple(sorted(map(get, a)))),
                 len(table),
             )
-            for i in range(n)
+            for own, b, a in zip(colour, below, above)
         ]
     return colour
 
 
-def nested_colours(table):
-    """The nested value each colour of a `signatures` table stands for, listed
-    by colour: (down size, up size) for the first round's colours, and (own,
-    sorted below, sorted above) for the later ones.  A key's colours are
-    numbered before the key, so one pass in numbering order suffices."""
-    values = []
-    for key in table:
-        if len(key) == 2:
-            values.append(key)
-        else:
-            own, below, above = key
-            values.append(
-                (
-                    values[own],
-                    tuple(sorted(values[c] for c in below)),
-                    tuple(sorted(values[c] for c in above)),
-                )
-            )
-    return values
+def _tuple_text(items):
+    """repr of a tuple whose items have the reprs `items`."""
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return "(" + ", ".join(items) + ")"
+
+
+def colour_texts(table):
+    """repr of the nested value each colour of a `signatures` table stands
+    for, listed by colour: (down size, up size) for the first round's colours,
+    and (own, sorted below, sorted above) for the later ones.
+
+    Each text is built once, from its children's texts.  A key's colours are
+    numbered before the key and lie one round below it, so the rounds are
+    built in turn.  Within a round, distinct colours stand for distinct
+    values, and ranking them by (rank of own, sorted ranks below, sorted ranks
+    above) orders them as Python orders their values; each text joins its
+    children's texts in rank order, as `sorted` would list the values."""
+    keys = list(table)
+    depth = []
+    rounds = [[]]
+    for c, key in enumerate(keys):
+        depth.append(0 if len(key) == 2 else depth[key[0]] + 1)
+        if depth[c] == len(rounds):
+            rounds.append([])
+        rounds[depth[c]].append(c)
+    texts = [""] * len(keys)
+    rank = [0] * len(keys)
+    ranked = sorted((keys[c], c) for c in rounds[0])
+    for k, (key, c) in enumerate(ranked):
+        rank[c] = k
+        texts[c] = repr(key)
+    for colours in rounds[1:]:
+        below = [texts[c] for _, c in ranked]  # the round below, by rank
+        ranked = []
+        for c in colours:
+            own, down, up = keys[c]
+            ranks = (rank[own], sorted(map(rank.__getitem__, down)), sorted(map(rank.__getitem__, up)))
+            ranked.append((ranks, c))
+        ranked.sort()
+        for k, ((own, down, up), c) in enumerate(ranked):
+            rank[c] = k
+            down_text = _tuple_text([below[r] for r in down])
+            up_text = _tuple_text([below[r] for r in up])
+            texts[c] = f"({below[own]}, {down_text}, {up_text})"
+    return texts
 
 
 def coloured_isomorphisms(p, q, sp, sq):
@@ -565,10 +596,6 @@ def ordinal_poset(n):
 def antichain_poset(elements, name=""):
     elems = sorted(elements)
     return FinPoset(elems, [1 << i for i in range(len(elems))], name=name)
-
-
-def empty_poset(name=""):
-    return FinPoset((), (), name=name)
 
 
 def product_poset(p, q, name=""):

@@ -55,6 +55,28 @@ def pairwise_order_error(elements, up_rows):
     return None
 
 
+def nested_colours(table):
+    """The nested value each colour of a `posets.signatures` table stands for,
+    listed by colour: (down size, up size) for the first round's colours, and
+    (own, sorted below, sorted above) for the later ones.  A key's colours are
+    numbered before the key, so one pass in numbering order suffices.  The
+    reference for `posets.colour_texts`, which writes out the repr of each."""
+    values = []
+    for key in table:
+        if len(key) == 2:
+            values.append(key)
+        else:
+            own, below, above = key
+            values.append(
+                (
+                    values[own],
+                    tuple(sorted(values[c] for c in below)),
+                    tuple(sorted(values[c] for c in above)),
+                )
+            )
+    return values
+
+
 def random_diagram(rng, max_nodes=4, max_elems=4):
     """Seeded random multidigraph of small posets with monotone edge maps."""
     n_nodes = rng.randint(1, max_nodes)

@@ -384,6 +384,25 @@ def test_oversized_nerves_exit_two_before_building(ten_chain_file, capsys, comma
     )
 
 
+@pytest.mark.parametrize("trunc, steps", [("3", 3_178_890), ("0", 134_217_728)])
+def test_homcount_refuses_a_long_map_search(tmp_path, capsys, trunc, steps):
+    # the eight-element chain into itself: 6,435 monotone maps times the 494
+    # simplices of its nerve at truncation 3, or 8^8 functions times its 8
+    # vertices at truncation 0
+    from poscat.cli import MAX_MAP_WORK
+
+    path = tmp_path / "c8.poset"
+    covers = "".join(f"le {i} {i + 1}\n" for i in range(7))
+    path.write_text("poset c8\nelem " + " ".join(map(str, range(8))) + "\n" + covers, encoding="utf-8")
+    assert run(["homcount", "--poset", str(path), "--poset2", str(path), "--trunc", trunc]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the simplicial map search at --trunc {trunc} would take about {steps} steps, "
+        f"more than {MAX_MAP_WORK}\n"
+    )
+
+
 def test_nerve_at_the_truncation_limit(point_file, tmp_path):
     from poscat.formats import MAX_TRUNC, load_sset
 

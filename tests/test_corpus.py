@@ -3,14 +3,16 @@
 import hashlib
 import itertools
 
-from poscat import find_isomorphism, isomorphisms, linear_extensions
+from poscat import corpus, find_isomorphism, isomorphisms, linear_extensions
 from poscat.corpus import (
     all_posets,
     naturally_labeled_count,
     naturally_labeled_posets,
     poset_classes,
 )
-from poscat.posets import FinPoset
+from poscat.posets import FinPoset, colour_texts, signatures
+
+from helpers import nested_colours
 
 
 def test_class_counts_small():
@@ -79,6 +81,51 @@ def test_representatives_are_lex_least_labellings():
                 for ext in linear_extensions(p)
             ]
             assert own == min(relabellings), p.name
+
+
+def grow_again(monkeypatch, n):
+    """The classes with n >= 1 elements grown again from those with n - 1,
+    the number of candidates `_grow` coloured, and the one colour table they
+    all went through."""
+    parents = poset_classes(n - 1)
+    tables = []
+
+    def recording(poset, table):
+        tables.append(table)
+        return signatures(poset, table)
+
+    monkeypatch.setattr(corpus, "signatures", recording)
+    grown = corpus._grow(parents, n)
+    monkeypatch.undo()
+    assert all(table is tables[0] for table in tables)
+    return grown, len(tables), tables[0]
+
+
+def test_orderly_generation_colours_939_candidates(monkeypatch):
+    # one candidate per down-closed set of each representative below;
+    # deduplicating every natural labelling would colour 1 + 2 + 7 + 40 + 357
+    # + 4,824 = 5,231
+    counts = []
+    for n in range(1, 7):
+        grown, count, _ = grow_again(monkeypatch, n)
+        assert [(p.name, p.up_rows) for p in grown] == [(p.name, p.up_rows) for p in poset_classes(n)]
+        down_sets = sum(
+            all(p.down_rows[i] & ~mask == 0 for i in range(p.n) if mask >> i & 1)
+            for p in poset_classes(n - 1)
+            for mask in range(1 << p.n)
+        )
+        assert count == down_sets
+        counts.append(count)
+    assert counts == [1, 2, 7, 28, 135, 766]
+    assert sum(counts) == 939
+
+
+def test_colour_texts_match_the_nested_values(monkeypatch):
+    # every colour of the tables the corpus is named through, for n <= 6
+    for n in range(1, 7):
+        _, _, table = grow_again(monkeypatch, n)
+        texts = colour_texts(table)
+        assert texts == [repr(value) for value in nested_colours(table)]
 
 
 def test_orbit_identity_n4():

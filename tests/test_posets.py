@@ -26,9 +26,10 @@ from poscat import (
 )
 from poscat._kernels import transitive_closure
 from poscat.corpus import all_posets
-from poscat.posets import FinPoset, chain_counts, nested_colours, signatures
+from poscat.posets import FinPoset, chain_counts, colour_texts, signatures
 
 from helpers import (
+    nested_colours,
     pairwise_order_error,
     shuffled,
     singleton,
@@ -326,6 +327,19 @@ def test_nested_colours_rebuild_the_refinement():
     values = nested_colours(table)
     for p, cs in zip(all_posets(5), colours):
         assert [values[c] for c in cs] == nested_signatures(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabelled_pairs())
+def test_colour_texts_are_the_reprs_of_the_nested_values(case):
+    # three posets through one table, so that each round's colours are not
+    # numbered in the order of their values
+    p, copy, _, other = case
+    table = {}
+    colours = [signatures(q, table) for q in (other, p, copy)]
+    texts = colour_texts(table)
+    for q, cs in zip((other, p, copy), colours):
+        assert [texts[c] for c in cs] == [repr(v) for v in nested_signatures(q)]
 
 
 @st.composite
