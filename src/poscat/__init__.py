@@ -54,7 +54,6 @@ from .posets import (
     PosetError,
     antichain_poset,
     chain_poset,
-    chains,
     count_monotone_maps,
     find_isomorphism,
     intersection_of_extensions,

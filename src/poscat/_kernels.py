@@ -11,9 +11,11 @@ interpreter's recursion limit.
 
 Counting is split in two: `count_plan(n_slots, pairs)` fixes everything that
 does not depend on the target (the branching order and the slots closed at
-each level), and `run_plan(plan, up_rows, down_rows, domains)` runs that plan
-against one target, optionally with a mask of allowed values per slot.  A
-caller counting one constraint set into many targets builds the plan once.
+each level), and `run_plan(plan, items)` runs that plan against a batch of
+targets, each item holding a target's up- and down-rows and, optionally, a
+mask of allowed values per slot.  A caller counting one constraint set into
+many targets builds the plan once and passes every target in one call, so
+the plan is unpacked and the search state allocated once per batch.
 
 Chains are not searched for: `chain_levels` grows the (n+1)-tuples of a
 relation from its n-tuples, one successor at a time.
@@ -111,62 +113,73 @@ def count_plan(n_slots, pairs):
     return free, tuple(levels)
 
 
-def run_plan(plan, up_rows, down_rows, domains=None):
-    """Number of maps into the poset with rows `up_rows` and `down_rows` that
-    satisfy the constraints `plan` was built from.
+def run_plan(plan, items):
+    """Number of maps into each target that satisfy the constraints `plan`
+    was built from, one count per item of `items`.
 
-    When `domains` is given, slot s may take only the values in the mask
-    domains[s].  Runs the plan depth first with an explicit stack, one level
-    per branch slot.
+    Each item is (up_rows, down_rows, domains): the target poset's rows and,
+    unless domains is None, a mask of the values allowed for each slot.  The
+    plan is unpacked and the search state allocated once for the batch; each
+    item is then run depth first with an explicit stack, one level per branch
+    slot.
     """
     free, levels = plan
-    full = (1 << len(up_rows)) - 1
-    tables = (down_rows, up_rows)
-    if domains is None:
-        prod = len(up_rows) ** len(free)
-    else:
-        prod = 1
-        for s in free:
-            prod *= (domains[s] & full).bit_count()
-    if not levels or not prod:
-        return prod
     depth = len(levels)
+    branches = [branch for branch, _ in levels]
+    closed = [after for _, after in levels]
+    n_slots = len(free) + depth + sum(map(len, closed))
     values = [0] * depth
     masks = [0] * depth
     prods = [0] * depth
-
-    def allowed(s, cons):
-        mask = full if domains is None else full & domains[s]
-        for level, code in cons:
-            mask &= tables[code][values[level]]
-        return mask
-
-    total = 0
-    k = 0
-    masks[0] = allowed(*levels[0][0])
-    prods[0] = prod
-    while k >= 0:
-        mask = masks[k]
-        if not mask:
-            k -= 1
+    out = []
+    for up_rows, down_rows, domains in items:
+        full = (1 << len(up_rows)) - 1
+        if domains is None:
+            start = (full,) * n_slots
+            prod = len(up_rows) ** len(free)
+        else:
+            start = [full & d for d in domains]
+            prod = 1
+            for s in free:
+                prod *= start[s].bit_count()
+        if not depth or not prod:
+            out.append(prod)
             continue
-        bit = mask & -mask
-        masks[k] = mask ^ bit
-        values[k] = bit.bit_length() - 1
-        p = prods[k]
-        for s, cons in levels[k][1]:
-            p *= allowed(s, cons).bit_count()
+        tables = (down_rows, up_rows)
+        total = 0
+        k = 0
+        masks[0] = start[branches[0][0]]  # the first branch slot has no constraint yet
+        prods[0] = prod
+        while k >= 0:
+            mask = masks[k]
+            if not mask:
+                k -= 1
+                continue
+            bit = mask & -mask
+            masks[k] = mask ^ bit
+            values[k] = bit.bit_length() - 1
+            p = prods[k]
+            for s, cons in closed[k]:
+                m = start[s]
+                for level, code in cons:
+                    m &= tables[code][values[level]]
+                p *= m.bit_count()
+                if not p:
+                    break
             if not p:
-                break
-        if not p:
-            continue
-        if k + 1 == depth:
-            total += p
-            continue
-        k += 1
-        prods[k] = p
-        masks[k] = allowed(*levels[k][0])
-    return total
+                continue
+            if k + 1 == depth:
+                total += p
+                continue
+            k += 1
+            prods[k] = p
+            s, cons = branches[k]
+            m = start[s]
+            for level, code in cons:
+                m &= tables[code][values[level]]
+            masks[k] = m
+        out.append(total)
+    return out
 
 
 def list_maps(n_slots, up_rows, down_rows, pairs):

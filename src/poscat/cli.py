@@ -31,7 +31,8 @@ from .simplicial import SimplicialError, count_simplicial_maps, nerve
 
 
 class BudgetError(Exception):
-    """The nerves asked for would hold more simplices than MAX_SIMPLICES, or
+    """The nerves asked for would hold more simplices than MAX_SIMPLICES, the
+    comma diagram of `density` or `extend` more strict chains than that, or
     `homcount`'s map search would take more than MAX_MAP_WORK steps."""
 
 
@@ -50,8 +51,10 @@ CONFIG_ERRORS = (
 # Largest --max-n accepted; --trunc and --bound are bounded by formats.MAX_TRUNC.
 MAX_IDENTITY_N = 32
 
-# Most simplices `nerve` and `homcount` may build, summed over their nerves.
-# Near the top truncation levels that is about half a gigabyte.
+# Most simplices `nerve` and `homcount` may build, summed over their nerves,
+# and most strict chains `density` and `extend` may build a comma diagram
+# over, one node each.  Near the top truncation levels of a nerve that is
+# about half a gigabyte.
 MAX_SIMPLICES = 50_000
 
 # Most steps `homcount`'s simplicial map search may take, predicted as the
@@ -113,17 +116,34 @@ def _emit(args, lines):
         sys.stdout.write(payload)
 
 
+def _within_budget(counts):
+    """Whether the running sum of `counts` stays at most MAX_SIMPLICES; stops
+    reading at the first count that takes it over."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > MAX_SIMPLICES:
+            return False
+    return True
+
+
 def _check_budget(posets, K):
     """Refuse, before building them, nerves at truncation K of `posets` that
     would hold more than MAX_SIMPLICES simplices in all."""
-    total = 0
-    for poset in posets:
-        for count in chain_counts(poset, K):
-            total += count
-            if total > MAX_SIMPLICES:
-                raise BudgetError(
-                    f"the nerves at --trunc {K} would hold more than {MAX_SIMPLICES} simplices"
-                )
+    if not _within_budget(count for poset in posets for count in chain_counts(poset, K)):
+        raise BudgetError(
+            f"the nerves at --trunc {K} would hold more than {MAX_SIMPLICES} simplices"
+        )
+
+
+def _check_comma_budget(poset):
+    """Refuse, before building it, a comma diagram over more than MAX_SIMPLICES
+    strict chains of `poset`.  It holds every strict chain, whatever the
+    bound, since none is longer than the height."""
+    if not _within_budget(chain_counts(poset, poset.height, strict=True)):
+        raise BudgetError(
+            f"the comma diagram would hold more than {MAX_SIMPLICES} strict chains"
+        )
 
 
 def _check_map_work(p, q, n_mono, K):
@@ -238,6 +258,7 @@ def _cmd_extensions(args):
 
 def _cmd_density(args):
     poset = formats.load_poset(args.poset)
+    _check_comma_budget(poset)
     bound = poset.height if args.bound is None else args.bound
     result = density_colimit(poset, bound)
     lines = []
@@ -261,6 +282,7 @@ def _cmd_density(args):
 def _cmd_extend(args):
     functor = formats.load_functor(args.functor)
     poset = formats.load_poset(args.poset)
+    _check_comma_budget(poset)
     result = extend(functor, poset, initial_bound=args.bound)
     lines = []
     if args.format == "machine":

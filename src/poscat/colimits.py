@@ -261,14 +261,18 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     keyed by that closure, and lists with one closure are counted once; when
     the candidate is the colimit, both lists of every component close to the
     same relation.  Counting is shape-major: each distinct closure is
-    compiled once into a plan, from the first list that has it, and run
-    against every target's cached up- and down-rows.  The counts live for
-    this call only.
+    compiled once into a plan, from the first list that has it, and run in
+    one batch against every target's cached up- and down-rows, so a call
+    runs `run_plan` once per distinct closure.  The counts live for this
+    call only.
 
     When the legs miss some apex elements, every cocone is enumerated and its
     mediating maps are counted by one plan over the unhit elements, built
     once per call, with each element's values restricted by the cocone's
-    values on the hit elements below and above it.
+    values on the hit elements below and above it.  A cocone that breaks an
+    identification or an order relation among the hit elements has none and
+    is not searched; the rest of one target's cocones are counted in one
+    batch, so a call runs `run_plan` once per target.
     """
     if not candidate.commutes():
         raise ColimitError("invalid-cocone: candidate legs do not commute")
@@ -310,10 +314,12 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
             a, g = shape_of(len(comp), sub_all), shape_of(len(comp), sub_good)
             jobs.append((comp, sub_all, sub_good, a, g))
         targets = all_posets(apex_size_bound)
-        counts = []  # per shape id, per target
-        for _, size, pairs in shapes.values():
-            plan = _kernels.count_plan(size, pairs)
-            counts.append([_kernels.run_plan(plan, t.up_rows, t.down_rows) for t in targets])
+        items = [(t.up_rows, t.down_rows, None) for t in targets]
+        # per shape id, per target
+        counts = [
+            _kernels.run_plan(_kernels.count_plan(size, pairs), items)
+            for _, size, pairs in shapes.values()
+        ]
 
         # the legs are jointly epic, so a mediating map is unique when it exists
         for t, target in enumerate(targets):
@@ -346,11 +352,17 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     below = [[b for b in hit if apex.up_rows[b] >> u & 1] for u in unhit]
     above = [[b for b in hit if apex.up_rows[u] >> b & 1] for u in unhit]
     for target in all_posets(apex_size_bound):
-        assignments = _kernels.list_maps(n, target.up_rows, target.down_rows, node_pairs)
+        up, down = target.up_rows, target.down_rows
+        assignments = _kernels.list_maps(n, up, down, node_pairs)
+        domains = [
+            _completion_domains(class_to_apex, hit_pairs, below, above, h, target)
+            for h in assignments
+        ]
+        runs = iter(_kernels.run_plan(plan, [(up, down, d) for d in domains if d is not None]))
         exist_ok = True
         unique_ok = True
-        for h in assignments:
-            count = _completions(plan, class_to_apex, hit_pairs, below, above, h, target)
+        for h, d in zip(assignments, domains):
+            count = 0 if d is None else next(runs)
             if count == 0:
                 exist_ok = False
             if count > 1:
@@ -379,18 +391,19 @@ def _closure(size, pairs):
     return tuple(_kernels.transitive_closure(rows))
 
 
-def _completions(plan, class_to_apex, hit_pairs, below, above, h, target):
-    """Number of monotone maps apex -> target through which the cocone h
-    factors: 0 when h breaks an identification or an order relation among
-    the hit elements, else the plan's count of the unhit elements' values."""
+def _completion_domains(class_to_apex, hit_pairs, below, above, h, target):
+    """The values each unhit element may take in a monotone map apex ->
+    target through which the cocone h factors, one mask per unhit element,
+    or None when h breaks an identification or an order relation among the
+    hit elements, so that no such map exists."""
     value = {}
     for a, v in zip(class_to_apex, h):
         if value.setdefault(a, v) != v:
-            return 0
+            return None
     up, down = target.up_rows, target.down_rows
     for a, b in hit_pairs:
         if not up[value[a]] >> value[b] & 1:
-            return 0
+            return None
     full = (1 << target.n) - 1
     domains = []
     for lower, upper in zip(below, above):
@@ -400,7 +413,7 @@ def _completions(plan, class_to_apex, hit_pairs, below, above, h, target):
         for b in upper:
             mask &= down[value[b]]
         domains.append(mask)
-    return _kernels.run_plan(plan, up, down, domains)
+    return domains
 
 
 def _label(poset):

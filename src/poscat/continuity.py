@@ -112,19 +112,16 @@ def _vertex_table(X):
     consecutive edges share endpoint vertices.
     """
     table = [{x: ((x,), True) for x in X.levels[0]}]
+    d0, d1 = X.faces.get((1, 0)), X.faces.get((1, 1))
     for n in range(1, X.K + 1):
         edges = [evaluate(X, DeltaMap(1, n, (k, k + 1))) for k in range(n)]
         level = {}
         for x in X.levels[n]:
-            pairs = [(X.face(1, 1, edge[x]), X.face(1, 0, edge[x])) for edge in edges]
+            pairs = [(d1[edge[x]], d0[edge[x]]) for edge in edges]
             consistent = all(pairs[k][1] == pairs[k + 1][0] for k in range(n - 1))
             level[x] = (tuple(p[0] for p in pairs) + (pairs[-1][1],), consistent)
         table.append(level)
     return table
-
-
-def _label_tuple(X, points):
-    return tuple(simplex_label(p) for p in points)
 
 
 def _edge_relation(X, edges, index):
@@ -278,14 +275,18 @@ def check_continuity(X) -> ContinuityReport:
 
 def _reconstruct(X, relation, table):
     if relation is None:  # truncation 0 carries no order information
-        poset = antichain_poset(_vertex_labels(X))
+        labels = _vertex_labels(X)
+        poset = antichain_poset(labels)
     else:
         # the checks passed, so the relation is already a partial order
-        order = sorted(range(len(relation.labels)), key=relation.labels.__getitem__)
+        labels = relation.labels
+        order = sorted(range(len(labels)), key=labels.__getitem__)
         rows = [sum(1 << p for p, j in enumerate(order) if row >> j & 1) for row in relation.rows]
-        poset = FinPoset([relation.labels[k] for k in order], [rows[k] for k in order])
+        poset = FinPoset([labels[k] for k in order], [rows[k] for k in order])
+    label_of = dict(zip(X.levels[0], labels))
     comps = [
-        {x: _label_tuple(X, points) for x, (points, _) in level.items()} for level in table
+        {x: tuple(map(label_of.__getitem__, points)) for x, (points, _) in level.items()}
+        for level in table
     ]
     iso = SimplicialMap(X, nerve(poset, X.K), comps)
     if not iso.is_levelwise_bijective():

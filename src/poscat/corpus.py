@@ -37,8 +37,8 @@ a tuple with balanced parentheses, so none is a proper prefix of another and
 the first difference between two lists' reprs lies where the lists first
 differ.
 
-`naturally_labeled_posets` lists every natural labelling; it is the oracle
-for exhaustiveness and for the orbit identity.
+The oracle for exhaustiveness and for the orbit identity, a list of every
+natural labelling, lives with the tests.
 """
 
 from __future__ import annotations
@@ -75,14 +75,6 @@ def _children(rows, k):
         grown = [row | (1 << k) if mask & (1 << i) else row for i, row in enumerate(rows)]
         grown.append(1 << k)
         yield tuple(grown)
-
-
-def naturally_labeled_posets(n):
-    """Row-mask tables of every naturally labeled poset on {0,...,n-1}."""
-    tables = [tuple()]
-    for k in range(n):
-        tables = [child for rows in tables for child in _children(rows, k)]
-    return tables
 
 
 def _grow(parents, n):
@@ -141,7 +133,3 @@ def all_posets(max_size):
     for n in range(max_size + 1):
         out.extend(poset_classes(n))
     return tuple(out)
-
-
-def naturally_labeled_count(n):
-    return len(naturally_labeled_posets(n))

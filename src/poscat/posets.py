@@ -319,21 +319,20 @@ def chain_levels(poset, K, strict=False):
     return _kernels.chain_levels(above, K)
 
 
-def chains(poset, n, strict=False):
-    """All weakly (or strictly) increasing (n+1)-tuples, lexicographically ordered."""
-    return chain_levels(poset, n, strict)[n]
-
-
-def chain_counts(poset, K):
-    """The number of weakly increasing (n+1)-tuples, the size of level n of
-    the nerve, for n = 0..K in turn, lazily: 1^T Z^n 1 for the zeta matrix Z
-    (Stanley, Enumerative Combinatorics I, 3.12).  Each level is one pass of
-    the last one's per-element end counts over the up-rows."""
+def chain_counts(poset, K, strict=False):
+    """The number of weakly (or strictly) increasing (n+1)-tuples for
+    n = 0..K in turn, lazily: 1^T Z^n 1 for the zeta matrix Z, the size of
+    level n of the nerve, or 1^T (Z - I)^n 1 (Stanley, Enumerative
+    Combinatorics I, 3.12).  Each level is one pass of the last one's
+    per-element end counts over the up-rows."""
+    rows = poset.up_rows
+    if strict:
+        rows = [row & ~(1 << i) for i, row in enumerate(rows)]
     ends = [1] * poset.n
     yield sum(ends)
     for _ in range(K):
         grown = [0] * poset.n
-        for i, row in enumerate(poset.up_rows):
+        for i, row in enumerate(rows):
             m = row
             while m:
                 b = m & -m
@@ -353,7 +352,7 @@ def monotone_maps(source, target):
 
 def count_monotone_maps(source, target):
     plan = _kernels.count_plan(source.n, source.cover_pairs)
-    return _kernels.run_plan(plan, target.up_rows, target.down_rows)
+    return _kernels.run_plan(plan, [(target.up_rows, target.down_rows, None)])[0]
 
 
 def linear_extensions(poset):

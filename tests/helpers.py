@@ -1,7 +1,26 @@
 """Shared fixture builders for the test suite."""
 
-from poscat import FinPoset, PosetDiagram, chains, make_poset, monotone_maps
-from poscat.corpus import poset_classes
+from poscat import FinPoset, PosetDiagram, make_poset, monotone_maps
+from poscat.corpus import _children, poset_classes
+from poscat.posets import chain_levels
+
+
+def chains(poset, n, strict=False):
+    """All weakly (or strictly) increasing (n+1)-tuples, lexicographically ordered."""
+    return chain_levels(poset, n, strict)[n]
+
+
+def naturally_labeled_posets(n):
+    """Row-mask tables of every naturally labeled poset on {0,...,n-1}: the
+    oracle for the corpus's exhaustiveness and for the orbit identity."""
+    tables = [()]
+    for k in range(n):
+        tables = [child for rows in tables for child in _children(rows, k)]
+    return tables
+
+
+def naturally_labeled_count(n):
+    return len(naturally_labeled_posets(n))
 
 
 def two_chain():

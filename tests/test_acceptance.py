@@ -29,10 +29,10 @@ from poscat import (
     verify_universal,
 )
 from poscat.colimits import induced_map
-from poscat.corpus import all_posets, naturally_labeled_count, poset_classes
+from poscat.corpus import all_posets, poset_classes
 from poscat.posets import count_monotone_maps
 
-from helpers import random_diagram
+from helpers import naturally_labeled_count, random_diagram
 from test_continuity import (
     with_broken_identity,
     with_duplicate_edge,

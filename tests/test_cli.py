@@ -403,6 +403,27 @@ def test_homcount_refuses_a_long_map_search(tmp_path, capsys, trunc, steps):
     )
 
 
+@pytest.mark.parametrize("command", ["density", "extend"])
+def test_comma_diagrams_over_too_many_strict_chains_are_refused(tmp_path, capsys, command):
+    # the sixteen-element chain has 2^16 - 1 = 65,535 strict chains
+    from poscat.cli import MAX_SIMPLICES
+
+    path = tmp_path / "c16.poset"
+    covers = "".join(f"le {i} {i + 1}\n" for i in range(15))
+    path.write_text("poset c16\nelem " + " ".join(map(str, range(16))) + "\n" + covers, encoding="utf-8")
+    functor = tmp_path / "inc.fun"
+    functor.write_text("functor inclusion\n", encoding="utf-8")
+    argv = [command, "--poset", str(path)]
+    if command == "extend":
+        argv += ["--functor", str(functor)]
+    assert run(argv + ["--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the comma diagram would hold more than {MAX_SIMPLICES} strict chains\n"
+    )
+
+
 def test_nerve_at_the_truncation_limit(point_file, tmp_path):
     from poscat.formats import MAX_TRUNC, load_sset
 

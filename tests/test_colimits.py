@@ -11,6 +11,7 @@ from poscat import (
     MonotoneMap,
     PosetDiagram,
     SubcategoryError,
+    all_posets,
     colimit_delta,
     colimit_pos,
     colimit_tos,
@@ -21,6 +22,7 @@ from poscat import (
     ordinal_poset,
     verify_universal,
 )
+from poscat import _kernels
 from poscat.delta import delta_to_monotone
 
 from helpers import random_diagram, two_antichain, v_poset
@@ -430,3 +432,46 @@ def test_verify_universal_many_unhit_elements():
         ("P2.1", 2, True, False),
     ]
     assert report.witness.endswith("more than one mediating map")
+
+
+def run_plan_calls(monkeypatch):
+    """The batch size of every `_kernels.run_plan` call made from now on."""
+    calls = []
+    run = _kernels.run_plan
+
+    def counting(plan, items):
+        calls.append(len(items))
+        return run(plan, items)
+
+    monkeypatch.setattr(_kernels, "run_plan", counting)
+    return calls
+
+
+def test_each_closure_or_target_runs_the_plan_once(monkeypatch):
+    calls = run_plan_calls(monkeypatch)
+    n_targets = len(all_posets(4))
+    # hit, the colimit: components [1], [1] and [0], two distinct closures
+    chain = ordinal_poset(1)
+    diagram = PosetDiagram(nodes={"A": chain, "B": chain, "C": ordinal_poset(0)}, edges=[])
+    assert verify_universal(diagram, colimit_pos(diagram), 4).passed
+    assert calls == [n_targets] * 2
+    # hit, not the colimit: two points sent to 0 < 1 make one component whose
+    # node relations close to the discrete order and whose mediated pairs
+    # close to the chain
+    calls.clear()
+    diagram = two_points()
+    legs = {
+        "A": MonotoneMap(diagram.nodes["A"], chain, ("0",)),
+        "B": MonotoneMap(diagram.nodes["B"], chain, ("1",)),
+    }
+    assert not verify_universal(diagram, Cocone(diagram, chain, legs), 4).passed
+    assert calls == [n_targets] * 2
+    # unhit: one batch per target, holding each of its cocones
+    calls.clear()
+    diagram = glue_pushout()
+    cocone = colimit_pos(diagram)
+    apex = FinPoset(cocone.apex.elements + ("u",), cocone.apex.up_rows + (1 << cocone.apex.n,))
+    legs = {nid: MonotoneMap(leg.source, apex, leg.values) for nid, leg in cocone.legs.items()}
+    report = verify_universal(diagram, Cocone(diagram, apex, legs), 4)
+    assert calls == [entry.cocones for entry in report.entries]
+    assert len(calls) == n_targets

@@ -4,15 +4,10 @@ import hashlib
 import itertools
 
 from poscat import corpus, find_isomorphism, isomorphisms, linear_extensions
-from poscat.corpus import (
-    all_posets,
-    naturally_labeled_count,
-    naturally_labeled_posets,
-    poset_classes,
-)
+from poscat.corpus import all_posets, poset_classes
 from poscat.posets import FinPoset, colour_texts, signatures
 
-from helpers import nested_colours
+from helpers import naturally_labeled_count, naturally_labeled_posets, nested_colours
 
 
 def test_class_counts_small():

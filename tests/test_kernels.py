@@ -3,6 +3,10 @@
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poscat import FinPoset
 from poscat._kernels import (
     backend,
     chain_levels,
@@ -79,11 +83,65 @@ def test_maps_against_naive():
             expected = naive_maps(n_slots, target, pairs)
             got = list_maps(n_slots, up, down, pairs)
             assert got == expected  # lexicographic order matches itertools.product
-            assert run_plan(plan, up, down) == len(expected)
+            assert run_plan(plan, [(up, down, None)]) == [len(expected)]
             # one random mask of allowed values per slot
             domains = [rng.randrange(1 << target.n) for _ in range(n_slots)]
             inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
-            assert run_plan(plan, up, down, domains) == len(inside)
+            assert run_plan(plan, [(up, down, domains)]) == [len(inside)]
+
+
+@st.composite
+def constraint_graphs(draw):
+    """A slot count up to 6 and constraint pairs among the slots, self-pairs
+    included."""
+    n_slots = draw(st.integers(0, 6))
+    if not n_slots:
+        return 0, []
+    slot = st.integers(0, n_slots - 1)
+    return n_slots, draw(st.lists(st.tuples(slot, slot), max_size=2 * n_slots))
+
+
+@st.composite
+def random_posets(draw):
+    """The empty poset, a one-point poset, or the closure of a random relation
+    on up to 4 elements that only goes up in a random order of the indices."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 4]))
+    order = draw(st.permutations(range(n)))
+    rows = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            rows[order[a]] |= 1 << order[b]
+    return FinPoset([str(i) for i in range(n)], naive_closure(rows))
+
+
+@st.composite
+def batches(draw, n_slots):
+    """1-5 items (target, domains), domains None half the time and otherwise
+    one random mask per slot, which may hold bits beyond the target."""
+    items = []
+    for target in draw(st.lists(random_posets(), min_size=1, max_size=5)):
+        mask = st.integers(0, (1 << target.n + 2) - 1)
+        domains = draw(st.none() | st.lists(mask, min_size=n_slots, max_size=n_slots))
+        items.append((target, domains))
+    return items
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batched_runs_match_the_naive_count(data):
+    n_slots, pairs = data.draw(constraint_graphs())
+    batch = data.draw(batches(n_slots))
+    expected = [
+        sum(
+            domains is None or all(domains[s] >> v & 1 for s, v in enumerate(f))
+            for f in naive_maps(n_slots, target, pairs)
+        )
+        for target, domains in batch
+    ]
+    plan = count_plan(n_slots, pairs)
+    items = [(t.up_rows, t.down_rows, domains) for t, domains in batch]
+    assert run_plan(plan, items) == expected
+    assert [run_plan(plan, [item])[0] for item in items] == expected
 
 
 def test_list_maps_runs_deep_chains():
@@ -94,7 +152,7 @@ def test_list_maps_runs_deep_chains():
 
 def test_count_handles_disconnected_slots():
     # ten unconstrained slots over a three-element target: counted, not enumerated
-    assert run_plan(count_plan(10, []), (1, 2, 4), (1, 2, 4)) == 3**10
+    assert run_plan(count_plan(10, []), [((1, 2, 4), (1, 2, 4), None)]) == [3**10]
 
 
 def test_chain_levels_grow_every_walk_in_order():
@@ -162,5 +220,5 @@ def test_equal_closures_count_alike_into_posets():
             expected = naive_maps(n_slots, target, pairs)
             domains = [rng.randrange(1 << target.n) for _ in range(n_slots)]
             inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
-            assert run_plan(plan, target.up_rows, target.down_rows, domains) == len(inside)
+            assert run_plan(plan, [(target.up_rows, target.down_rows, domains)]) == [len(inside)]
     assert len(seen) < 40  # lists drawn in different rounds shared a closure

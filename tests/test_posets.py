@@ -12,7 +12,6 @@ from poscat import (
     MonotoneMap,
     NotSplitMonoError,
     PosetError,
-    chains,
     count_monotone_maps,
     find_isomorphism,
     intersection_of_extensions,
@@ -29,6 +28,7 @@ from poscat.corpus import all_posets
 from poscat.posets import FinPoset, chain_counts, colour_texts, signatures
 
 from helpers import (
+    chains,
     nested_colours,
     pairwise_order_error,
     shuffled,
@@ -369,3 +369,6 @@ def test_poset_validation_matches_the_pairwise_check(case):
 def test_chain_counts_match_the_chains():
     for p in all_posets(4):
         assert list(chain_counts(p, 3)) == [len(chains(p, n)) for n in range(4)]
+        assert list(chain_counts(p, 3, strict=True)) == [
+            len(chains(p, n, strict=True)) for n in range(4)
+        ]
