@@ -183,9 +183,10 @@ def _face_formulas(X, table, rel):
     name = "face_formulas"
     for n in range(2, X.K + 1):
         below = table[n - 1]
+        faces = [X.faces[(n, i)] for i in range(n + 1)]
         for x, (points, _) in table[n].items():
-            for i in range(n + 1):
-                got, _ = below[X.face(n, i, x)]
+            for i, face in enumerate(faces):
+                got, _ = below[face[x]]
                 if got != points[:i] + points[i + 1 :]:
                     return Verdict(
                         name,
@@ -215,9 +216,10 @@ def _degeneracy_formulas(X, table, rel):
             return Verdict(name, False, f"relation not reflexive at {label}")
     for n in range(X.K):
         above = table[n + 1]
+        degeneracies = [X.degeneracies[(n, i)] for i in range(n + 1)]
         for x, (points, _) in table[n].items():
-            for i in range(n + 1):
-                got, _ = above[X.deg(n, i, x)]
+            for i, degeneracy in enumerate(degeneracies):
+                got, _ = above[degeneracy[x]]
                 if got != points[: i + 1] + points[i:]:
                     return Verdict(
                         name,

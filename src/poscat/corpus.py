@@ -28,14 +28,12 @@ is tested for isomorphism only against the representatives in its bucket,
 reusing both colour lists.
 
 The representatives of one size are named P{n}.{k} in order of relation size,
-then of the sorted list of their elements' colour texts, then of the
-labelling.  `posets.colour_texts` builds each colour's text, the repr of its
-nested value, once, from the texts of the colours it refines.  Comparing the
-lists orders them as comparing their reprs did when the names were pinned:
-every list of one size holds n texts, no text holds a quote, and each text is
-a tuple with balanced parentheses, so none is a proper prefix of another and
-the first difference between two lists' reprs lies where the lists first
-differ.
+then of the sorted list of their elements' colours, compared by nested value,
+then of the labelling.  `posets.colour_ranks` ranks each colour among the
+colours of its round, so the lists compare as sorted lists of ranks.  The
+names were pinned when the lists compared by the reprs of their values; for
+n <= 9 every size in a value is one digit and the two orders agree, while
+from n = 10 on the reprs put (10, 1) before (9, 1) and the orders differ.
 
 The oracle for exhaustiveness and for the orbit identity, a list of every
 natural labelling, lives with the tests.
@@ -46,7 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _kernels
-from .posets import FinPoset, colour_texts, coloured_isomorphisms, signatures
+from .posets import FinPoset, colour_ranks, coloured_isomorphisms, signatures
 
 
 def _down_closed_masks(rows, n):
@@ -96,11 +94,11 @@ def _grow(parents, n):
                 continue
             bucket.append((candidate, colours))
             reps.append((candidate, colours))
-    texts = colour_texts(table)
+    rank = colour_ranks(table)
     reps.sort(
         key=lambda rep: (
             sum(bin(r).count("1") for r in rep[0].up_rows),
-            sorted(texts[c] for c in rep[1]),
+            sorted(rank[c] for c in rep[1]),
         )
     )
     return tuple(
@@ -115,8 +113,8 @@ _classes = [(FinPoset((), (), name="P0.0"),)]
 def poset_classes(n):
     """One FinPoset per isomorphism class with exactly n elements, the lex-
     least natural labelling of its class on the elements "0".."n-1", named
-    P{n}.{k} in order of relation size, then of the sorted texts of the
-    element colours (`posets.colour_texts`), then of the labelling.  The
+    P{n}.{k} in order of relation size, then of the sorted element colours
+    by nested value (`posets.colour_ranks`), then of the labelling.  The
     sizes up to n not yet grown are grown in turn, each from the one below;
     for 1 <= n <= 6 that colours 939 children."""
     if n < 0:

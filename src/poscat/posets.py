@@ -433,7 +433,7 @@ def signatures(poset, table):
     entry, numbered len(table), per new key.  Colours are comparable exactly
     between posets coloured through the same table; there, two elements get
     equal colours iff their nested (own, below, above) values are equal, and
-    `colour_texts` writes those values out."""
+    `colour_ranks` orders those values."""
     below = [_set_bits(row & ~(1 << i)) for i, row in enumerate(poset.down_rows)]
     above = [_set_bits(row & ~(1 << i)) for i, row in enumerate(poset.up_rows)]
     colour = [table.setdefault((len(b) + 1, len(a) + 1), len(table)) for b, a in zip(below, above)]
@@ -449,52 +449,36 @@ def signatures(poset, table):
     return colour
 
 
-def _tuple_text(items):
-    """repr of a tuple whose items have the reprs `items`."""
-    if len(items) == 1:
-        return f"({items[0]},)"
-    return "(" + ", ".join(items) + ")"
+def colour_ranks(table):
+    """Rank of each colour of a `signatures` table within its round, listed
+    by colour.  Ranks order each round's colours as Python orders their
+    nested values: (down size, up size) for the first round's colours, and
+    (own, sorted below, sorted above) for the later ones.
 
-
-def colour_texts(table):
-    """repr of the nested value each colour of a `signatures` table stands
-    for, listed by colour: (down size, up size) for the first round's colours,
-    and (own, sorted below, sorted above) for the later ones.
-
-    Each text is built once, from its children's texts.  A key's colours are
-    numbered before the key and lie one round below it, so the rounds are
-    built in turn.  Within a round, distinct colours stand for distinct
-    values, and ranking them by (rank of own, sorted ranks below, sorted ranks
-    above) orders them as Python orders their values; each text joins its
-    children's texts in rank order, as `sorted` would list the values."""
+    A key's colours are numbered before the key and lie one round below it,
+    so the rounds are ranked in turn: the first by its keys, each later one
+    by (rank of own, sorted ranks below, sorted ranks above).  Within a
+    round, distinct colours stand for distinct values, so comparing those
+    rank triples compares the values."""
     keys = list(table)
     depth = []
-    rounds = [[]]
+    rounds = {}  # in round order, as each round's first colour follows one below
     for c, key in enumerate(keys):
         depth.append(0 if len(key) == 2 else depth[key[0]] + 1)
-        if depth[c] == len(rounds):
-            rounds.append([])
-        rounds[depth[c]].append(c)
-    texts = [""] * len(keys)
+        rounds.setdefault(depth[c], []).append(c)
     rank = [0] * len(keys)
-    ranked = sorted((keys[c], c) for c in rounds[0])
-    for k, (key, c) in enumerate(ranked):
-        rank[c] = k
-        texts[c] = repr(key)
-    for colours in rounds[1:]:
-        below = [texts[c] for _, c in ranked]  # the round below, by rank
-        ranked = []
-        for c in colours:
-            own, down, up = keys[c]
-            ranks = (rank[own], sorted(map(rank.__getitem__, down)), sorted(map(rank.__getitem__, up)))
-            ranked.append((ranks, c))
-        ranked.sort()
-        for k, ((own, down, up), c) in enumerate(ranked):
+    get = rank.__getitem__
+
+    def ranked(c):
+        if len(keys[c]) == 2:
+            return keys[c]
+        own, down, up = keys[c]
+        return (rank[own], sorted(map(get, down)), sorted(map(get, up)))
+
+    for colours in rounds.values():
+        for k, c in enumerate(sorted(colours, key=ranked)):
             rank[c] = k
-            down_text = _tuple_text([below[r] for r in down])
-            up_text = _tuple_text([below[r] for r in up])
-            texts[c] = f"({below[own]}, {down_text}, {up_text})"
-    return texts
+    return rank
 
 
 def coloured_isomorphisms(p, q, sp, sq):

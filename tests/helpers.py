@@ -79,7 +79,7 @@ def nested_colours(table):
     listed by colour: (down size, up size) for the first round's colours, and
     (own, sorted below, sorted above) for the later ones.  A key's colours are
     numbered before the key, so one pass in numbering order suffices.  The
-    reference for `posets.colour_texts`, which writes out the repr of each."""
+    reference for `posets.colour_ranks`, which orders them round by round."""
     values = []
     for key in table:
         if len(key) == 2:
@@ -94,6 +94,21 @@ def nested_colours(table):
                 )
             )
     return values
+
+
+def colour_rounds(values):
+    """The colours of each refinement round, listed by round, for `values`
+    from `nested_colours`: a first-round value is a pair of sizes, and a later
+    one holds the value it refines first."""
+    rounds = []
+    for c, value in enumerate(values):
+        depth = 0
+        while len(value) == 3:
+            value = value[0]
+            depth += 1
+        rounds.extend([] for _ in range(depth + 1 - len(rounds)))
+        rounds[depth].append(c)
+    return rounds
 
 
 def random_diagram(rng, max_nodes=4, max_elems=4):

@@ -140,6 +140,8 @@ def test_colimit_exit_codes(tmp_path, capsys):
     two.write_text(TWO_POINTS, encoding="utf-8")
     assert run(["colimit", "--diagram", str(two), "--in", "delta"]) == 1
     assert "no colimit" in capsys.readouterr().out
+    assert run(["colimit", "--diagram", str(two), "--in", "delta", "--format", "machine"]) == 1
+    assert capsys.readouterr().out == "exists=no\n"
     assert run(["colimit", "--diagram", str(two), "--in", "pos"]) == 0
     glue = tmp_path / "glue.diag"
     glue.write_text(GLUE, encoding="utf-8")
@@ -186,17 +188,23 @@ def test_extensions_lists_the_extensions_once(monkeypatch, v_file, capsys):
 
 
 def test_extensions_failure_names_a_witness(monkeypatch, v_file, capsys):
-    # a meet that also puts a below b, as if an extension had been dropped
-    monkeypatch.setattr(
-        poscat.cli, "meet_of_extensions", lambda poset, exts: poscat.posets.chain_poset(poset.elements)
-    )
-    witness = "a<=b in every extension but not in the order"
-    assert run(["extensions", "--format", "machine", "--poset", v_file]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out[-2:] == ["intersection_equals_order=FAIL", f"extensions.witness={witness}"]
-    assert run(["extensions", "--poset", v_file]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out[-2:] == ["intersection equals the original order: FAIL", f"witness: {witness}"]
+    cases = [
+        # a meet that also puts a below b, as if an extension had been dropped
+        (poscat.posets.chain_poset, "a<=b in every extension but not in the order"),
+        # a meet without a below c, as if a non-extension had been listed
+        (
+            lambda elements: poscat.make_poset(elements, []),
+            "a<=c in the order but not in every extension",
+        ),
+    ]
+    for meet, witness in cases:
+        monkeypatch.setattr(poscat.cli, "meet_of_extensions", lambda poset, exts: meet(poset.elements))
+        assert run(["extensions", "--format", "machine", "--poset", v_file]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["intersection_equals_order=FAIL", f"extensions.witness={witness}"]
+        assert run(["extensions", "--poset", v_file]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["intersection equals the original order: FAIL", f"witness: {witness}"]
 
 
 def test_density_command(v_file, capsys):
@@ -276,6 +284,13 @@ def test_verify_identities_failure_names_a_witness(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "instances=3\nfailures=2\noverall=FAIL\n"
         f"verify-identities.witness={family} at n=1, i=2, j=1\n"
+    )
+    assert run(["verify-identities", "--max-n", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "checked 3 identity instances up to [2]\n"
+        f"  FAIL {family} at n=1, i=2, j=1\n"
+        f"  FAIL {family} at n=2, i=3, j=2\n"
+        "overall: FAIL\n"
     )
 
 

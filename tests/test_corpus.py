@@ -2,12 +2,19 @@
 
 import hashlib
 import itertools
+import random
 
 from poscat import corpus, find_isomorphism, isomorphisms, linear_extensions
 from poscat.corpus import all_posets, poset_classes
-from poscat.posets import FinPoset, colour_texts, signatures
+from poscat._kernels import transitive_closure
+from poscat.posets import FinPoset, colour_ranks, signatures
 
-from helpers import naturally_labeled_count, naturally_labeled_posets, nested_colours
+from helpers import (
+    colour_rounds,
+    naturally_labeled_count,
+    naturally_labeled_posets,
+    nested_colours,
+)
 
 
 def test_class_counts_small():
@@ -115,12 +122,35 @@ def test_orderly_generation_colours_939_candidates(monkeypatch):
     assert sum(counts) == 939
 
 
-def test_colour_texts_match_the_nested_values(monkeypatch):
+def assert_ranks_follow_reprs(table):
+    """Within each round of `table`, rank order is the order of the reprs of
+    the nested values, the order the P{n}.{k} names were pinned under."""
+    values = nested_colours(table)
+    rank = colour_ranks(table)
+    for colours in colour_rounds(values):
+        assert sorted(colours, key=rank.__getitem__) == sorted(
+            colours, key=lambda c: repr(values[c])
+        )
+
+
+def test_colour_ranks_name_as_the_reprs_did(monkeypatch):
     # every colour of the tables the corpus is named through, for n <= 6
     for n in range(1, 7):
         _, _, table = grow_again(monkeypatch, n)
-        texts = colour_texts(table)
-        assert texts == [repr(value) for value in nested_colours(table)]
+        assert_ranks_follow_reprs(table)
+    # and seeded random posets of up to nine elements, where every size in a
+    # value is still one digit, through one table
+    rng = random.Random(20021)
+    table = {}
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        rows = [
+            (1 << i) | sum(1 << j for j in range(i + 1, n) if rng.random() < density)
+            for i in range(n)
+        ]
+        signatures(FinPoset(tuple(str(i) for i in range(n)), transitive_closure(rows)), table)
+    assert_ranks_follow_reprs(table)
 
 
 def test_orbit_identity_n4():

@@ -25,10 +25,11 @@ from poscat import (
 )
 from poscat._kernels import transitive_closure
 from poscat.corpus import all_posets
-from poscat.posets import FinPoset, chain_counts, colour_texts, signatures
+from poscat.posets import FinPoset, chain_counts, colour_ranks, signatures
 
 from helpers import (
     chains,
+    colour_rounds,
     nested_colours,
     pairwise_order_error,
     shuffled,
@@ -331,15 +332,18 @@ def test_nested_colours_rebuild_the_refinement():
 
 @settings(max_examples=80, deadline=None)
 @given(relabelled_pairs())
-def test_colour_texts_are_the_reprs_of_the_nested_values(case):
+def test_colour_ranks_order_each_round_by_value(case):
     # three posets through one table, so that each round's colours are not
     # numbered in the order of their values
     p, copy, _, other = case
     table = {}
-    colours = [signatures(q, table) for q in (other, p, copy)]
-    texts = colour_texts(table)
-    for q, cs in zip((other, p, copy), colours):
-        assert [texts[c] for c in cs] == [repr(v) for v in nested_signatures(q)]
+    for q in (other, p, copy):
+        signatures(q, table)
+    values = nested_colours(table)
+    rank = colour_ranks(table)
+    for colours in colour_rounds(values):
+        by_value = sorted(colours, key=values.__getitem__)
+        assert [rank[c] for c in by_value] == list(range(len(colours)))
 
 
 @st.composite
