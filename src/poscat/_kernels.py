@@ -1,5 +1,5 @@
 """Bitmask kernels: relation closure, counting and listing monotone maps into
-a poset, and growing chains.
+a poset, growing chains, and the one depth-first walker of every listing.
 
 Relations on k elements are handled as k row bitmasks (bit j of row i set iff
 i relates to j).  A target poset is read through two such tables: its up-rows
@@ -8,6 +8,13 @@ i relates to j).  A target poset is read through two such tables: its up-rows
 target with f[i] <= f[j] for each constraint pair (i, j).  The searches keep
 their state in explicit stacks, so their depth is not bounded by the
 interpreter's recursion limit.
+
+Every listing search walks `depth_first(n, options)`, which yields each tuple
+whose k-th entry is one of options(k, values): `list_maps` here, and
+`posets.linear_extensions`, `posets.coloured_isomorphisms` and the simplicial
+map search, each stating only its candidate rule.  `run_plan` is the one
+counting loop: it multiplies the counts of closed slots instead of listing
+them.
 
 Counting is split in two: `count_plan(n_slots, pairs)` fixes everything that
 does not depend on the target (the branching order and the slots closed at
@@ -184,43 +191,58 @@ def run_plan(plan, items):
 
 def list_maps(n_slots, up_rows, down_rows, pairs):
     """All maps into the poset with rows `up_rows` and `down_rows` that
-    satisfy `pairs`, as value tuples in lexicographic order.
-
-    Slots are assigned in index order, each checked against its constraints
-    to earlier slots, with an explicit stack.
-    """
-    if n_slots == 0:
-        return [()]
+    satisfy `pairs`, as value tuples in lexicographic order: slot s may take
+    each value that its constraints to slots before it allow."""
     tables = (down_rows, up_rows)
     full = (1 << len(up_rows)) - 1
     nbrs = _neighbours(n_slots, pairs)
-    back = [[(o, code) for o, code in nbrs[s] if o < s] for s in range(n_slots)]
-    values = [0] * n_slots
-    masks = [0] * n_slots
+    back = [[(o, tables[code]) for o, code in nbrs[s] if o < s] for s in range(n_slots)]
 
-    def allowed(s):
+    def options(s, values):
         mask = full
-        for o, code in back[s]:
-            mask &= tables[code][values[o]]
-        return mask
+        for o, rows in back[s]:
+            mask &= rows[values[o]]
+        return set_bits(mask)
 
-    out = []
-    s = 0
-    masks[0] = allowed(0)
-    while s >= 0:
-        mask = masks[s]
-        if not mask:
-            s -= 1
-            continue
-        bit = mask & -mask
-        masks[s] = mask ^ bit
-        values[s] = bit.bit_length() - 1
-        if s + 1 == n_slots:
-            out.append(tuple(values))
-            continue
-        s += 1
-        masks[s] = allowed(s)
-    return out
+    return list(depth_first(n_slots, options))
+
+
+def depth_first(n, options):
+    """Every tuple (v_0, ..., v_{n-1}) in which each v_k is one of
+    options(k, values), lazily, in the order the options list them, and
+    once, when n == 0, the empty tuple.  `values` holds v_0..v_{k-1} in its
+    first k entries; options may write values[k] as scratch, since the walk
+    sets it before reading it.  Each depth's iterator over its options is
+    kept on an explicit stack, so the depth is not bounded by the recursion
+    limit."""
+    values = [None] * n
+    if not n:
+        yield ()
+        return
+    last = n - 1
+    its = [None] * n
+    its[0] = iter(options(0, values))
+    k = 0
+    while k >= 0:
+        for v in its[k]:
+            values[k] = v
+            if k == last:
+                yield tuple(values)
+                continue
+            k += 1
+            its[k] = iter(options(k, values))
+            break
+        else:
+            k -= 1
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def set_bits(mask):
+    """The indices of the set bits of mask, ascending.  The same few masks
+    recur across the thousands of small posets the corpus colours and the
+    maps `list_maps` lists; the cache is bounded, not a table of all 2^n
+    masks, as a poset may be large."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def chain_levels(above, K):

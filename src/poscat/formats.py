@@ -11,7 +11,7 @@ import os
 
 from .colimits import PosetDiagram
 from .kan import FunctorPresentation, inclusion_functor, product_functor
-from .posets import FinPoset, MonotoneMap, make_poset
+from .posets import FinPoset, MonotoneMap, PosetError, make_poset
 from .simplicial import TruncatedSimplicialSet, simplex_label
 
 # Largest truncation level an sset header may declare, and the CLI's --trunc.
@@ -148,6 +148,12 @@ def parse_diagram(text, base_dir=None) -> PosetDiagram:
             edge_id, src_elem, dst_elem = tokens[1:]
             if edge_id not in edge_heads:
                 raise FormatError(f"map for undeclared edge {edge_id!r}", line_no)
+            src = edge_heads[edge_id][0]
+            try:
+                nodes[src].index(src_elem)
+            except PosetError:
+                message = f"map for edge {edge_id!r}: {src_elem!r} is not an element of node {src!r}"
+                raise FormatError(message, line_no) from None
             if src_elem in edge_maps[edge_id]:
                 raise FormatError(f"duplicate map entry for {src_elem!r}", line_no)
             edge_maps[edge_id][src_elem] = dst_elem
@@ -172,10 +178,9 @@ def parse_diagram(text, base_dir=None) -> PosetDiagram:
 def _resolve_poset(ref, inline, base_dir, line_no):
     if ref in inline:
         return inline[ref]
-    path = ref if os.path.isabs(ref) else os.path.join(base_dir or ".", ref)
+    path = os.path.join(base_dir or ".", ref)
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return parse_poset(fh.read())
+        return load_poset(path)
     raise FormatError(f"node payload {ref!r} is neither an inline poset nor a file", line_no)
 
 
@@ -298,12 +303,10 @@ def parse_functor(text, base_dir=None) -> FunctorPresentation:
     if args == ["inclusion"]:
         return inclusion_functor()
     if len(args) == 2 and args[0] == "product-with":
-        path = args[1] if os.path.isabs(args[1]) else os.path.join(base_dir or ".", args[1])
+        path = os.path.join(base_dir or ".", args[1])
         if not os.path.exists(path):
             raise FormatError(f"poset file {args[1]!r} not found", line_no)
-        with open(path, encoding="utf-8") as fh:
-            q = parse_poset(fh.read())
-        return product_functor(q)
+        return product_functor(load_poset(path))
     raise FormatError(
         "supported functor families: `inclusion`, `product-with <poset-file>`", line_no
     )

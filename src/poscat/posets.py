@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import _kernels
 
@@ -357,30 +357,18 @@ def count_monotone_maps(source, target):
 
 def linear_extensions(poset):
     """Every total order containing the poset, as FinPosets on the same
-    elements, in lexicographic order of their index sequences.  The search
-    keeps the next index to try at each depth on an explicit stack."""
+    elements, in lexicographic order of their index sequences: each place
+    takes the unplaced elements with nothing unplaced below them."""
     n = poset.n
     below = [poset.down_rows[i] & ~(1 << i) for i in range(n)]
-    remaining = (1 << n) - 1
-    seq = []
-    tried = [0]
-    out = [] if n else [chain_poset([])]
-    while tried:
-        i = tried[-1]
-        while i < n and not (remaining >> i & 1 and not below[i] & remaining):
-            i += 1
-        if i < n:
-            tried[-1] = i + 1
-            tried.append(0)
-            seq.append(i)
-            remaining ^= 1 << i
-            if not remaining:
-                out.append(chain_poset([poset.elements[k] for k in seq]))
-        else:
-            tried.pop()
-            if seq:
-                remaining ^= 1 << seq.pop()
-    return out
+
+    def options(k, seq):
+        free = (1 << n) - 1
+        for i in seq[:k]:
+            free ^= 1 << i
+        return [i for i in range(n) if free >> i & 1 and not below[i] & free]
+
+    return [chain_poset([poset.elements[i] for i in seq]) for seq in _kernels.depth_first(n, options)]
 
 
 def meet_of_extensions(poset, exts):
@@ -416,14 +404,6 @@ def split_retraction(f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap.from_dict(tgt, src, g)
 
 
-@lru_cache(maxsize=1 << 12)
-def _set_bits(mask):
-    """The indices of the set bits of mask, ascending.  The same few masks
-    recur across the thousands of small posets the corpus colours; the cache
-    is bounded, not a table of all 2^n masks, as a poset may be large."""
-    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
-
-
 def signatures(poset, table):
     """Isomorphism-invariant colour of each element, as a small int: its down-
     and up-set sizes, refined three times by the colours below and above it.
@@ -434,8 +414,8 @@ def signatures(poset, table):
     between posets coloured through the same table; there, two elements get
     equal colours iff their nested (own, below, above) values are equal, and
     `colour_ranks` orders those values."""
-    below = [_set_bits(row & ~(1 << i)) for i, row in enumerate(poset.down_rows)]
-    above = [_set_bits(row & ~(1 << i)) for i, row in enumerate(poset.up_rows)]
+    below = [_kernels.set_bits(row & ~(1 << i)) for i, row in enumerate(poset.down_rows)]
+    above = [_kernels.set_bits(row & ~(1 << i)) for i, row in enumerate(poset.up_rows)]
     colour = [table.setdefault((len(b) + 1, len(a) + 1), len(table)) for b, a in zip(below, above)]
     for _ in range(3):
         get = colour.__getitem__
@@ -484,35 +464,34 @@ def colour_ranks(table):
 def coloured_isomorphisms(p, q, sp, sq):
     """Order isomorphisms p -> q, lazily, by colour-pruned backtracking, each as
     the tuple of target indices of p's elements: sp and sq are the `signatures`
-    of p and q from one table.  The search keeps the next candidate to try at
-    each depth on an explicit stack."""
+    of p and q from one table.  Elements are placed fewest same-colour
+    candidates first, and a candidate is kept when it is unused and relates to
+    the images of the placed elements as the element does to them."""
     n = p.n
     if n != q.n or sorted(sp) != sorted(sq):
         return
     cands = [[j for j in range(n) if sq[j] == sp[i]] for i in range(n)]
     order = sorted(range(n), key=lambda i: (len(cands[i]), i))
-    assign = [-1] * n
-    tried = [0] * (n + 1)
-    k = 0
-    while k >= 0:
-        if k == n:
-            yield tuple(assign)
-        else:
-            i = order[k]
-            t = tried[k]
-            while t < len(cands[i]) and not (
-                cands[i][t] not in assign and _extends(p, q, order[:k], assign, i, cands[i][t])
-            ):
-                t += 1
-            if t < len(cands[i]):
-                tried[k] = t + 1
-                assign[i] = cands[i][t]
-                k += 1
-                tried[k] = 0
-                continue
-        k -= 1
-        if k >= 0:
-            assign[order[k]] = -1
+    place = sorted(range(n), key=order.__getitem__)  # the depth at which each element is placed
+
+    def options(k, images):
+        i = order[k]
+        used = up = down = 0
+        for i2, j2 in zip(order[:k], images):
+            bit = 1 << j2
+            used |= bit
+            if p.up_rows[i] >> i2 & 1:
+                up |= bit
+            if p.down_rows[i] >> i2 & 1:
+                down |= bit
+        return [
+            j
+            for j in cands[i]
+            if not used >> j & 1 and q.up_rows[j] & used == up and q.down_rows[j] & used == down
+        ]
+
+    for images in _kernels.depth_first(n, options):
+        yield tuple(map(images.__getitem__, place))
 
 
 def _isomorphism_search(p, q):
@@ -521,17 +500,6 @@ def _isomorphism_search(p, q):
     table = {}
     for assign in coloured_isomorphisms(p, q, signatures(p, table), signatures(q, table)):
         yield MonotoneMap(p, q, tuple(q.elements[a] for a in assign))
-
-
-def _extends(p, q, placed, assign, i, j):
-    """Whether sending i to j agrees with the order relations between i and
-    every element already placed."""
-    for i2 in placed:
-        if bool(p.up_rows[i] & (1 << i2)) != bool(q.up_rows[j] & (1 << assign[i2])):
-            return False
-        if bool(p.up_rows[i2] & (1 << i)) != bool(q.up_rows[assign[i2]] & (1 << j)):
-            return False
-    return True
 
 
 def isomorphisms(p, q):

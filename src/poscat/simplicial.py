@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ._kernels import depth_first
 from .delta import DeltaMap, Frozen, factorize, identity_instances
 from .posets import MonotoneMap, chain_levels
 
@@ -104,12 +105,6 @@ class TruncatedSimplicialSet:
         for value in table.values():
             if value not in cod:
                 raise SimplicialError(f"{what} at level {n_from} maps outside X_{n_to}")
-
-    def face(self, n, i, x):
-        return self.faces[(n, i)][x]
-
-    def deg(self, n, i, x):
-        return self.degeneracies[(n, i)][x]
 
     def identity_violations(self):
         """Instances of the dual simplicial identities that fail, if any: both
@@ -276,107 +271,76 @@ def _boundary_index(Y, n):
 
 
 def _assignments(X, Y):
-    """Every simplicial map X -> Y as its list of per-level dicts, in the
-    lexicographic order of the slots (level by level, X.levels order) over the
-    candidates (Y.levels order).
+    """Every simplicial map X -> Y as the tuple of its images, one per slot:
+    the simplices of X level by level, in X.levels order.  The tuples come in
+    lexicographic order over the candidates (Y.levels order), from
+    `depth_first`.
 
-    The walk keeps its slots on an explicit stack, so its depth is not bound
-    by the recursion limit. A level-0 slot may take any vertex of Y. A slot x
-    at level n >= 1 looks up the one bucket of Y's boundary index matching the
-    images of its faces; a degenerate x, whose image the degeneracy tables fix
-    from level n - 1, keeps that image only if it lies in the bucket. Once the
-    last face of a simplex is assigned, the walk backs off if that simplex's
-    bucket is empty: no completion could fill it, so the order of the maps
-    found is unchanged. The yielded dicts are the walker's own state: copy
-    them before the next step.
+    A level-0 slot may take any vertex of Y. A slot x at level n >= 1 looks
+    up the one bucket of Y's boundary index matching the images of its
+    faces; a degenerate x, whose image the degeneracy tables fix from level
+    n - 1, keeps that image only if it lies in the bucket. A candidate is
+    dropped when some simplex whose last face is this slot finds its bucket
+    empty: no completion could fill it, so the order of the maps found is
+    unchanged.
     """
     if X.K != Y.K:
         raise SimplicialError("source and target truncations differ")
-    K = X.K
-    comps = [dict() for _ in range(K + 1)]
-    index = [None] + [_boundary_index(Y, n) for n in range(1, K + 1)]
-    # one slot per simplex of X, level by level: (level, simplex, its faces)
-    slots = [(0, x, ()) for x in X.levels[0]]
-    for n in range(1, K + 1):
-        tables = [X.faces[(n, i)] for i in range(n + 1)]
-        slots.extend((n, x, tuple(t[x] for t in tables)) for x in X.levels[n])
-    if not slots:
-        yield comps
-        return
-    # lookahead: each simplex's bucket is checked at the slot of its last face
-    slot_of = {(n, x): s for s, (n, x, _) in enumerate(slots)}
-    ahead = [[] for _ in slots]
-    for n, x, faces in slots:
-        if n:
-            ahead[max(slot_of[n - 1, f] for f in faces)].append((index[n], faces))
-    forced = [None] * (K + 1)
+    # level 0 is indexed by its empty boundary, so every slot reads a bucket
+    index = [{(): list(Y.levels[0])}] + [_boundary_index(Y, n) for n in range(1, X.K + 1)]
+    # per slot: its bucket index, its face slots, the (degeneracy table of Y,
+    # slot) pairs that force its image, and the (bucket index, face slots)
+    # of the simplices whose last face it is
+    slot_of, slots = {}, []
+    for n, level in enumerate(X.levels):
+        tables = [X.faces[(n, i)] for i in range(n + 1)] if n else []
+        for x in level:
+            slot_of[n, x] = len(slots)
+            slots.append((index[n], tuple(slot_of[n - 1, t[x]] for t in tables), [], []))
+    for (n, i), table in X.degeneracies.items():
+        for xp, x in table.items():
+            slots[slot_of[n + 1, x]][2].append((Y.degeneracies[(n, i)], slot_of[n, xp]))
+    for bucket_of, faces, _, _ in slots:
+        if faces:
+            slots[max(faces)][3].append((bucket_of, faces))
 
-    def forced_at(n):
-        """Images the degeneracies fix at level n, or None when they clash."""
-        out = {}
-        below = comps[n - 1]
-        for i in range(n):
-            tgt_tab = Y.degeneracies[(n - 1, i)]
-            for xp, x in X.degeneracies[(n - 1, i)].items():
-                want = tgt_tab[below[xp]]
-                if out.setdefault(x, want) != want:
-                    return None
+    def options(s, values):
+        bucket_of, faces, forced, checks = slots[s]
+        bucket = bucket_of.get(tuple(map(values.__getitem__, faces)), ())
+        if forced:
+            wants = {table[values[xp]] for table, xp in forced}
+            y = wants.pop()
+            bucket = (y,) if not wants and y in bucket else ()
+        if not checks:
+            return bucket
+        out = []
+        for y in bucket:
+            values[s] = y  # scratch: the walk sets values[s] again before reading it
+            if all(tuple(map(values.__getitem__, f)) in up for up, f in checks):
+                out.append(y)
         return out
 
-    def options(s):
-        n, x, faces = slots[s]
-        if n == 0:
-            return Y.levels[0]
-        if slots[s - 1][0] != n:
-            forced[n] = forced_at(n)
-        if forced[n] is None:
-            return ()
-        below = comps[n - 1]
-        bucket = index[n].get(tuple(map(below.__getitem__, faces)), ())
-        if x in forced[n]:
-            y = forced[n][x]
-            return (y,) if y in bucket else ()
-        return bucket
-
-    last = len(slots) - 1
-    opts = [()] * len(slots)
-    pos = [0] * len(slots)
-    s = 0
-    opts[0] = options(0)
-    while s >= 0:
-        k = pos[s]
-        if k == len(opts[s]):
-            s -= 1
-            continue
-        pos[s] = k + 1
-        n, x, _ = slots[s]
-        comp = comps[n]
-        comp[x] = opts[s][k]
-        checks = ahead[s]
-        if checks and any(tuple(map(comp.__getitem__, faces)) not in up for up, faces in checks):
-            continue
-        if s == last:
-            yield comps
-            continue
-        s += 1
-        opts[s] = options(s)
-        pos[s] = 0
+    return depth_first(len(slots), options)
 
 
 def iter_simplicial_maps(X, Y):
-    """The simplicial maps X -> Y one at a time, in the walker's lexicographic
-    order.
+    """The simplicial maps X -> Y one at a time, in lexicographic order of
+    their images over the simplices of X (level by level, X.levels order).
 
-    Candidates come from a boundary index of Y built afresh for each call
-    (one dict per level n >= 1 from (d_0 y, ..., d_n y) to the simplices y
-    with that boundary), and the walk over the simplices of X runs on an
-    explicit stack. Each assignment found is built as a validated
-    `SimplicialMap`, which re-checks that it commutes with every face and
-    degeneracy table. This is one of the walk's two consumers; the other,
-    `count_simplicial_maps`, only counts.
+    The walk is `_kernels.depth_first` over the simplices of X, each taking
+    its candidates from a boundary index of Y built afresh for each call (one
+    dict per level n >= 1 from (d_0 y, ..., d_n y) to the simplices y with
+    that boundary).  Each tuple of images found is cut into per-level dicts
+    and built as a validated `SimplicialMap`, which re-checks that it
+    commutes with every face and degeneracy table.
     """
-    for comps in _assignments(X, Y):
-        yield SimplicialMap(X, Y, comps)
+    bounds = [0]
+    for level in X.levels:
+        bounds.append(bounds[-1] + len(level))
+    for images in _assignments(X, Y):
+        yield SimplicialMap(
+            X, Y, [dict(zip(level, images[a:b])) for level, a, b in zip(X.levels, bounds, bounds[1:])]
+        )
 
 
 def simplicial_maps(X, Y):
@@ -387,5 +351,6 @@ def simplicial_maps(X, Y):
 
 def count_simplicial_maps(X, Y):
     """The number of simplicial maps X -> Y: the walk of `iter_simplicial_maps`
-    (boundary index, explicit stack), counted without building any map."""
+    (boundary index, `_kernels.depth_first`), counting its tuples of images
+    without building any dict or map."""
     return sum(1 for _ in _assignments(X, Y))

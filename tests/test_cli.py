@@ -148,6 +148,12 @@ def test_colimit_exit_codes(tmp_path, capsys):
     assert run(["colimit", "--diagram", str(glue), "--in", "delta"]) == 0
     text = capsys.readouterr().out
     assert "leg A" in text
+    ghost = tmp_path / "ghost.diag"
+    ghost.write_text(TWO_POINTS + "edge f A B\nmap f x x\nmap f ghost x\n", encoding="utf-8")
+    assert run(["colimit", "--diagram", str(ghost), "--in", "pos", "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 8: map for edge 'f': 'ghost' is not an element of node 'A'\n"
 
 
 def test_extensions_command(v_file, capsys):

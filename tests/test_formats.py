@@ -85,6 +85,9 @@ def test_parse_diagram_file_reference(tmp_path):
     text = "diagram one\nnode P v.poset\n"
     d = parse_diagram(text, base_dir=str(tmp_path))
     assert d.nodes["P"].n == 3
+    # an absolute path is read as it stands, whatever the base directory
+    absolute = parse_diagram(f"diagram one\nnode P {tmp_path / 'v.poset'}\n", base_dir="elsewhere")
+    assert absolute.nodes["P"] == d.nodes["P"]
 
 
 def test_parse_diagram_errors():
@@ -98,6 +101,13 @@ def test_parse_diagram_errors():
     missing_map = DIAGRAM_TEXT.replace("map g x lo\n", "")
     with pytest.raises(FormatError):
         parse_diagram(missing_map)
+
+
+def test_map_lines_name_elements_of_the_source_node():
+    text = "poset pt\nelem x\ndiagram twopoints\nnode A pt\nnode B pt\nedge f A B\nmap f x x\nmap f ghost x\n"
+    message = "line 8: map for edge 'f': 'ghost' is not an element of node 'A'"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_diagram(text)
 
 
 def test_inline_poset_errors_cite_the_file_line():
@@ -181,7 +191,9 @@ def test_parse_functor(tmp_path):
     (tmp_path / "q.poset").write_text("poset q\nelem 0 1\nle 0 1\n", encoding="utf-8")
     g = parse_functor("functor product-with q.poset\n", base_dir=str(tmp_path))
     assert g.obj(0).n == 2
+    h = parse_functor(f"functor product-with {tmp_path / 'q.poset'}\n", base_dir="elsewhere")
+    assert h.obj(1).n == 4
     with pytest.raises(FormatError):
         parse_functor("functor mystery\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^line 1: poset file 'nowhere.poset' not found$"):
         parse_functor("functor product-with nowhere.poset\n")

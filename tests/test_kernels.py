@@ -11,6 +11,7 @@ from poscat._kernels import (
     backend,
     chain_levels,
     count_plan,
+    depth_first,
     list_maps,
     run_plan,
     transitive_closure,
@@ -148,6 +149,25 @@ def test_list_maps_runs_deep_chains():
     # 3000 chained slots into a one-element target: deeper than the recursion limit
     pairs = [(k, k + 1) for k in range(2999)]
     assert list_maps(3000, (1,), (1,), pairs) == [(0,) * 3000]
+
+
+def test_depth_first_walks_the_options_in_order():
+    # independent option lists: the walk is itertools.product
+    for opts in ([[2, 0], [5, 3, 4], [1]], [["a"]] * 4, [[0, 1], [0, 1, 2]]):
+        got = list(depth_first(len(opts), lambda k, values: opts[k]))
+        assert got == list(itertools.product(*opts))
+    # options that depend on the values before them: strictly decreasing
+    # triples below 5, each entry tried from the top down
+    got = list(depth_first(3, lambda k, values: range(values[k - 1] - 1 if k else 4, -1, -1)))
+    assert got == sorted((c[::-1] for c in itertools.combinations(range(5), 3)), reverse=True)
+    # no slots: the one empty tuple; an empty option list: nothing
+    assert list(depth_first(0, lambda k, values: [1])) == [()]
+    assert list(depth_first(3, lambda k, values: [] if k == 1 else [0, 1])) == []
+
+
+def test_depth_first_runs_deeper_than_the_recursion_limit():
+    got = list(depth_first(5000, lambda k, values: (values[k - 1] + 1 if k else 0,)))
+    assert got == [tuple(range(5000))]
 
 
 def test_count_handles_disconnected_slots():

@@ -118,6 +118,21 @@ def test_linear_extensions_counts():
     assert [e.sorted_by_order() for e in exts] == [("a", "b", "c"), ("b", "a", "c")]
 
 
+def test_linear_extensions_in_lexicographic_order():
+    # every permutation of the indices that puts nothing after an element
+    # below it, in itertools.permutations order
+    rng = random.Random(29)
+    for base in all_posets(5):
+        for p in (base, shuffled(base, rng)):
+            want = [
+                seq
+                for seq in itertools.permutations(range(p.n))
+                if not any(p.up_rows[b] >> a & 1 for a, b in itertools.combinations(seq, 2))
+            ]
+            got = [tuple(map(p.index, ext.sorted_by_order())) for ext in linear_extensions(p)]
+            assert got == want
+
+
 def test_linear_extensions_are_extensions():
     p = v_poset()
     for ext in linear_extensions(p):
@@ -270,15 +285,26 @@ def relabelled_pairs(draw):
 
 
 def brute_isomorphisms(p, q):
+    """Every order isomorphism p -> q as the tuple of target indices of p's
+    elements, sorted by its images in the search's placement order: fewest
+    same-colour candidates first, then index, with p and q coloured through
+    one `signatures` table."""
+    if p.n != q.n:
+        return []
+    table = {}
+    sp, sq = signatures(p, table), signatures(q, table)
+    order = sorted(range(p.n), key=lambda i: (sq.count(sp[i]), i))
     return sorted(
-        tuple(q.elements[a] for a in perm)
-        for perm in itertools.permutations(range(q.n))
-        if p.n == q.n
-        and all(
-            bool(p.up_rows[i] >> j & 1) == bool(q.up_rows[perm[i]] >> perm[j] & 1)
-            for i in range(p.n)
-            for j in range(p.n)
-        )
+        (
+            perm
+            for perm in itertools.permutations(range(q.n))
+            if all(
+                bool(p.up_rows[i] >> j & 1) == bool(q.up_rows[perm[i]] >> perm[j] & 1)
+                for i in range(p.n)
+                for j in range(p.n)
+            )
+        ),
+        key=lambda perm: [perm[i] for i in order],
     )
 
 
@@ -296,7 +322,8 @@ def test_relabelling_permutes_colours(case):
 def test_isomorphisms_match_brute_force(case):
     p, copy, _, other = case
     for q in (copy, other):
-        assert sorted(iso.values for iso in isomorphisms(p, q)) == brute_isomorphisms(p, q)
+        got = [tuple(map(q.index, iso.values)) for iso in isomorphisms(p, q)]
+        assert got == brute_isomorphisms(p, q)
 
 
 @settings(max_examples=40, deadline=None)

@@ -49,8 +49,8 @@ def test_nerve_antichain_level_two():
 
 def test_nerve_faces_and_degeneracies_by_position():
     X = nerve(three_chain(), 2)
-    assert X.face(2, 1, ("0", "1", "2")) == ("0", "2")
-    assert X.deg(1, 0, ("0", "2")) == ("0", "0", "2")
+    assert X.faces[(2, 1)][("0", "1", "2")] == ("0", "2")
+    assert X.degeneracies[(1, 0)][("0", "2")] == ("0", "0", "2")
 
 
 def test_nerve_tables_hold_the_simplices_of_their_levels():
