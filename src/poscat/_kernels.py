@@ -17,12 +17,14 @@ counting loop: it multiplies the counts of closed slots instead of listing
 them.
 
 Counting is split in two: `count_plan(n_slots, pairs)` fixes everything that
-does not depend on the target (the branching order and the slots closed at
-each level), and `run_plan(plan, items)` runs that plan against a batch of
-targets, each item holding a target's up- and down-rows and, optionally, a
-mask of allowed values per slot.  A caller counting one constraint set into
-many targets builds the plan once and passes every target in one call, so
-the plan is unpacked and the search state allocated once per batch.
+does not depend on the target (the branching order, the slots closed at each
+level and where the count of the remaining levels may be memoized), and
+`run_plan(plan, items)` runs that plan against a batch of targets, each item
+holding a target's up- and down-rows and, optionally, a mask of allowed
+values per slot.  A caller counting one constraint set into many targets
+builds the plan once and passes every target in one call, so the plan is
+unpacked and the search state allocated once per batch.  `hasse_plan`
+builds the plan of a preorder from its Hasse diagram.
 
 Chains are not searched for: `chain_levels` grows the (n+1)-tuples of a
 relation from its n-tuples, one successor at a time.
@@ -76,14 +78,14 @@ def meet_rows(tables, at):
 
 def _neighbours(n_slots, pairs):
     """Per-slot constraint lists: nbrs[s] lists (o, code) for every pair
-    between s and o, where code 0 (s <= o) or 1 (o <= s) picks the row table,
-    down-rows or up-rows, that gives the values allowed for s once o holds a
-    value.  A self-pair holds in every poset; it makes s its own neighbour,
-    which neither search reads."""
+    between s and another slot o, where code 0 (s <= o) or 1 (o <= s) picks
+    the row table, down-rows or up-rows, that gives the values allowed for s
+    once o holds a value.  A self-pair holds in every poset and is left out."""
     nbrs = [[] for _ in range(n_slots)]
     for i, j in pairs:
-        nbrs[i].append((j, 0))
-        nbrs[j].append((i, 1))
+        if i != j:
+            nbrs[i].append((j, 0))
+            nbrs[j].append((i, 1))
     return nbrs
 
 
@@ -91,16 +93,26 @@ def count_plan(n_slots, pairs):
     """The target-independent part of counting the maps that satisfy `pairs`.
 
     The search branches on one slot per level, always the unassigned slot
-    with most assigned neighbours (ties to the lower index).  A slot whose
-    neighbours are all assigned is closed instead: it contributes its number
-    of allowed values as a factor, so tree-shaped constraint graphs are
-    counted without enumerating every function.  Which slots are assigned
-    at each level does not depend on the values, so the whole order is fixed
-    here.  The plan is (free, levels): the unconstrained slots, and per level
-    the branch slot and the slots closed after it, each as (slot, cons) with
-    cons the (level, code) pairs it must satisfy.
+    with most assigned neighbours; ties go to the slot with most neighbours
+    (the hub, whose value closes its leaves), then to the lower index, so
+    the depth of a plan follows the shape of the constraint graph, not the
+    names of its slots.  A slot whose neighbours are all assigned is closed
+    instead: it contributes its number of allowed values as a factor, so a
+    star is counted in one level, its leaves never enumerated.  Which slots
+    are assigned at each level does not depend on the values, so the whole
+    order is fixed here.
+
+    The plan is (free, levels): the unconstrained slots, and per level
+    (branch, closed, frontier): the branch slot and the slots closed after
+    it, each as (slot, cons) with cons the (level, code) pairs it must
+    satisfy, and the levels before it that this level or a later one reads.
+    The count of the remaining levels depends only on the frontier's values,
+    so `run_plan` memoizes it by them; the frontier is None where it holds
+    every earlier level, since each prefix of values is then met once.
     """
     nbrs = _neighbours(n_slots, pairs)
+    degree = [len({o for o, _ in nbr}) for nbr in nbrs]
+    assigned = [0] * n_slots  # per slot, its constraints to assigned slots
     level_of = [-1] * n_slots
     todo = {s for s in range(n_slots) if nbrs[s]}
     free = tuple(s for s in range(n_slots) if not nbrs[s])
@@ -110,14 +122,51 @@ def count_plan(n_slots, pairs):
 
     levels = []
     while todo:
-        s = min(todo, key=lambda t: (-sum(1 for o, _ in nbrs[t] if level_of[o] >= 0), t))
+        s = min(todo, key=lambda t: (-assigned[t], -degree[t], t))
         branch = entry(s)
         level_of[s] = len(levels)
         todo.discard(s)
-        closed = [t for t in sorted(todo) if all(level_of[o] >= 0 for o, _ in nbrs[t])]
+        for o, _ in nbrs[s]:
+            assigned[o] += 1
+        closed = [t for t in sorted(todo) if assigned[t] == len(nbrs[t])]
         todo.difference_update(closed)
         levels.append((branch, tuple(entry(t) for t in closed)))
-    return free, tuple(levels)
+
+    read = set()  # the levels read by level k or a later one
+    planned = []
+    for k in reversed(range(len(levels))):
+        branch, closed = levels[k]
+        read.update(level for _, cons in (branch, *closed) for level, _ in cons)
+        frontier = tuple(sorted(j for j in read if j < k))
+        planned.append((branch, closed, frontier if len(frontier) < k else None))
+    return free, tuple(reversed(planned))
+
+
+def hasse_plan(closed):
+    """The plan of a reflexive-transitive relation on slots (row bitmasks),
+    compiled from its Hasse diagram.  Into a poset, a map satisfies such a
+    relation exactly when it is constant on each class of equivalent slots
+    and monotone on the poset of classes, that is, on its cover pairs; so
+    the plan has one slot per class, in the order of their least members,
+    and one pair per cover, and counts as a plan of `closed` itself would."""
+    n = len(closed)
+    cols = transpose(closed, n)
+    above = [row & ~col for row, col in zip(closed, cols)]  # strictly above
+    reps = [s for s in range(n) if not closed[s] & cols[s] & ((1 << s) - 1)]
+    index = {r: k for k, r in enumerate(reps)}
+    pairs = []
+    for k, r in enumerate(reps):
+        beyond = 0
+        for s in set_bits(above[r]):
+            beyond |= above[s]
+        pairs += [(k, index[t]) for t in set_bits(above[r] & ~beyond) if t in index]
+    return count_plan(len(reps), pairs)
+
+
+def _constant_key(values):
+    """The memo key of an empty frontier: the count of the remaining levels
+    is then the same after every prefix."""
+    return None
 
 
 def run_plan(plan, items):
@@ -128,16 +177,29 @@ def run_plan(plan, items):
     unless domains is None, a mask of the values allowed for each slot.  The
     plan is unpacked and the search state allocated once for the batch; each
     item is then run depth first with an explicit stack, one level per branch
-    slot.
+    slot, each level summing the counts below its values.  At a level with a
+    frontier, the count of the remaining levels is memoized by the
+    frontier's values, in one dict per level that is cleared for each item;
+    so a path or a tree of constraints costs O(levels x n^2) per target, not
+    one step per map.
     """
     free, levels = plan
     depth = len(levels)
-    branches = [branch for branch, _ in levels]
-    closed = [after for _, after in levels]
+    last = depth - 1
+    branches = [branch for branch, _, _ in levels]
+    closed = [after for _, after, _ in levels]
+    getters = [
+        None if f is None else operator.itemgetter(*f) if f else _constant_key
+        for _, _, f in levels
+    ]
+    memo_of = [None if get is None else {} for get in getters]
+    memos = [memo for memo in memo_of if memo is not None]
     n_slots = len(free) + depth + sum(map(len, closed))
     values = [0] * depth
     masks = [0] * depth
-    prods = [0] * depth
+    facs = [0] * depth
+    sums = [0] * depth
+    keys = [None] * depth
     out = []
     for up_rows, down_rows, domains in items:
         full = (1 << len(up_rows)) - 1
@@ -152,40 +214,57 @@ def run_plan(plan, items):
         if not depth or not prod:
             out.append(prod)
             continue
+        for memo in memos:
+            memo.clear()
         tables = (down_rows, up_rows)
-        total = 0
         k = 0
         masks[0] = start[branches[0][0]]  # the first branch slot has no constraint yet
-        prods[0] = prod
-        while k >= 0:
+        sums[0] = 0
+        while True:
             mask = masks[k]
-            if not mask:
-                k -= 1
-                continue
-            bit = mask & -mask
-            masks[k] = mask ^ bit
-            values[k] = bit.bit_length() - 1
-            p = prods[k]
-            for s, cons in closed[k]:
+            if mask:
+                bit = mask & -mask
+                masks[k] = mask ^ bit
+                values[k] = bit.bit_length() - 1
+                p = 1
+                for s, cons in closed[k]:
+                    m = start[s]
+                    for level, code in cons:
+                        m &= tables[code][values[level]]
+                    p *= m.bit_count()
+                    if not p:
+                        break
+                if not p:
+                    continue
+                if k == last:
+                    sums[k] += p
+                    continue
+                j = k + 1
+                get = getters[j]
+                if get is not None:
+                    key = get(values)
+                    known = memo_of[j].get(key)
+                    if known is not None:
+                        sums[k] += p * known
+                        continue
+                    keys[j] = key
+                facs[k] = p
+                sums[j] = 0
+                s, cons = branches[j]
                 m = start[s]
                 for level, code in cons:
                     m &= tables[code][values[level]]
-                p *= m.bit_count()
-                if not p:
-                    break
-            if not p:
-                continue
-            if k + 1 == depth:
-                total += p
-                continue
-            k += 1
-            prods[k] = p
-            s, cons = branches[k]
-            m = start[s]
-            for level, code in cons:
-                m &= tables[code][values[level]]
-            masks[k] = m
-        out.append(total)
+                masks[j] = m
+                k = j
+            elif k:
+                below = sums[k]
+                if getters[k] is not None:
+                    memo_of[k][keys[k]] = below
+                k -= 1
+                sums[k] += facs[k] * below
+            else:
+                break
+        out.append(prod * sums[0])
     return out
 
 

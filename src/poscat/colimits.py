@@ -261,8 +261,10 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     keyed by that closure, and lists with one closure are counted once; when
     the candidate is the colimit, both lists of every component close to the
     same relation.  Counting is shape-major: each distinct closure is
-    compiled once into a plan, from the first list that has it, and run in
-    one batch against every target's cached up- and down-rows, so a call
+    compiled once into a plan from its Hasse diagram (`_kernels.hasse_plan`:
+    one slot per class of equivalent slots, one pair per cover), which is
+    as shallow as the shape allows whatever the lists that gave it, and run
+    in one batch against every target's cached up- and down-rows, so a call
     runs `run_plan` once per distinct closure.  The counts live for this
     call only.
 
@@ -301,10 +303,10 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
                 extra += [(rep_slot[a], slot), (slot, rep_slot[a])]
         extra += [(rep_slot[i], rep_slot[j]) for i, j in apex.leq_pairs]
         good_pairs = node_pairs + extra
-        shapes = {}  # closure -> (shape id, slot count, the first list with that closure)
+        shapes = {}  # closure -> shape id
 
         def shape_of(size, pairs):
-            return shapes.setdefault(_closure(size, pairs), (len(shapes), size, pairs))[0]
+            return shapes.setdefault(_closure(size, pairs), len(shapes))
 
         jobs = []
         for comp in sorted(_partition(range(n), good_pairs)):
@@ -316,10 +318,7 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
         targets = all_posets(apex_size_bound)
         items = [(t.up_rows, t.down_rows, None) for t in targets]
         # per shape id, per target
-        counts = [
-            _kernels.run_plan(_kernels.count_plan(size, pairs), items)
-            for _, size, pairs in shapes.values()
-        ]
+        counts = [_kernels.run_plan(_kernels.hasse_plan(closed), items) for closed in shapes]
 
         # the legs are jointly epic, so a mediating map is unique when it exists
         for t, target in enumerate(targets):

@@ -280,13 +280,18 @@ def brute_force_universal(diagram, candidate, bound):
         exists = unique = True
         for legs in itertools.product(*choices):
             legs = dict(zip(node_ids, legs))
-            if any(legs[d].compose(f) != legs[s] for _, s, d, f in diagram.edges):
+            # composites compared by their values: every map here has the
+            # source and target the comparison needs
+            if any(tuple(map(legs[d], f.values)) != legs[s].values for _, s, d, f in diagram.edges):
                 continue
             cocones += 1
             count = sum(
                 1
                 for u in mediators
-                if all(u.compose(candidate.legs[nid]) == legs[nid] for nid in node_ids)
+                if all(
+                    tuple(map(u, candidate.legs[nid].values)) == legs[nid].values
+                    for nid in node_ids
+                )
             )
             exists = exists and count > 0
             unique = unique and count < 2
@@ -431,6 +436,23 @@ def test_verify_universal_many_unhit_elements():
         ("P2.0", 2, True, False),
         ("P2.1", 2, True, False),
     ]
+    assert report.witness.endswith("more than one mediating map")
+
+
+def test_verify_universal_long_unhit_chain():
+    # [1] into an apex that adds a chain of k unhit elements above its top:
+    # a completion is unique exactly when the top's image is maximal, for
+    # every k >= 1, so the verdicts at k = 40 are brute force's at k = 2.
+    # The plan over the chain is a path, whose frontier memo counts each
+    # target's completions in O(k x n^2) rather than one step per chain.
+    diagram = PosetDiagram(nodes={"A": ordinal_poset(1)}, edges=[])
+
+    def candidate(k):
+        apex = ordinal_poset(k + 1)
+        return Cocone(diagram, apex, {"A": MonotoneMap(diagram.nodes["A"], apex, ("0", "1"))})
+
+    report = verify_universal(diagram, candidate(40), 6)
+    assert verdicts(report) == brute_force_universal(diagram, candidate(2), 6)
     assert report.witness.endswith("more than one mediating map")
 
 

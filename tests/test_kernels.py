@@ -12,6 +12,7 @@ from poscat._kernels import (
     chain_levels,
     count_plan,
     depth_first,
+    hasse_plan,
     list_maps,
     run_plan,
     transitive_closure,
@@ -145,6 +146,68 @@ def test_batched_runs_match_the_naive_count(data):
     assert [run_plan(plan, [item])[0] for item in items] == expected
 
 
+def tree_count(n_slots, pairs, target, domains):
+    """Independent oracle for a forest of constraints: eliminate one leaf at
+    a time, folding into its neighbour's weight per value the number of the
+    leaf's values that the pair between them allows."""
+    up = target.up_rows
+    weight = [
+        [int(domains is None or domains[s] >> v & 1) for v in range(target.n)]
+        for s in range(n_slots)
+    ]
+    edges = {s: [] for s in range(n_slots)}
+    for i, j in pairs:
+        edges[i].append((j, i, j))
+        edges[j].append((i, i, j))
+    total = 1
+    while edges:
+        leaf = next(s for s in edges if len(edges[s]) <= 1)
+        if not edges[leaf]:
+            total *= sum(weight[leaf])
+        else:
+            ((u, i, j),) = edges[leaf]
+            for x in range(target.n):
+                weight[u][x] *= sum(
+                    w
+                    for y, w in enumerate(weight[leaf])
+                    if (up[y] >> x if i == leaf else up[x] >> y) & 1
+                )
+            edges[u].remove((leaf, i, j))
+        del edges[leaf]
+    return total
+
+
+def test_memoized_runs_count_paths_and_trees():
+    # paths and random trees of 6-10 slots under shuffled names, with and
+    # without domains: the plans hold frontier levels, so the memo is what
+    # keeps these counts from enumerating every map
+    rng = random.Random(29)
+    targets = poset_targets(rng)
+    memoized_trees = 0
+    for round_ in range(60):
+        path = round_ % 2
+        n_slots = rng.randint(6, 10)
+        names = rng.sample(range(n_slots), n_slots)
+        pairs = []
+        for s in range(1, n_slots):
+            other = s - 1 if path else rng.randrange(s)
+            i, j = (other, s) if rng.random() < 0.5 else (s, other)
+            pairs.append((names[i], names[j]))
+        plan = count_plan(n_slots, pairs)
+        memoized = any(frontier is not None for _, _, frontier in plan[1])
+        if path:
+            assert memoized
+        else:
+            memoized_trees += memoized
+        batch = []
+        for target in rng.sample(targets, 6):
+            masks = [rng.randrange(1 << target.n) for _ in range(n_slots)]
+            batch.append((target, None if rng.random() < 0.5 else masks))
+        expected = [tree_count(n_slots, pairs, t, d) for t, d in batch]
+        assert run_plan(plan, [(t.up_rows, t.down_rows, d) for t, d in batch]) == expected
+    assert memoized_trees >= 20
+
+
 def test_list_maps_runs_deep_chains():
     # 3000 chained slots into a one-element target: deeper than the recursion limit
     pairs = [(k, k + 1) for k in range(2999)]
@@ -217,9 +280,8 @@ def same_closure(rng, n_slots, pairs):
 
 
 def test_equal_closures_count_alike_into_posets():
-    # verify_universal counts a pair list once per closure, with the plan of
-    # the first list that has it: into a poset, lists with one closure have
-    # the same solutions
+    # verify_universal counts a pair list once per closure: into a poset,
+    # lists with one closure have the same solutions
     rng = random.Random(17)
     targets = poset_targets(rng)
     seen = {}  # closure -> solution counts into every target
@@ -242,3 +304,39 @@ def test_equal_closures_count_alike_into_posets():
             inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
             assert run_plan(plan, [(target.up_rows, target.down_rows, domains)]) == [len(inside)]
     assert len(seen) < 40  # lists drawn in different rounds shared a closure
+
+
+def test_hasse_plans_keep_the_count():
+    # verify_universal compiles each closure from its Hasse diagram, with
+    # one slot per class of equivalent slots: the count is the pair list's
+    rng = random.Random(41)
+    targets = poset_targets(rng)
+    items = [(t.up_rows, t.down_rows, None) for t in targets]
+    for _ in range(30):
+        n_slots = rng.randint(1, 5)
+        pairs = []
+        for _ in range(rng.randint(0, 2 * n_slots)):
+            i, j = rng.randrange(n_slots), rng.randrange(n_slots)
+            pairs += [(i, j), (j, i)] if rng.random() < 0.3 else [(i, j)]
+        if rng.random() < 0.3:  # a cycle through every slot: one class
+            pairs += [(s, (s + 1) % n_slots) for s in range(n_slots)]
+        plan = hasse_plan(_closure(n_slots, pairs))
+        assert run_plan(plan, items) == [len(naive_maps(n_slots, t, pairs)) for t in targets]
+
+
+def depth(plan):
+    return len(plan[1])
+
+
+def test_plan_depth_ignores_names():
+    # hub first: the branching order follows the shape, so every relabelling
+    # of a poset's cover pairs gets a plan of one depth
+    for poset in all_posets(5):
+        depths = {
+            depth(count_plan(poset.n, [(perm[i], perm[j]) for i, j in poset.cover_pairs]))
+            for perm in itertools.permutations(range(poset.n))
+        }
+        assert len(depths) == 1, poset.name
+    assert depth(count_plan(3, [(0, 2), (1, 2)])) == 1  # the V: its hub closes both leaves
+    assert depth(hasse_plan((0b111, 0b110, 0b100))) == 1  # the 3-chain's closure is a path
+    assert depth(hasse_plan((0b1111, 0b1110, 0b1100, 0b1000))) == 2
