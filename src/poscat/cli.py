@@ -149,9 +149,9 @@ def _check_comma_budget(poset):
 def _check_map_work(p, q, n_mono, K):
     """Refuse, before searching, a count of the simplicial maps N(p) -> N(q) at
     truncation K that would take more than MAX_MAP_WORK steps: the maps found,
-    each met after one step per simplex of N(p).  At K = 0 every function
-    p -> q is one; at K >= 1 the monotone maps are, if the nerve is fully
-    faithful, which is what `homcount` tests."""
+    each met after at most one step per simplex of N(p).  At K = 0 every
+    function p -> q is one; at K >= 1 the monotone maps are, if the nerve is
+    fully faithful, which is what `homcount` tests."""
     maps = n_mono if K >= 1 else q.n**p.n
     work = maps * sum(chain_counts(p, K))
     if work > MAX_MAP_WORK:

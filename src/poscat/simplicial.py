@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+from operator import itemgetter
+
 from ._kernels import depth_first
 from .delta import DeltaMap, Frozen, factorize, identity_instances
 from .posets import MonotoneMap, chain_levels
@@ -260,87 +265,153 @@ def nerve_map(f: MonotoneMap, K) -> SimplicialMap:
     return SimplicialMap(src, tgt, comps)
 
 
-def _boundary_index(Y, n):
-    """Level n of Y bucketed by boundary (d_0 y, ..., d_n y), each bucket in
-    Y.levels[n] order."""
+def _boundary_index(Y, n, pos):
+    """Level n of Y bucketed by boundary: the key of a simplex y is the tuple
+    of the positions of d_0 y, ..., d_n y in Y.levels[n - 1] (`pos[n - 1]`),
+    and bit j of a key's mask is set iff Y.levels[n][j] has that boundary."""
     tables = [Y.faces[(n, i)] for i in range(n + 1)]
+    below = pos[n - 1]
     index = {}
-    for y in Y.levels[n]:
-        index.setdefault(tuple(t[y] for t in tables), []).append(y)
+    for j, y in enumerate(Y.levels[n]):
+        key = tuple(below[t[y]] for t in tables)
+        index[key] = index.get(key, 0) | 1 << j
     return index
 
 
-def _assignments(X, Y):
-    """Every simplicial map X -> Y as the tuple of its images, one per slot:
-    the simplices of X level by level, in X.levels order.  The tuples come in
-    lexicographic order over the candidates (Y.levels order), from
-    `depth_first`.
+def _check_table(index, n, at):
+    """The lookahead check of a simplex at level n whose faces at positions
+    `at` are one slot, its last: the images of its other faces, read as
+    `itemgetter` reads them (one image bare, several as a tuple, none as ()),
+    map to the mask of the values that slot may take so that the simplex's
+    bucket in `index` is not empty."""
+    rest = [i for i in range(n + 1) if i not in at]
+    other = itemgetter(*rest) if rest else lambda key: ()
+    table = {}
+    for key in index:
+        y = key[at[0]]
+        if all(key[i] == y for i in at):
+            table[other(key)] = table.get(other(key), 0) | 1 << y
+    return table
 
-    A level-0 slot may take any vertex of Y. A slot x at level n >= 1 looks
-    up the one bucket of Y's boundary index matching the images of its
-    faces; a degenerate x, whose image the degeneracy tables fix from level
-    n - 1, keeps that image only if it lies in the bucket. A candidate is
-    dropped when some simplex whose last face is this slot finds its bucket
-    empty: no completion could fill it, so the order of the maps found is
-    unchanged.
+
+def _positions(mask):
+    """The set bits of mask, ascending, one step per set bit, so that a mask
+    over a wide level costs only its popcount."""
+    if not mask & (mask - 1):
+        return [mask.bit_length() - 1] if mask else []
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _assignments(X, Y):
+    """Every simplicial map X -> Y, in the bitmask form of `list_maps`: the
+    simplices of X are the slots, level by level in X.levels order, and a
+    slot at level n takes positions in Y.levels[n].  Yields, for each
+    assignment of levels 0..K-1 (the head) that leaves every top-level slot
+    a candidate, the pair (head, masks): the head's positions, slot by slot,
+    and per slot of level K the mask of the positions it may take.  Those
+    masks are independent, since a top-level simplex is a face of nothing,
+    so the maps with that head are their ordered product; heads come in
+    lexicographic order from `depth_first`, and so do the maps.
+
+    A slot's mask is the AND of masks looked up by the images of slots
+    before it:
+    - its bucket in Y's boundary index, by the images of its faces (a
+      vertex's bucket is every vertex of Y);
+    - for each degeneracy s_i x' = x, the one bit of s_i of the image of
+      x', so that images forced twice must agree;
+    - for each simplex whose last face it is, the values that leave that
+      simplex a non-empty bucket, by the images of its other faces.
+    So a candidate with no completion is never tried, and the order of the
+    maps found is unchanged.
     """
     if X.K != Y.K:
         raise SimplicialError("source and target truncations differ")
-    # level 0 is indexed by its empty boundary, so every slot reads a bucket
-    index = [{(): list(Y.levels[0])}] + [_boundary_index(Y, n) for n in range(1, X.K + 1)]
-    # per slot: its bucket index, its face slots, the (degeneracy table of Y,
-    # slot) pairs that force its image, and the (bucket index, face slots)
-    # of the simplices whose last face it is
-    slot_of, slots = {}, []
+    K = X.K
+    pos = [{y: j for j, y in enumerate(level)} for level in Y.levels]
+    index = [None] + [_boundary_index(Y, n, pos) for n in range(1, K + 1)]
+    degeneracy = {
+        (n, i): {j: 1 << pos[n + 1][table[y]] for j, y in enumerate(Y.levels[n])}
+        for (n, i), table in Y.degeneracies.items()
+    }
+    # per slot: a constant mask and its lookups, each a table and the getter
+    # of its key from the values of the slots before it
+    every_vertex = (1 << len(Y.levels[0])) - 1
+    slot_of, slots, checks = {}, [], {}
     for n, level in enumerate(X.levels):
         tables = [X.faces[(n, i)] for i in range(n + 1)] if n else []
         for x in level:
             slot_of[n, x] = len(slots)
-            slots.append((index[n], tuple(slot_of[n - 1, t[x]] for t in tables), [], []))
+            if not n:
+                slots.append([every_vertex, []])
+                continue
+            faces = tuple(slot_of[n - 1, t[x]] for t in tables)
+            slots.append([-1, [(index[n], itemgetter(*faces))]])
+            last = max(faces)
+            at = tuple(i for i, f in enumerate(faces) if f == last)
+            if (n, at) not in checks:
+                checks[n, at] = _check_table(index[n], n, at)
+            others = [f for f in faces if f != last]
+            if others:
+                slots[last][1].append((checks[n, at], itemgetter(*others)))
+            else:
+                slots[last][0] &= checks[n, at].get((), 0)
     for (n, i), table in X.degeneracies.items():
         for xp, x in table.items():
-            slots[slot_of[n + 1, x]][2].append((Y.degeneracies[(n, i)], slot_of[n, xp]))
-    for bucket_of, faces, _, _ in slots:
-        if faces:
-            slots[max(faces)][3].append((bucket_of, faces))
+            slots[slot_of[n + 1, x]][1].append((degeneracy[n, i], itemgetter(slot_of[n, xp])))
 
     def options(s, values):
-        bucket_of, faces, forced, checks = slots[s]
-        bucket = bucket_of.get(tuple(map(values.__getitem__, faces)), ())
-        if forced:
-            wants = {table[values[xp]] for table, xp in forced}
-            y = wants.pop()
-            bucket = (y,) if not wants and y in bucket else ()
-        if not checks:
-            return bucket
-        out = []
-        for y in bucket:
-            values[s] = y  # scratch: the walk sets values[s] again before reading it
-            if all(tuple(map(values.__getitem__, f)) in up for up, f in checks):
-                out.append(y)
-        return out
+        mask, lookups = slots[s]
+        for table, get in lookups:
+            mask &= table.get(get(values), 0)
+        return _positions(mask)
 
-    return depth_first(len(slots), options)
+    top = slots[len(slots) - len(X.levels[K]) :]
+    for head in depth_first(len(slots) - len(top), options):
+        masks = []
+        for mask, lookups in top:
+            for table, get in lookups:
+                mask &= table.get(get(head), 0)
+            if not mask:
+                break
+            masks.append(mask)
+        else:
+            yield head, masks
 
 
 def iter_simplicial_maps(X, Y):
     """The simplicial maps X -> Y one at a time, in lexicographic order of
     their images over the simplices of X (level by level, X.levels order).
 
-    The walk is `_kernels.depth_first` over the simplices of X, each taking
-    its candidates from a boundary index of Y built afresh for each call (one
-    dict per level n >= 1 from (d_0 y, ..., d_n y) to the simplices y with
-    that boundary).  Each tuple of images found is cut into per-level dicts
-    and built as a validated `SimplicialMap`, which re-checks that it
-    commutes with every face and degeneracy table.
+    `_assignments` walks levels 0..K-1 of X with `_kernels.depth_first`,
+    each simplex taking its candidates from bitmasks over a boundary index
+    of Y built afresh for each call; the maps with one head are the ordered
+    product of the candidates of the top-level simplices.  Each head's
+    per-level dicts are built once and each map's top level from its tuple
+    of the product; every map is a validated `SimplicialMap`, which
+    re-checks that it commutes with every face and degeneracy table.
     """
     bounds = [0]
     for level in X.levels:
         bounds.append(bounds[-1] + len(level))
-    for images in _assignments(X, Y):
-        yield SimplicialMap(
-            X, Y, [dict(zip(level, images[a:b])) for level, a, b in zip(X.levels, bounds, bounds[1:])]
-        )
+    # per level below the top: its simplices, the image of a position, and
+    # the head's span of that level
+    head_levels = [
+        (level, images.__getitem__, a, b)
+        for level, images, a, b in zip(X.levels[:-1], Y.levels, bounds, bounds[1:])
+    ]
+    top, top_images = X.levels[-1], Y.levels[-1]
+    candidates = functools.cache(lambda mask: [top_images[j] for j in _positions(mask)])
+    for head, masks in _assignments(X, Y):
+        comps = [dict(zip(level, map(image, head[a:b]))) for level, image, a, b in head_levels]
+        # a list, not *map(...): unpacking the iterator here raised the peak
+        # RSS of the `nerves` benchmark workload by about 1 MB (CPython 3.11)
+        for tail in itertools.product(*[candidates(m) for m in masks]):
+            yield SimplicialMap(X, Y, comps + [dict(zip(top, tail))])
 
 
 def simplicial_maps(X, Y):
@@ -350,7 +421,8 @@ def simplicial_maps(X, Y):
 
 
 def count_simplicial_maps(X, Y):
-    """The number of simplicial maps X -> Y: the walk of `iter_simplicial_maps`
-    (boundary index, `_kernels.depth_first`), counting its tuples of images
-    without building any dict or map."""
-    return sum(1 for _ in _assignments(X, Y))
+    """The number of simplicial maps X -> Y: the head walk of
+    `iter_simplicial_maps`, each head adding the product of its top-level
+    masks' popcounts, so no top-level simplex is enumerated and no dict or
+    map is built."""
+    return sum(math.prod(map(int.bit_count, masks)) for _, masks in _assignments(X, Y))

@@ -246,7 +246,12 @@ def _broken():
 
 
 def _oracle_pairs():
-    nerves = [nerve(p, K) for K in (1, 2) for p in all_posets(3)]
+    """Pairs at K = 0 (the top level is level 0 and the head is empty), at
+    K = 1 and 2, and at K = 3, where the head runs three levels deep, plus
+    the truncation-1 fixtures whose top-level buckets hold many simplices or
+    whose degeneracies clash; only pairs the brute force can afford."""
+    nerves = [nerve(p, K) for K in (0, 1, 2) for p in all_posets(3)]
+    nerves += [nerve(p, 3) for p in all_posets(2)] + [make_sset([["p", "q"]], {}, {})]
     pairs = [(X, Y) for X in nerves for Y in nerves if X.K == Y.K]
     level_one = [_loops(k) for k in range(3)] + _broken() + [nerve(p, 1) for p in all_posets(2)]
     pairs += [(X, Y) for X in level_one for Y in level_one]
@@ -265,6 +270,30 @@ def test_simplicial_maps_match_brute_force_in_order():
         got = [tuple(m(n, x) for n, x in _slots(X)) for m in simplicial_maps(X, Y)]
         assert got == want, (X, Y)
         assert count_simplicial_maps(X, Y) == len(want), (X, Y)
+
+
+def test_simplicial_maps_are_the_nerves_of_the_monotone_maps_in_order():
+    """Full faithfulness, order included: the simplicial maps N p -> N q are
+    the monotone maps p -> q, in the order `monotone_maps` lists them, each
+    applied pointwise to every simplex."""
+    for K, posets in ((1, all_posets(4)), (2, all_posets(3))):
+        nerves = [(p, nerve(p, K)) for p in posets]
+        for p, X in nerves:
+            for q, Y in nerves:
+                want = [
+                    tuple({t: tuple(map(f, t)) for t in level} for level in X.levels)
+                    for f in monotone_maps(p, q)
+                ]
+                assert [m.components for m in simplicial_maps(X, Y)] == want, (K, p.name, q.name)
+
+
+def test_counts_between_chains_at_truncation_three():
+    """The monotone maps from an a-chain into a b-chain are the multisets of
+    size a from b values, C(a + b - 1, a) of them."""
+    nerves = {k: nerve(chain_poset([str(i) for i in range(k)]), 3) for k in range(1, 7)}
+    for a in range(1, 7):
+        for b in range(1, 7):
+            assert count_simplicial_maps(nerves[a], nerves[b]) == math.comb(a + b - 1, a), (a, b)
 
 
 def test_simplicial_maps_run_deeper_than_the_recursion_limit():
