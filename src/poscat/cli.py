@@ -58,8 +58,8 @@ MAX_IDENTITY_N = 32
 MAX_SIMPLICES = 50_000
 
 # Most steps `homcount`'s simplicial map search may take, predicted as the
-# maps it finds times the simplices of the source nerve: about 4 s of search
-# on a 2-vCPU VM.
+# maps it finds times the simplices of the source nerve: about 2-3.5 s of
+# search on a 2-vCPU VM, as the host's speed varies.
 MAX_MAP_WORK = 2_000_000
 
 

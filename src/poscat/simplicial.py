@@ -81,9 +81,16 @@ class TruncatedSimplicialSet:
             if bad:
                 raise SimplicialIdentityError(bad)
 
+    @functools.cached_property
+    def level_sets(self):
+        """Each level as a frozenset, built on first use and kept: the levels
+        are tuples, so these never go stale.  The structure checks here and
+        every `SimplicialMap` check share them."""
+        return tuple(frozenset(level) for level in self.levels)
+
     def _check_structure(self):
-        for n, level in enumerate(self.levels):
-            if len(set(level)) != len(level):
+        for n, (level, members) in enumerate(zip(self.levels, self.level_sets)):
+            if len(members) != len(level):
                 raise SimplicialError(f"duplicate simplex identifiers at level {n}")
         for n in range(1, self.K + 1):
             for i in range(n + 1):
@@ -103,13 +110,10 @@ class TruncatedSimplicialSet:
             raise SimplicialError("table indices outside the truncation")
 
     def _check_table(self, table, n_from, n_to, what):
-        dom = set(self.levels[n_from])
-        cod = set(self.levels[n_to])
-        if set(table) != dom:
+        if table.keys() != self.level_sets[n_from]:
             raise SimplicialError(f"{what} at level {n_from} is not total on X_{n_from}")
-        for value in table.values():
-            if value not in cod:
-                raise SimplicialError(f"{what} at level {n_from} maps outside X_{n_to}")
+        if not self.level_sets[n_to].issuperset(table.values()):
+            raise SimplicialError(f"{what} at level {n_from} maps outside X_{n_to}")
 
     def identity_violations(self):
         """Instances of the dual simplicial identities that fail, if any: both
@@ -202,35 +206,42 @@ def evaluate(X, f: DeltaMap):
 
 
 class SimplicialMap:
-    """Level-wise function commuting with all face and degeneracy tables."""
+    """Level-wise function commuting with all face and degeneracy tables.
+
+    Every map is checked when it is built, the maps the search lists
+    included: each component must be total on its level of the source, take
+    values in the same level of the target, and commute with every face and
+    degeneracy table of the source.  The first failure raises, in that order.
+    `components` are the map's own dicts, copied from whatever mappings or
+    (simplex, image) pairs the caller passes.
+    """
 
     def __init__(self, source, target, components):
         if source.K != target.K:
             raise SimplicialError("source and target truncations differ")
         self.source = source
         self.target = target
-        self.components = tuple(dict(c) for c in components)
+        self.components = tuple(map(dict, components))
         if len(self.components) != source.K + 1:
             raise SimplicialError("one component per level required")
         self._check()
 
     def _check(self):
-        for n in range(self.source.K + 1):
-            comp = self.components[n]
-            dom = set(self.source.levels[n])
-            if set(comp) != dom:
+        comps, source, target = self.components, self.source, self.target
+        for n, comp in enumerate(comps):
+            if comp.keys() != source.level_sets[n]:
                 raise SimplicialError(f"component at level {n} is not total")
-            cod = set(self.target.levels[n])
-            for v in comp.values():
-                if v not in cod:
-                    raise SimplicialError(f"component at level {n} maps outside the target")
-        for (n, i), table in self.source.faces.items():
+            if not target.level_sets[n].issuperset(comp.values()):
+                raise SimplicialError(f"component at level {n} maps outside the target")
+        for (n, i), table in source.faces.items():
+            below, here, face = comps[n - 1], comps[n], target.faces[n, i]
             for x, y in table.items():
-                if self.components[n - 1][y] != self.target.faces[(n, i)][self.components[n][x]]:
+                if below[y] != face[here[x]]:
                     raise SimplicialError(f"does not commute with d_{i} at level {n}")
-        for (n, i), table in self.source.degeneracies.items():
+        for (n, i), table in source.degeneracies.items():
+            above, here, degeneracy = comps[n + 1], comps[n], target.degeneracies[n, i]
             for x, y in table.items():
-                if self.components[n + 1][y] != self.target.degeneracies[(n, i)][self.components[n][x]]:
+                if above[y] != degeneracy[here[x]]:
                     raise SimplicialError(f"does not commute with s_{i} at level {n}")
 
     def __call__(self, n, x):
@@ -390,10 +401,13 @@ def iter_simplicial_maps(X, Y):
     `_assignments` walks levels 0..K-1 of X with `_kernels.depth_first`,
     each simplex taking its candidates from bitmasks over a boundary index
     of Y built afresh for each call; the maps with one head are the ordered
-    product of the candidates of the top-level simplices.  Each head's
-    per-level dicts are built once and each map's top level from its tuple
-    of the product; every map is a validated `SimplicialMap`, which
-    re-checks that it commutes with every face and degeneracy table.
+    product of the candidates of the top-level simplices.  Each map's
+    components are passed to `SimplicialMap` as (simplex, image) pairs, its
+    head levels zipped from the head's positions and its top level from its
+    tuple of the product, so each component dict is built once, by the
+    constructor, and every map owns its own.  Every map is validated: the
+    constructor re-checks that it is total, stays in Y and commutes with
+    every face and degeneracy table.
     """
     bounds = [0]
     for level in X.levels:
@@ -407,11 +421,12 @@ def iter_simplicial_maps(X, Y):
     top, top_images = X.levels[-1], Y.levels[-1]
     candidates = functools.cache(lambda mask: [top_images[j] for j in _positions(mask)])
     for head, masks in _assignments(X, Y):
-        comps = [dict(zip(level, map(image, head[a:b]))) for level, image, a, b in head_levels]
         # a list, not *map(...): unpacking the iterator here raised the peak
         # RSS of the `nerves` benchmark workload by about 1 MB (CPython 3.11)
         for tail in itertools.product(*[candidates(m) for m in masks]):
-            yield SimplicialMap(X, Y, comps + [dict(zip(top, tail))])
+            comps = [zip(level, map(image, head[a:b])) for level, image, a, b in head_levels]
+            comps.append(zip(top, tail))
+            yield SimplicialMap(X, Y, comps)
 
 
 def simplicial_maps(X, Y):

@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite."""
 
+import hashlib
+
 from poscat import FinPoset, PosetDiagram, make_poset, monotone_maps
 from poscat.corpus import _children, poset_classes
 from poscat.posets import chain_levels
@@ -154,3 +156,12 @@ def weak_comma_data(functor, poset, length_bound):
                 edges.append((f"s{i}>{nid}", src, nid, functor.gen("degeneracy", m, i)))
     diagram = PosetDiagram(nodes=nodes, edges=edges, name=f"weak({poset.name},{length_bound})")
     return diagram, node_chain
+
+
+def digest(lines):
+    """SHA-256 of the lines, each ended by a newline: a pin of same answers."""
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()

@@ -22,7 +22,7 @@ from poscat.corpus import all_posets
 from poscat.formats import parse_sset, serialize_sset
 from poscat.simplicial import TruncatedSimplicialSet
 
-from helpers import singleton, three_chain, two_antichain, two_chain, v_poset
+from helpers import digest, singleton, three_chain, two_antichain, two_chain, v_poset
 
 
 def unvalidated(X, levels=None, faces=None, degeneracies=None):
@@ -351,3 +351,22 @@ def test_full_faithfulness_failure_names_a_witness(monkeypatch, fault):
     report = fully_faithful_witness(v, v, 1)
     assert not report.passed
     assert report.witness == witness
+
+
+# `digest` of the lines below for every poset of at most five points, in
+# `all_posets` order; the same under PYTHONHASHSEED 1, 2 and 3
+CONTINUITY_DIGEST = "dd39d7ef629aba9f013f5174d30b60e073ead34069a5704aa1793486977d0a93"
+
+
+def test_continuity_of_nerves_of_five_points_is_pinned():
+    """Same answers: the verdicts, the reconstructed poset and the
+    isomorphism onto its nerve of check_continuity(nerve(P, 4))."""
+
+    def lines():
+        for p in all_posets(5):
+            r = check_continuity(nerve(p, 4))
+            yield repr([(v.name, v.passed, v.detail) for v in r.verdicts.values()])
+            yield repr((r.poset.elements, r.poset.up_rows))
+            yield repr(r.iso.components)
+
+    assert digest(lines()) == CONTINUITY_DIGEST

@@ -26,9 +26,9 @@ from poscat import (
 )
 from poscat.posets import MonotoneMap
 from poscat.corpus import all_posets
-from poscat.simplicial import TruncatedSimplicialSet
+from poscat.simplicial import SimplicialMap, TruncatedSimplicialSet
 
-from helpers import singleton, three_chain, two_antichain, two_chain, v_poset
+from helpers import digest, singleton, three_chain, two_antichain, two_chain, v_poset
 
 
 def test_nerve_two_chain():
@@ -321,3 +321,104 @@ def test_count_monotone_agrees_with_enumeration():
     for p in all_posets(3):
         for q in all_posets(3):
             assert count_monotone_maps(p, q) == len(monotone_maps(p, q))
+
+
+def _mapping_rejection(X, Y, comps):
+    with pytest.raises(SimplicialError) as err:
+        SimplicialMap(X, Y, comps)
+    return str(err.value)
+
+
+def test_simplicial_map_rejections_name_the_first_failure():
+    X = nerve(two_chain(), 1)
+    ident = [dict(zip(level, level)) for level in X.levels]
+    assert _mapping_rejection(X, nerve(two_chain(), 2), ident) == (
+        "source and target truncations differ"
+    )
+    assert _mapping_rejection(X, X, ident[:1]) == "one component per level required"
+    partial = [ident[0], {x: y for x, y in ident[1].items() if x != ("0", "1")}]
+    assert _mapping_rejection(X, X, partial) == "component at level 1 is not total"
+    extra = [{**ident[0], ("2",): ("0",)}, ident[1]]
+    assert _mapping_rejection(X, X, extra) == "component at level 0 is not total"
+    outside = [{**ident[0], ("1",): ("2",)}, ident[1]]
+    assert _mapping_rejection(X, X, outside) == "component at level 0 maps outside the target"
+    collapsed = [ident[0], {**ident[1], ("0", "1"): ("0", "0")}]
+    assert _mapping_rejection(X, X, collapsed) == "does not commute with d_0 at level 1"
+    # every edge of a loop set has the same faces, so only s_0 can catch
+    # the degenerate edge sent to a non-degenerate loop
+    L = _loops(1)
+    loop = [{"v": "v"}, {"vv": "e0", "e0": "e0"}]
+    assert _mapping_rejection(L, L, loop) == "does not commute with s_0 at level 0"
+
+
+def _sset_rejection(levels, faces, degeneracies):
+    with pytest.raises(SimplicialError) as err:
+        TruncatedSimplicialSet(levels, faces, degeneracies, validate=False)
+    return str(err.value)
+
+
+def test_truncated_simplicial_set_rejections_name_the_first_failure():
+    X = nerve(two_chain(), 1)
+
+    def faces():
+        return {key: dict(t) for key, t in X.faces.items()}
+
+    def degs():
+        return {key: dict(t) for key, t in X.degeneracies.items()}
+
+    assert _sset_rejection([], {}, {}) == "a truncated simplicial set needs at least level 0"
+    twice = [X.levels[0], X.levels[1] + (("0", "1"),)]
+    assert _sset_rejection(twice, faces(), degs()) == "duplicate simplex identifiers at level 1"
+    missing = faces()
+    del missing[(1, 1)]
+    assert _sset_rejection(X.levels, missing, degs()) == "missing face table d_1 at level 1"
+    assert _sset_rejection(X.levels, faces(), {}) == "missing degeneracy table s_0 at level 0"
+    partial = faces()
+    del partial[(1, 0)][("0", "1")]
+    assert _sset_rejection(X.levels, partial, degs()) == "d_0 at level 1 is not total on X_1"
+    partial = degs()
+    del partial[(0, 0)][("1",)]
+    assert _sset_rejection(X.levels, faces(), partial) == "s_0 at level 0 is not total on X_0"
+    outside = faces()
+    outside[(1, 1)][("1", "1")] = ("2",)
+    assert _sset_rejection(X.levels, outside, degs()) == "d_1 at level 1 maps outside X_0"
+    outside = degs()
+    outside[(0, 0)][("0",)] = ("0", "2")
+    assert _sset_rejection(X.levels, faces(), outside) == "s_0 at level 0 maps outside X_1"
+    beyond = {**faces(), (2, 0): {}}
+    assert _sset_rejection(X.levels, beyond, degs()) == "table indices outside the truncation"
+    beyond = {**degs(), (1, 0): {}}
+    assert _sset_rejection(X.levels, faces(), beyond) == "table indices outside the truncation"
+
+
+def test_listed_maps_own_their_components():
+    """Mutating one listed map's component changes no other map, whether the
+    maps share an empty head (K = 0) or a non-empty one (K = 1: v, and vv
+    by s_0, are forced, and e0 takes each of the three edges)."""
+    A = nerve(two_antichain(), 0)
+    for X, Y, count in ((A, A, 4), (_loops(1), _loops(2), 3)):
+        before = repr([m.components for m in simplicial_maps(X, Y)])
+        maps = simplicial_maps(X, Y)
+        assert len(maps) == count
+        for comp in maps[0].components:
+            for x in comp:
+                comp[x] = "mutated"
+        assert repr([m.components for m in maps]) != before
+        assert [repr(m.components) for m in maps[1:]] == [
+            repr(m.components) for m in simplicial_maps(X, Y)[1:]
+        ]
+        assert repr([m.components for m in simplicial_maps(X, Y)]) == before
+
+
+# `digest` of the `repr` of every map's components, one line each, in order;
+# the same under PYTHONHASHSEED 1, 2 and 3
+MAPS_DIGEST = "87ef7fe63fec59b81e1bc9bc3ea2f3e2563748c1a1ef70d71747ccb5a41d078e"
+
+
+def test_simplicial_maps_between_nerves_of_four_points_are_pinned():
+    """Same answers, order included: every map between the truncation-1
+    nerves of the 25 posets of at most four points (625 ordered pairs)."""
+    nerves = [nerve(p, 1) for p in all_posets(4)]
+    maps = [m for X in nerves for Y in nerves for m in simplicial_maps(X, Y)]
+    assert len(maps) == 19_727
+    assert digest(repr(m.components) for m in maps) == MAPS_DIGEST
