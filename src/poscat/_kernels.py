@@ -14,7 +14,11 @@ whose k-th entry is one of options(k, values): `list_maps` here, and
 `posets.linear_extensions`, `posets.coloured_isomorphisms` and the simplicial
 map search, each stating only its candidate rule.  `run_plan` is the one
 counting loop: it multiplies the counts of closed slots instead of listing
-them.
+them.  A slot closed at a level whose constraints all point at that level's
+branch is a leaf; when the last level closes only leaves, `run_plan` turns
+them into one weight per target value and counts that level in one pass, as
+the sum of the weights over the branch's allowed values, so a one-level plan
+is one sum per target.
 
 Counting is split in two: `count_plan(n_slots, pairs)` fixes everything that
 does not depend on the target (the branching order, the slots closed at each
@@ -169,6 +173,20 @@ def _constant_key(values):
     return None
 
 
+def _weighted_count(mask, weights):
+    """The sum of weights[v] over the set bits v of mask, or the number of
+    set bits when weights is None, one step per set bit, so that a mask over
+    a wide target costs only its popcount."""
+    if weights is None:
+        return mask.bit_count()
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 def run_plan(plan, items):
     """Number of maps into each target that satisfy the constraints `plan`
     was built from, one count per item of `items`.
@@ -182,10 +200,18 @@ def run_plan(plan, items):
     frontier's values, in one dict per level that is cleared for each item;
     so a path or a tree of constraints costs O(levels x n^2) per target, not
     one step per map.
+
+    A leaf of a level is a slot it closes whose every constraint points at
+    that level's branch.  When every slot the last level closes is a leaf,
+    that level is not walked: each item turns its leaves into one weight per
+    target value, W[v] = prod over the leaves of the number of values the
+    leaf may take when the branch holds v, and the level's count under a
+    mask of branch values is the sum of W over the mask (its popcount, if
+    it has no leaves), memoized by the frontier like a walked level's
+    count.  A one-level plan is then one sum per target.
     """
     free, levels = plan
     depth = len(levels)
-    last = depth - 1
     branches = [branch for branch, _, _ in levels]
     closed = [after for _, after, _ in levels]
     getters = [
@@ -195,6 +221,19 @@ def run_plan(plan, items):
     memo_of = [None if get is None else {} for get in getters]
     memos = [memo for memo in memo_of if memo is not None]
     n_slots = len(free) + depth + sum(map(len, closed))
+    # the last level's leaves as (slot, code, further cons): a closed slot's
+    # constraints point at its own level or earlier ones, so it is a leaf
+    # when its least level is its own
+    leaves = [
+        (s, cons[0][1], cons[1:])
+        for s, cons in (closed[-1] if depth else ())
+        if min(cons)[0] == depth - 1
+    ]
+    summed = depth and len(leaves) == len(closed[-1])
+    # the walk either counts the visits of its last level, `stop`, or sums
+    # the level below `tail` at each descent from it; the other is -1
+    stop = -1 if summed else depth - 1
+    tail = depth - 2 if summed else -1
     values = [0] * depth
     masks = [0] * depth
     facs = [0] * depth
@@ -214,9 +253,24 @@ def run_plan(plan, items):
         if not depth or not prod:
             out.append(prod)
             continue
+        tables = (down_rows, up_rows)
+        weights = None
+        if summed:
+            for s, code, more in leaves:
+                rows = tables[code]
+                for _, other in more:
+                    rows = map(operator.and_, rows, tables[other])
+                if domains is not None:
+                    rows = map(start[s].__and__, rows)
+                w = map(int.bit_count, rows)
+                weights = list(w) if weights is None else list(map(operator.mul, weights, w))
+            if tail < 0:  # one level, which closes at least one leaf
+                mask = start[branches[0][0]]
+                below = sum(weights) if mask == full else _weighted_count(mask, weights)
+                out.append(prod * below)
+                continue
         for memo in memos:
             memo.clear()
-        tables = (down_rows, up_rows)
         k = 0
         masks[0] = start[branches[0][0]]  # the first branch slot has no constraint yet
         sums[0] = 0
@@ -236,7 +290,7 @@ def run_plan(plan, items):
                         break
                 if not p:
                     continue
-                if k == last:
+                if k == stop:
                     sums[k] += p
                     continue
                 j = k + 1
@@ -248,12 +302,18 @@ def run_plan(plan, items):
                         sums[k] += p * known
                         continue
                     keys[j] = key
-                facs[k] = p
-                sums[j] = 0
                 s, cons = branches[j]
                 m = start[s]
                 for level, code in cons:
                     m &= tables[code][values[level]]
+                if k == tail:
+                    below = _weighted_count(m, weights)
+                    if get is not None:
+                        memo_of[j][key] = below
+                    sums[k] += p * below
+                    continue
+                facs[k] = p
+                sums[j] = 0
                 masks[j] = m
                 k = j
             elif k:

@@ -127,6 +127,8 @@ def poset_classes(n):
 @lru_cache(maxsize=None)
 def all_posets(max_size):
     """Isomorphism-class representatives of every poset with at most max_size elements."""
+    if max_size < 0:
+        raise ValueError("poset size must be >= 0")
     out = []
     for n in range(max_size + 1):
         out.extend(poset_classes(n))

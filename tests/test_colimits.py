@@ -25,7 +25,7 @@ from poscat import (
 from poscat import _kernels
 from poscat.delta import delta_to_monotone
 
-from helpers import random_diagram, two_antichain, v_poset
+from helpers import digest, random_diagram, two_antichain, v_poset
 
 
 def glue_pushout():
@@ -454,6 +454,40 @@ def test_verify_universal_long_unhit_chain():
     report = verify_universal(diagram, candidate(40), 6)
     assert verdicts(report) == brute_force_universal(diagram, candidate(2), 6)
     assert report.witness.endswith("more than one mediating map")
+
+
+# `digest` of the lines below; the same under PYTHONHASHSEED 1, 2 and 3
+REPORTS_DIGEST = "2074e043f9c2c2caff389b7be4d57e3b6a8853218426a474582a80a2e73b3bc9"
+
+
+def test_verify_universal_reports_at_bound_six_are_pinned():
+    """Same reports, on both branches: acceptance criterion 05's hundred
+    random diagrams with their colimits (every apex element hit), then the
+    40-element chain of unhit elements above [1]."""
+
+    def reports():
+        rng = random.Random(20250810)
+        for _ in range(100):
+            diagram = random_diagram(rng)
+            yield verify_universal(diagram, colimit_pos(diagram), 6)
+        diagram = PosetDiagram(nodes={"A": ordinal_poset(1)}, edges=[])
+        apex = ordinal_poset(41)
+        leg = MonotoneMap(diagram.nodes["A"], apex, ("0", "1"))
+        yield verify_universal(diagram, Cocone(diagram, apex, {"A": leg}), 6)
+
+    def lines():
+        for report in reports():
+            yield repr(verdicts(report))
+            yield repr(report.witness)
+
+    assert digest(lines()) == REPORTS_DIGEST
+
+
+def test_verify_universal_rejects_a_negative_bound():
+    # all_posets(-1) would be empty, and an empty report passes
+    diagram = PosetDiagram(nodes={"A": ordinal_poset(1)}, edges=[])
+    with pytest.raises(ValueError, match="poset size must be >= 0"):
+        verify_universal(diagram, colimit_pos(diagram), -1)
 
 
 def run_plan_calls(monkeypatch):

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 from poscat import corpus, find_isomorphism, isomorphisms, linear_extensions
 from poscat.corpus import all_posets, poset_classes
 from poscat._kernels import transitive_closure
@@ -19,6 +21,12 @@ from helpers import (
 
 def test_class_counts_small():
     assert [len(poset_classes(n)) for n in range(6)] == [1, 1, 2, 5, 16, 63]
+
+
+def test_negative_sizes_are_refused():
+    for call in (poset_classes, all_posets):
+        with pytest.raises(ValueError, match="poset size must be >= 0"):
+            call(-1)
 
 
 def test_naturally_labeled_counts_small():

@@ -20,7 +20,7 @@ from poscat._kernels import (
 from poscat.colimits import _closure
 from poscat.corpus import all_posets
 
-from helpers import shuffled
+from helpers import digest, shuffled
 
 
 def naive_closure(rows):
@@ -340,3 +340,25 @@ def test_plan_depth_ignores_names():
     assert depth(count_plan(3, [(0, 2), (1, 2)])) == 1  # the V: its hub closes both leaves
     assert depth(hasse_plan((0b111, 0b110, 0b100))) == 1  # the 3-chain's closure is a path
     assert depth(hasse_plan((0b1111, 0b1110, 0b1100, 0b1000))) == 2
+
+
+# `digest` of the `repr` of each row below, in `all_posets` order; the same
+# under PYTHONHASHSEED 1, 2 and 3
+HOM_TABLE_DIGEST = "43aeaefafad0dbf8013f60daabba6dd919a6221fbbce9f2d558011e06b9def1d"
+
+
+def test_hom_table_of_four_points_into_six_points_is_pinned():
+    """Same counts, from one batched run per source: hom(F, T) for the 25
+    posets F of at most four points and the 406 posets T of at most six.
+    Its columns are pairwise distinct, Lovasz's certificate that no two
+    classes of the corpus are isomorphic (sources of at most three points
+    leave only 381 distinct columns)."""
+    targets = all_posets(6)
+    items = [(t.up_rows, t.down_rows, None) for t in targets]
+    rows = []
+    for source in all_posets(4):
+        row = run_plan(count_plan(source.n, source.cover_pairs), items)
+        assert row == run_plan(hasse_plan(source.up_rows), items), source.name
+        rows.append(row)
+    assert len(set(zip(*rows))) == len(targets) == 406
+    assert digest(repr(row) for row in rows) == HOM_TABLE_DIGEST
