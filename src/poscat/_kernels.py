@@ -18,7 +18,9 @@ them.  A slot closed at a level whose constraints all point at that level's
 branch is a leaf; when the last level closes only leaves, `run_plan` turns
 them into one weight per target value and counts that level in one pass, as
 the sum of the weights over the branch's allowed values, so a one-level plan
-is one sum per target.
+is one sum per target.  A plan without levels, whose slots are all free, is
+answered in one pass over the batch: per target, the product of the free
+slots' numbers of allowed values.
 
 Counting is split in two: `count_plan(n_slots, pairs)` fixes everything that
 does not depend on the target (the branching order, the slots closed at each
@@ -37,6 +39,7 @@ relation from its n-tuples, one successor at a time.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 
@@ -209,9 +212,22 @@ def run_plan(plan, items):
     mask of branch values is the sum of W over the mask (its popcount, if
     it has no leaves), memoized by the frontier like a walked level's
     count.  A one-level plan is then one sum per target.
+
+    A plan without levels has only free slots, so it is not walked at all:
+    the whole batch is answered in one pass, each item's count being
+    len(up_rows) ** len(free), or with domains the product over the free
+    slots of the number of allowed values inside the target.
     """
     free, levels = plan
     depth = len(levels)
+    if not depth:  # every slot is free: a product of the slots' counts
+        n_free = len(free)
+        return [
+            len(up_rows) ** n_free
+            if domains is None
+            else math.prod((((1 << len(up_rows)) - 1) & domains[s]).bit_count() for s in free)
+            for up_rows, _, domains in items
+        ]
     branches = [branch for branch, _, _ in levels]
     closed = [after for _, after, _ in levels]
     getters = [
@@ -226,10 +242,10 @@ def run_plan(plan, items):
     # when its least level is its own
     leaves = [
         (s, cons[0][1], cons[1:])
-        for s, cons in (closed[-1] if depth else ())
+        for s, cons in closed[-1]
         if min(cons)[0] == depth - 1
     ]
-    summed = depth and len(leaves) == len(closed[-1])
+    summed = len(leaves) == len(closed[-1])
     # the walk either counts the visits of its last level, `stop`, or sums
     # the level below `tail` at each descent from it; the other is -1
     stop = -1 if summed else depth - 1
@@ -250,8 +266,8 @@ def run_plan(plan, items):
             prod = 1
             for s in free:
                 prod *= start[s].bit_count()
-        if not depth or not prod:
-            out.append(prod)
+        if not prod:
+            out.append(0)
             continue
         tables = (down_rows, up_rows)
         weights = None

@@ -7,6 +7,9 @@ node relations, and condensation of its strongly connected components.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from . import _kernels
 from .corpus import all_posets
 from .delta import (
@@ -265,8 +268,13 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     one slot per class of equivalent slots, one pair per cover), which is
     as shallow as the shape allows whatever the lists that gave it, and run
     in one batch against every target's cached up- and down-rows, so a call
-    runs `run_plan` once per distinct closure.  The counts live for this
-    call only.
+    runs `run_plan` once per distinct closure.  The verdicts are then read
+    off the count vectors for the whole corpus at once: per target, the
+    product of the components' counts, and whether each component's two
+    counts agree; the witness comes from the first failing target and its
+    first failing component.  The target rows, labels and sizes are built
+    once per bound, beside the cached corpus; the counts live for this call
+    only.
 
     When the legs miss some apex elements, every cocone is enumerated and its
     mediating maps are counted by one plan over the unhit elements, built
@@ -315,25 +323,29 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
             sub_good = [(slot_pos[i], slot_pos[j]) for i, j in good_pairs if i in slot_pos]
             a, g = shape_of(len(comp), sub_all), shape_of(len(comp), sub_good)
             jobs.append((comp, sub_all, sub_good, a, g))
-        targets = all_posets(apex_size_bound)
-        items = [(t.up_rows, t.down_rows, None) for t in targets]
+        items, labels, sizes = _corpus_rows(apex_size_bound)
         # per shape id, per target
         counts = [_kernels.run_plan(_kernels.hasse_plan(closed), items) for closed in shapes]
 
+        # per target, the product of the components' cocone counts, and
+        # whether every component has as many with a mediating map
+        totals = [1] * len(items)
+        exists = [True] * len(items)
+        for _, _, _, a, g in jobs:
+            totals = list(map(operator.mul, totals, counts[a]))
+            if a != g:
+                exists = list(map(operator.and_, exists, map(operator.eq, counts[a], counts[g])))
+        if False in exists:  # name the first failing target's first failing component
+            t = exists.index(False)
+            comp, sub_all, sub_good = next(
+                (comp, sub_all, sub_good)
+                for comp, sub_all, sub_good, a, g in jobs
+                if counts[a][t] != counts[g][t]
+            )
+            target = all_posets(apex_size_bound)[t]
+            report.witness = _describe_witness(comp, sub_all, sub_good, target, members)
         # the legs are jointly epic, so a mediating map is unique when it exists
-        for t, target in enumerate(targets):
-            total = 1
-            exists = True
-            for comp, sub_all, sub_good, a, g in jobs:
-                c_all = counts[a][t]
-                total *= c_all
-                if c_all != counts[g][t]:
-                    exists = False
-                    if not report.witness:
-                        report.witness = _describe_witness(
-                            comp, sub_all, sub_good, target, members
-                        )
-            report.entries.append(ApexVerdict(_label(target), target.n, total, exists, True))
+        report.entries = list(map(ApexVerdict, labels, sizes, totals, exists, [True] * len(items)))
         return report
 
     # Some apex elements are unhit: a cocone fixes the mediating map on the hit
@@ -350,7 +362,8 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     hit_pairs = [(a, b) for a, b in apex.leq_pairs if a in hit and b in hit]
     below = [[b for b in hit if apex.up_rows[b] >> u & 1] for u in unhit]
     above = [[b for b in hit if apex.up_rows[u] >> b & 1] for u in unhit]
-    for target in all_posets(apex_size_bound):
+    _, labels, sizes = _corpus_rows(apex_size_bound)
+    for target, label, size in zip(all_posets(apex_size_bound), labels, sizes):
         up, down = target.up_rows, target.down_rows
         assignments = _kernels.list_maps(n, up, down, node_pairs)
         domains = [
@@ -372,13 +385,25 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
                     for group, v in zip(members, h)
                 )
                 report.witness = (
-                    f"cocone into {_label(target)} sending {cells} admits "
+                    f"cocone into {label} sending {cells} admits "
                     + ("no mediating map" if count == 0 else "more than one mediating map")
                 )
-        report.entries.append(
-            ApexVerdict(_label(target), target.n, len(assignments), exist_ok, unique_ok)
-        )
+        report.entries.append(ApexVerdict(label, size, len(assignments), exist_ok, unique_ok))
     return report
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_rows(bound):
+    """What `verify_universal` reads of the targets `all_posets(bound)` on
+    every call, built once per bound beside the cached corpus: the
+    `run_plan` items (up- and down-rows, no domains), the labels and the
+    sizes.  These are target data only; no count is kept across calls."""
+    targets = all_posets(bound)
+    return (
+        tuple((t.up_rows, t.down_rows, None) for t in targets),
+        tuple(map(_label, targets)),
+        tuple(t.n for t in targets),
+    )
 
 
 def _closure(size, pairs):

@@ -220,6 +220,16 @@ def test_broken_identification_is_named_after_its_first_class():
     candidate = Cocone(diagram, point, {"B": MonotoneMap(chain, point, ("z", "z"))})
     report = verify_universal(diagram, candidate, 2)
     assert report.witness == "cocone into P2.1 assigns 0 to [B.a] but admits no mediating map"
+    # two such chains glued into two points: both components fail first at
+    # P2.1, and the witness names the first one
+    diagram = PosetDiagram(nodes={"B": chain, "C": chain}, edges=[])
+    points = FinPoset(("y", "z"), (1, 2))
+    legs = {
+        "B": MonotoneMap(chain, points, ("y", "y")),
+        "C": MonotoneMap(chain, points, ("z", "z")),
+    }
+    report = verify_universal(diagram, Cocone(diagram, points, legs), 2)
+    assert report.witness == "cocone into P2.1 assigns 0 to [B.a] but admits no mediating map"
 
 
 def test_verify_universal_noncommuting_candidate():
@@ -481,6 +491,31 @@ def test_verify_universal_reports_at_bound_six_are_pinned():
             yield repr(report.witness)
 
     assert digest(lines()) == REPORTS_DIGEST
+
+
+# `digest` of the lines below; the same under PYTHONHASHSEED 0, 1, 2 and 3
+HIT_WITNESSES_DIGEST = "d989c4fbf755d3cceaa093e76739fc4e81101b49a7e2176f08425d9b5964241b"
+
+
+def test_verify_universal_hit_witnesses_are_pinned():
+    """Same reports for wrong candidates that hit every apex element: the
+    verdicts and the witness of each collapsed, quotient and ordered
+    candidate of twenty random diagrams, at bounds 3 and 4, so the first
+    failing target and component that name the witness are pinned."""
+
+    def lines():
+        rng = random.Random(20261019)
+        for _ in range(20):
+            diagram = random_diagram(rng)
+            for kind, candidate in hit_candidates(colimit_pos(diagram), rng).items():
+                for bound in (3, 4):
+                    report = verify_universal(diagram, candidate, bound)
+                    assert not report.passed and report.witness, kind
+                    yield kind
+                    yield repr(verdicts(report))
+                    yield repr(report.witness)
+
+    assert digest(lines()) == HIT_WITNESSES_DIGEST
 
 
 def test_verify_universal_rejects_a_negative_bound():

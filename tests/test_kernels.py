@@ -324,6 +324,34 @@ def test_hasse_plans_keep_the_count():
         assert run_plan(plan, items) == [len(naive_maps(n_slots, t, pairs)) for t in targets]
 
 
+def test_plans_without_levels_match_the_naive_count():
+    # no slot, only free slots, or only self-pairs: every slot is free, so
+    # the plan has no level; into the empty poset too (0 ** 0 == 1), with
+    # empty domains and domains with bits beyond the target
+    targets = all_posets(3)
+    assert targets[0].n == 0
+    for n_slots, pairs in [(0, []), (1, []), (3, []), (1, [(0, 0)]), (2, [(1, 1), (0, 0)])]:
+        plan = count_plan(n_slots, pairs)
+        assert plan == (tuple(range(n_slots)), ())
+        assert run_plan(plan, []) == []
+        batch = []
+        for target in targets:
+            wide = (1 << target.n + 2) - 1
+            for masks in itertools.product((0, 0b1, 0b101, wide), repeat=n_slots):
+                batch.append((target, list(masks)))
+            batch.append((target, None))
+        expected = [
+            sum(
+                domains is None or all(domains[s] >> v & 1 for s, v in enumerate(f))
+                for f in naive_maps(n_slots, target, pairs)
+            )
+            for target, domains in batch
+        ]
+        items = [(t.up_rows, t.down_rows, domains) for t, domains in batch]
+        assert run_plan(plan, items) == expected
+        assert set(expected[: 4**n_slots + 1]) == {0**n_slots}  # into the empty poset
+
+
 def depth(plan):
     return len(plan[1])
 
