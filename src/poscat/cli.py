@@ -63,9 +63,31 @@ MAX_SIMPLICES = 50_000
 MAX_MAP_WORK = 2_000_000
 
 
+class _StoreOnce(argparse.Action):
+    """Store an option's value, refusing the option given a second time: a
+    repeated option is ambiguous input, and the parser never takes the last
+    entry silently."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose options, subcommands' included, store with `_StoreOnce`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+        self.register("action", "store", _StoreOnce)
+
+
 def _parser():
-    parser = argparse.ArgumentParser(prog="poscat")
-    common = argparse.ArgumentParser(add_help=False)
+    parser = _Parser(prog="poscat")
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=["text", "machine"], default="text")
     common.add_argument("--output", help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

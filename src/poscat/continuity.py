@@ -1,10 +1,12 @@
 """Continuity diagnostics on truncated simplicial sets and poset reconstruction.
 
 A truncated simplicial set is accepted as "continuous up to truncation K" when
-it passes the finite diagram checks: the edge-pair map is injective, every
-level is in bijection with the weakly increasing vertex tuples, faces delete
-and degeneracies duplicate positions, and the edge relation is antisymmetric.
-Passing data is the nerve of the poset it determines.
+it passes the finite diagram checks: its tables satisfy the dual simplicial
+identities, the edge-pair map is injective, every level is in bijection with
+the weakly increasing vertex tuples, faces delete and degeneracies duplicate
+positions, and the edge relation is reflexive, transitive and antisymmetric.
+Passing data is the nerve of the poset it determines; at K = 1, where no
+2-simplex witnesses transitivity, the relation itself is checked.
 """
 
 from __future__ import annotations
@@ -246,6 +248,22 @@ def _antisymmetry(rel):
 
 def check_continuity(X) -> ContinuityReport:
     """Run every diagram check; attach the reconstruction when all pass.
+
+    The verdicts, in order:
+    - `validation`: the dual simplicial identities hold
+      (`TruncatedSimplicialSet.identity_violations`);
+    - `relation_injective`: no two 1-simplices share an ordered vertex pair;
+    - `chain_condition_n<n>` for 2 <= n <= K: level n is in bijection with
+      the weakly increasing (n+1)-tuples of the edge relation;
+    - `face_formulas`: each d_i deletes position i, and the edge relation is
+      transitive (checked at every K, so also at K = 1);
+    - `degeneracy_formulas`: the edge relation is reflexive and each s_i
+      duplicates position i;
+    - `antisymmetry`: no two distinct vertices have edges both ways.
+    At K = 0 only `validation` runs.  At K = 1, PASS means that the edge
+    relation is a partial order: over every reflexive relation on at most
+    three labelled vertices, the flag set of the relation passes exactly
+    when the relation is a partial order (Tier-1 census, at K = 1 and 2).
 
     The vertex tuples and the edge relation are computed once and shared by
     the checks and the reconstruction."""

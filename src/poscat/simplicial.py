@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -65,6 +66,11 @@ class TruncatedSimplicialSet:
     degeneracies[(n, i)] maps X_n -> X_{n+1} for 0 <= n < K, 0 <= i <= n.
     `make_sset` validates the dual simplicial identities; the raw constructor
     can skip that for deliberately broken fixtures.
+
+    A set is read-only by convention once built: the constructor copies the
+    tables it is given, and `nerve` hands the same set to every caller that
+    asks for one poset, name and truncation, so changing a table of a nerve
+    would change it for them all.  Copy a table before changing it.
     """
 
     def __init__(self, levels, faces, degeneracies, name="", validate=True):
@@ -169,11 +175,40 @@ def make_sset(levels, faces, degeneracies, name="") -> TruncatedSimplicialSet:
     return TruncatedSimplicialSet(levels, faces, degeneracies, name=name, validate=True)
 
 
+# The nerves `nerve` keeps, least recently used first, keyed by (poset, name,
+# K): `FinPoset` equality ignores names, while a nerve is named after its poset.
+_NERVES = collections.OrderedDict()
+NERVE_CACHE_SIZE = 32
+# A nerve with more simplices is built but not kept, so the cache holds at
+# most NERVE_CACHE_SIZE * NERVE_CACHE_MAX_SIMPLICES simplices.
+NERVE_CACHE_MAX_SIMPLICES = 4096
+
+
 def nerve(poset, K) -> TruncatedSimplicialSet:
     """Nerve truncated at K: level n holds the weakly increasing (n+1)-tuples,
-    d_i deletes position i and s_i duplicates it."""
+    d_i deletes position i and s_i duplicates it.
+
+    The result is shared: equal posets with equal names give one object at
+    one K, from a cache of the NERVE_CACHE_SIZE nerves used last, none over
+    NERVE_CACHE_MAX_SIMPLICES simplices.  Its levels are tuples and its tables
+    are read-only by convention; a caller that wants to change a table
+    copies it first."""
     if K < 0:
         raise SimplicialError("truncation level must be >= 0")
+    key = (poset, poset.name, K)
+    X = _NERVES.get(key)
+    if X is not None:
+        _NERVES.move_to_end(key)
+        return X
+    X = _build_nerve(poset, K)
+    if sum(map(len, X.levels)) <= NERVE_CACHE_MAX_SIMPLICES:
+        _NERVES[key] = X
+        if len(_NERVES) > NERVE_CACHE_SIZE:
+            _NERVES.popitem(last=False)
+    return X
+
+
+def _build_nerve(poset, K):
     levels = [tuple(level) for level in chain_levels(poset, K)]
     # each table entry is looked up among the adjacent level's own tuples, so
     # it costs a reference instead of a fresh tuple of up to K + 2 points

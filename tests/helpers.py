@@ -5,11 +5,37 @@ import hashlib
 from poscat import FinPoset, PosetDiagram, make_poset, monotone_maps
 from poscat.corpus import _children, poset_classes
 from poscat.posets import chain_levels
+from poscat.simplicial import TruncatedSimplicialSet
 
 
 def chains(poset, n, strict=False):
     """All weakly (or strictly) increasing (n+1)-tuples, lexicographically ordered."""
     return chain_levels(poset, n, strict)[n]
+
+
+def flag_sset(n, R, K):
+    """The flag simplicial set of a reflexive relation R, a set of index pairs
+    (a, b) on the vertices "0".."n-1", truncated at K: level m holds the
+    (m+1)-tuples of vertices whose entries are pairwise related in order, d_i
+    deletes entry i and s_i duplicates it.  The tables are built here and
+    passed to the raw constructor unvalidated, so no poscat builder stands
+    between R and what `check_continuity` sees."""
+    vertices = [str(v) for v in range(n)]
+    related = {(str(a), str(b)) for a, b in R}
+    levels = [[(v,) for v in vertices]]
+    for _ in range(K):
+        levels.append(
+            [t + (v,) for t in levels[-1] for v in vertices if all((u, v) in related for u in t)]
+        )
+    faces = {
+        (m, i): {t: t[:i] + t[i + 1 :] for t in levels[m]}
+        for m in range(1, K + 1)
+        for i in range(m + 1)
+    }
+    degeneracies = {
+        (m, i): {t: t[: i + 1] + t[i:] for t in levels[m]} for m in range(K) for i in range(m + 1)
+    }
+    return TruncatedSimplicialSet(levels, faces, degeneracies, name=f"flag{n}", validate=False)
 
 
 def naturally_labeled_posets(n):

@@ -336,6 +336,34 @@ def test_parse_errors_exit_two(tmp_path, v_file):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["nerve", "--poset", "v.poset", "--trunc", "1", "--trunc", "0"], "--trunc"),
+        (["nerve", "--poset", "v.poset", "--trunc", "1", "--tr", "1"], "--trunc"),
+        (["check", "--sset", "a.sset", "--sset", "b.sset"], "--sset"),
+        (["reconstruct", "--format", "machine", "--sset", "a.sset", "--format", "text"], "--format"),
+        (["colimit", "--diagram", "d.diagram", "--in", "pos", "--in", "tos"], "--in"),
+        (["extensions", "--poset", "v.poset", "--output", "a", "--output", "b"], "--output"),
+        (["density", "--poset", "v.poset", "--bound", "2", "--bound=3"], "--bound"),
+        (["extend", "--functor", "f.fun", "--poset", "v.poset", "--functor", "g.fun"], "--functor"),
+        (["verify-identities", "--max-n", "2", "--max-n", "3"], "--max-n"),
+        (["homcount", "--poset", "p", "--poset2", "q", "--poset2", "q", "--trunc", "1"], "--poset2"),
+    ],
+)
+def test_repeated_options_exit_two(tmp_path, monkeypatch, capsys, argv, option):
+    """A repeated option is refused by argparse, whatever its values, before
+    any file is read or written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: given more than once\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_repeated_sset_row_exits_two(tmp_path, capsys):
     path = tmp_path / "repeated.sset"
     path.write_text(

@@ -1,5 +1,7 @@
 """Continuity checks, corruption detection, reconstruction, density, full faithfulness."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,15 @@ from poscat.corpus import all_posets
 from poscat.formats import parse_sset, serialize_sset
 from poscat.simplicial import TruncatedSimplicialSet
 
-from helpers import digest, singleton, three_chain, two_antichain, two_chain, v_poset
+from helpers import (
+    digest,
+    flag_sset,
+    singleton,
+    three_chain,
+    two_antichain,
+    two_chain,
+    v_poset,
+)
 
 
 def unvalidated(X, levels=None, faces=None, degeneracies=None):
@@ -370,3 +380,41 @@ def test_continuity_of_nerves_of_five_points_is_pinned():
             yield repr(r.iso.components)
 
     assert digest(lines()) == CONTINUITY_DIGEST
+
+
+def _reflexive_relations(n):
+    """Every reflexive relation on range(n), as a set of pairs."""
+    off = [(a, b) for a in range(n) for b in range(n) if a != b]
+    diagonal = {(a, a) for a in range(n)}
+    for bits in range(1 << len(off)):
+        yield diagonal | {pair for k, pair in enumerate(off) if bits >> k & 1}
+
+
+def _is_partial_order(R):
+    """Antisymmetric and transitive, pair by pair (R is reflexive)."""
+    return all(a == b or (b, a) not in R for a, b in R) and all(
+        (a, d) in R for a, b in R for c, d in R if b == c
+    )
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_flag_ssets_pass_exactly_on_partial_orders(K):
+    """Over every reflexive relation on at most three labelled vertices, the
+    flag simplicial set passes `check_continuity` exactly when the relation
+    is a partial order (1, 1, 3 and 19 of them: A001035), and the
+    reconstructed order is the relation itself."""
+    passed = []
+    for n in range(4):
+        count = 0
+        for R in _reflexive_relations(n):
+            X = flag_sset(n, R, K)
+            report = check_continuity(X)
+            assert report.passed == _is_partial_order(R), (n, sorted(R))
+            if report.passed:
+                count += 1
+                poset, iso = reconstruct(X)
+                pairs = itertools.product(poset.elements, repeat=2)
+                assert {(int(x), int(y)) for x, y in pairs if poset.leq(x, y)} == R
+                assert iso.source is X and iso.target is nerve(poset, K)
+        passed.append(count)
+    assert passed == [1, 1, 3, 19]

@@ -10,13 +10,16 @@ from poscat import (
     SimplicialError,
     SimplicialIdentityError,
     chain_poset,
+    check_continuity,
     compose,
     count_monotone_maps,
     count_simplicial_maps,
     degeneracy,
     evaluate,
     face,
+    fully_faithful_witness,
     identity_delta,
+    make_poset,
     make_sset,
     monotone_maps,
     nerve,
@@ -26,6 +29,7 @@ from poscat import (
 )
 from poscat.posets import MonotoneMap
 from poscat.corpus import all_posets
+from poscat import simplicial
 from poscat.simplicial import SimplicialMap, TruncatedSimplicialSet
 
 from helpers import digest, singleton, three_chain, two_antichain, two_chain, v_poset
@@ -422,3 +426,76 @@ def test_simplicial_maps_between_nerves_of_four_points_are_pinned():
     maps = [m for X in nerves for Y in nerves for m in simplicial_maps(X, Y)]
     assert len(maps) == 19_727
     assert digest(repr(m.components) for m in maps) == MAPS_DIGEST
+
+
+@pytest.fixture
+def no_nerves():
+    """An empty nerve cache, emptied again afterwards."""
+    simplicial._NERVES.clear()
+    yield
+    simplicial._NERVES.clear()
+
+
+def test_equal_posets_with_equal_names_share_one_nerve(no_nerves):
+    rebuilt = make_poset(["c", "b", "a"], [("b", "c"), ("a", "c")], name="V")
+    assert rebuilt is not v_poset() and rebuilt == v_poset()
+    assert nerve(rebuilt, 2) is nerve(v_poset(), 2)
+
+
+def test_another_name_or_truncation_gives_another_nerve(no_nerves):
+    X = nerve(v_poset(), 2)
+    renamed = make_poset(["a", "b", "c"], [("a", "c"), ("b", "c")], name="W")
+    unnamed = make_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    for other, name, K in ((renamed, "N(W)", 2), (unnamed, "", 2), (v_poset(), "N(V)", 1)):
+        Y = nerve(other, K)
+        assert Y is not X and (Y.name, Y.K) == (name, K)
+        assert Y is nerve(other, K)
+    assert nerve(renamed, 2) == X  # equality ignores names, like FinPoset's
+
+
+def test_the_least_recently_used_nerve_is_evicted(no_nerves):
+    points = [make_poset(["x"], [], name=f"p{k}") for k in range(simplicial.NERVE_CACHE_SIZE + 1)]
+    kept = [nerve(p, 1) for p in points[:-1]]
+    assert nerve(points[0], 1) is kept[0]  # now the most recently used
+    nerve(points[-1], 1)  # the 33rd key evicts points[1]'s nerve
+    assert len(simplicial._NERVES) == simplicial.NERVE_CACHE_SIZE == 32
+    assert nerve(points[0], 1) is kept[0]
+    rebuilt = nerve(points[1], 1)
+    assert rebuilt is not kept[1] and rebuilt == kept[1]
+    assert all(nerve(p, 1) is X for p, X in zip(points[3:], kept[3:]))
+
+
+def test_a_nerve_over_the_simplex_cap_is_not_kept(no_nerves):
+    ten = chain_poset("0123456789")
+    small, large = nerve(ten, 4), nerve(ten, 5)
+    sizes = [sum(len(level) for level in X.levels) for X in (small, large)]
+    assert sizes == [3002, 8007] and simplicial.NERVE_CACHE_MAX_SIMPLICES == 4096
+    assert nerve(ten, 4) is small
+    again = nerve(ten, 5)
+    assert again is not large and again == large
+    assert len(simplicial._NERVES) == 1
+
+
+def test_reconstruction_reuses_the_nerve_it_was_handed(no_nerves):
+    unnamed = make_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    X = nerve(unnamed, 2)
+    assert check_continuity(X).iso.target is X
+
+
+def test_shared_nerves_are_left_as_they_were_built(no_nerves):
+    """What reads a cached nerve changes none of it: after every consumer has
+    run, each cached nerve equals one built afresh."""
+    pairs = [(two_chain(), v_poset()), (v_poset(), three_chain()), (two_antichain(), singleton())]
+    for p, q in pairs:
+        X, Y = nerve(p, 2), nerve(q, 2)
+        simplicial_maps(X, Y)
+        check_continuity(X)
+        for f in monotone_maps(p, q):
+            nerve_map(f, 2)
+        X.restrict(1)
+        fully_faithful_witness(p, q, 2)
+    shared = [(p, nerve(p, 2)) for pair in pairs for p in pair]
+    simplicial._NERVES.clear()
+    for p, X in shared:
+        fresh = nerve(p, 2)
+        assert fresh is not X and fresh == X and fresh.name == X.name
