@@ -104,6 +104,13 @@ class FinPoset:
         return tuple(out)
 
     @cached_property
+    def count_plan(self):
+        """The kernels' plan for counting monotone maps out of this poset
+        (`_kernels.count_plan` over `cover_pairs`), built once per poset
+        object and read by `count_monotone_maps` for every target."""
+        return _kernels.count_plan(self.n, self.cover_pairs)
+
+    @cached_property
     def is_total(self):
         return all(
             self.up_rows[i] & (1 << j) or self.up_rows[j] & (1 << i)
@@ -351,8 +358,8 @@ def monotone_maps(source, target):
 
 
 def count_monotone_maps(source, target):
-    plan = _kernels.count_plan(source.n, source.cover_pairs)
-    return _kernels.run_plan(plan, [(target.up_rows, target.down_rows, None)])[0]
+    """The number of monotone maps source -> target, by source's cached `count_plan`."""
+    return _kernels.run_plan(source.count_plan, [(target.up_rows, target.down_rows, None)])[0]
 
 
 def linear_extensions(poset):

@@ -70,7 +70,11 @@ class TruncatedSimplicialSet:
     A set is read-only by convention once built: the constructor copies the
     tables it is given, and `nerve` hands the same set to every caller that
     asks for one poset, name and truncation, so changing a table of a nerve
-    would change it for them all.  Copy a table before changing it.
+    would change it for them all.  The convention also guards what a map
+    search compiles from the tables and keeps on the set: its slot program
+    as a source, its boundary index, degeneracy masks, lookahead tables and
+    top-level candidates as a target.  None of these is rebuilt when a
+    table changes.  Copy a table before changing it.
     """
 
     def __init__(self, levels, faces, degeneracies, name="", validate=True):
@@ -93,6 +97,73 @@ class TruncatedSimplicialSet:
         are tuples, so these never go stale.  The structure checks here and
         every `SimplicialMap` check share them."""
         return tuple(frozenset(level) for level in self.levels)
+
+    @functools.cached_property
+    def _target_index(self):
+        """The tables a map search into this set reads, built on first use
+        and kept: per level n >= 1 its boundary index (`_boundary_index`);
+        per degeneracy table (n, i) the one-bit mask of the image of each
+        position of X_n; and per level the one-bit mask of each position.
+        Every one-bit mask of these tables and of `_lookahead` is taken from
+        the last, so each simplex's bit is one int however many hold it."""
+        pos = [{y: j for j, y in enumerate(level)} for level in self.levels]
+        bits = tuple([1 << j for j in range(len(level))] for level in self.levels)
+        index = (None,) + tuple(
+            _boundary_index(self, n, pos[n - 1], bits[n]) for n in range(1, self.K + 1)
+        )
+        degeneracy = {
+            (n, i): {j: bits[n + 1][pos[n + 1][table[y]]] for j, y in enumerate(self.levels[n])}
+            for (n, i), table in self.degeneracies.items()
+        }
+        return index, degeneracy, bits
+
+    @functools.cached_property
+    def _lookahead(self):
+        """The lookahead table (`_check_table`) of each (n, at) that a map
+        search into this set needs, built the first time a source needs it."""
+        index, _, bits = self._target_index
+        return functools.cache(lambda n, at: _check_table(index[n], n, at, bits[n - 1]))
+
+    @functools.cached_property
+    def _top_candidates(self):
+        """The top-level simplices that a mask over the top level selects, as
+        a tuple, built the first time a listing meets the mask."""
+        top = self.levels[-1]
+        return functools.cache(lambda mask: tuple(top[j] for j in _positions(mask)))
+
+    @functools.cached_property
+    def _slot_program(self):
+        """The source side of a map search from this set, in slot numbers
+        only, so that it serves every target: the simplices are the slots,
+        level by level in levels order.  It is (bounds, faces, splits,
+        degenerate): the first slot of each level and the end; per slot the
+        slots of its faces (none at level 0); per slot at level n >= 1 the
+        pair (at, rest) of the face positions that hold its last face slot
+        and of the others; and per degeneracy table (n, i), for each simplex
+        of X_n in order, the slot of its image.  Equal pairs are one tuple."""
+        bounds = [0]
+        for level in self.levels:
+            bounds.append(bounds[-1] + len(level))
+        slot_of = [
+            dict(zip(level, range(a, b))) for level, a, b in zip(self.levels, bounds, bounds[1:])
+        ]
+        faces, splits, shared = [()] * bounds[1], [None] * bounds[1], {}
+        for n in range(1, self.K + 1):
+            below = slot_of[n - 1]
+            tables = [self.faces[n, i] for i in range(n + 1)]
+            for x in self.levels[n]:
+                f = tuple(below[t[x]] for t in tables)
+                last = max(f)
+                at = tuple(i for i, g in enumerate(f) if g == last)
+                if (n, at) not in shared:
+                    shared[n, at] = at, tuple(i for i in range(n + 1) if i not in at)
+                faces.append(f)
+                splits.append(shared[n, at])
+        degenerate = tuple(
+            ((n, i), tuple(slot_of[n + 1][table[x]] for x in self.levels[n]))
+            for (n, i), table in self.degeneracies.items()
+        )
+        return tuple(bounds), tuple(faces), tuple(splits), degenerate
 
     def _check_structure(self):
         for n, (level, members) in enumerate(zip(self.levels, self.level_sets)):
@@ -126,14 +197,33 @@ class TruncatedSimplicialSet:
         sides of each `delta.identity_instances(K)` instance act on the level
         its left side starts from.  The faces-only family comes first, then
         the degeneracies-only one, then the three mixed ones together, each
-        by (level, j, i, simplex)."""
+        by (level, j, i, simplex).
+
+        Sides are compared as positions: each generator's image of its level
+        is looked up once per call and shared by every instance that uses
+        it, so a side costs one list index per simplex and generator."""
         if self.K < 1:
             return []
         out, mixed = [], []
+        pos = [{y: j for j, y in enumerate(level)} for level in self.levels]
+        steps = {"face": (self.faces, -1), "degeneracy": (self.degeneracies, 1)}
+        images = {}  # per generator, the positions of its images of its level
+
+        def positions(refs, size):
+            out = None
+            for ref in refs:
+                if ref not in images:
+                    kind, n, i = ref
+                    tables, step = steps[kind]
+                    simplices = map(tables[n, i].__getitem__, self.levels[n])
+                    images[ref] = list(map(pos[n + step].__getitem__, simplices))
+                out = images[ref] if out is None else list(map(images[ref].__getitem__, out))
+            return list(range(size)) if out is None else out
+
         for family, _, i, j, lhs, rhs in identity_instances(self.K):
             m = lhs[0][1]
             level = self.levels[m]
-            left, right = list(_act(self, lhs, level)), list(_act(self, rhs, level))
+            left, right = positions(lhs, len(level)), positions(rhs, len(level))
             if left != right:
                 dual = _dual_family(family)
                 (mixed if lhs[0][0] != lhs[1][0] else out).extend(
@@ -311,32 +401,34 @@ def nerve_map(f: MonotoneMap, K) -> SimplicialMap:
     return SimplicialMap(src, tgt, comps)
 
 
-def _boundary_index(Y, n, pos):
+def _boundary_index(Y, n, below, bits):
     """Level n of Y bucketed by boundary: the key of a simplex y is the tuple
-    of the positions of d_0 y, ..., d_n y in Y.levels[n - 1] (`pos[n - 1]`),
-    and bit j of a key's mask is set iff Y.levels[n][j] has that boundary."""
+    of the positions of d_0 y, ..., d_n y in Y.levels[n - 1] (`below`), and
+    bit j of a key's mask is set iff Y.levels[n][j] has that boundary.  A
+    bucket of one simplex holds its bit from `bits`, not a copy."""
     tables = [Y.faces[(n, i)] for i in range(n + 1)]
-    below = pos[n - 1]
     index = {}
-    for j, y in enumerate(Y.levels[n]):
+    for y, bit in zip(Y.levels[n], bits):
         key = tuple(below[t[y]] for t in tables)
-        index[key] = index.get(key, 0) | 1 << j
+        index[key] = index[key] | bit if key in index else bit
     return index
 
 
-def _check_table(index, n, at):
+def _check_table(index, n, at, bits):
     """The lookahead check of a simplex at level n whose faces at positions
     `at` are one slot, its last: the images of its other faces, read as
     `itemgetter` reads them (one image bare, several as a tuple, none as ()),
     map to the mask of the values that slot may take so that the simplex's
-    bucket in `index` is not empty."""
+    bucket in `index` is not empty.  A mask of one value is its bit from
+    `bits`, the one-bit masks of level n - 1."""
     rest = [i for i in range(n + 1) if i not in at]
     other = itemgetter(*rest) if rest else lambda key: ()
     table = {}
     for key in index:
         y = key[at[0]]
         if all(key[i] == y for i in at):
-            table[other(key)] = table.get(other(key), 0) | 1 << y
+            k = other(key)
+            table[k] = table[k] | bits[y] if k in table else bits[y]
     return table
 
 
@@ -374,41 +466,35 @@ def _assignments(X, Y):
       simplex a non-empty bucket, by the images of its other faces.
     So a candidate with no completion is never tried, and the order of the
     maps found is unchanged.
+
+    Everything that depends on one side only is compiled once per set and
+    kept on it: X's slot program (`_slot_program`, slot numbers only) and
+    Y's tables (`_target_index`, and `_lookahead` per (n, at)).  A call only
+    binds the two: it builds the per-slot lookups, with their getters, for
+    this pair.
     """
     if X.K != Y.K:
         raise SimplicialError("source and target truncations differ")
-    K = X.K
-    pos = [{y: j for j, y in enumerate(level)} for level in Y.levels]
-    index = [None] + [_boundary_index(Y, n, pos) for n in range(1, K + 1)]
-    degeneracy = {
-        (n, i): {j: 1 << pos[n + 1][table[y]] for j, y in enumerate(Y.levels[n])}
-        for (n, i), table in Y.degeneracies.items()
-    }
-    # per slot: a constant mask and its lookups, each a table and the getter
-    # of its key from the values of the slots before it
-    every_vertex = (1 << len(Y.levels[0])) - 1
-    slot_of, slots, checks = {}, [], {}
-    for n, level in enumerate(X.levels):
-        tables = [X.faces[(n, i)] for i in range(n + 1)] if n else []
-        for x in level:
-            slot_of[n, x] = len(slots)
-            if not n:
-                slots.append([every_vertex, []])
-                continue
-            faces = tuple(slot_of[n - 1, t[x]] for t in tables)
-            slots.append([-1, [(index[n], itemgetter(*faces))]])
-            last = max(faces)
-            at = tuple(i for i, f in enumerate(faces) if f == last)
-            if (n, at) not in checks:
-                checks[n, at] = _check_table(index[n], n, at)
-            others = [f for f in faces if f != last]
-            if others:
-                slots[last][1].append((checks[n, at], itemgetter(*others)))
+    # per slot a constant mask and its lookups, each a table of Y and the
+    # getter of its key from the values of the slots before it
+    bounds, faces, splits, degenerate = X._slot_program
+    index, degeneracy, _ = Y._target_index
+    consts = [(1 << len(Y.levels[0])) - 1] * bounds[1] + [-1] * (bounds[-1] - bounds[1])
+    lookups = [[] for _ in consts]
+    for n in range(1, X.K + 1):
+        for s in range(bounds[n], bounds[n + 1]):
+            f, (at, rest) = faces[s], splits[s]
+            lookups[s].append((index[n], itemgetter(*f)))
+            check = Y._lookahead(n, at)
+            if rest:
+                lookups[f[at[0]]].append((check, itemgetter(*[f[i] for i in rest])))
             else:
-                slots[last][0] &= checks[n, at].get((), 0)
-    for (n, i), table in X.degeneracies.items():
-        for xp, x in table.items():
-            slots[slot_of[n + 1, x]][1].append((degeneracy[n, i], itemgetter(slot_of[n, xp])))
+                consts[f[at[0]]] &= check.get((), 0)
+    for (n, i), images in degenerate:
+        table = degeneracy[n, i]
+        for xp, x in enumerate(images, bounds[n]):
+            lookups[x].append((table, itemgetter(xp)))
+    slots = list(zip(consts, lookups))
 
     def options(s, values):
         mask, lookups = slots[s]
@@ -416,7 +502,7 @@ def _assignments(X, Y):
             mask &= table.get(get(values), 0)
         return _positions(mask)
 
-    top = slots[len(slots) - len(X.levels[K]) :]
+    top = slots[bounds[-2] :]
     for head in depth_first(len(slots) - len(top), options):
         masks = []
         for mask, lookups in top:
@@ -435,8 +521,9 @@ def iter_simplicial_maps(X, Y):
 
     `_assignments` walks levels 0..K-1 of X with `_kernels.depth_first`,
     each simplex taking its candidates from bitmasks over a boundary index
-    of Y built afresh for each call; the maps with one head are the ordered
-    product of the candidates of the top-level simplices.  Each map's
+    of Y that Y compiles once and keeps; the maps with one head are the
+    ordered product of the candidates of the top-level simplices, each
+    candidate tuple kept on Y by its mask (`_top_candidates`).  Each map's
     components are passed to `SimplicialMap` as (simplex, image) pairs, its
     head levels zipped from the head's positions and its top level from its
     tuple of the product, so each component dict is built once, by the
@@ -444,17 +531,14 @@ def iter_simplicial_maps(X, Y):
     constructor re-checks that it is total, stays in Y and commutes with
     every face and degeneracy table.
     """
-    bounds = [0]
-    for level in X.levels:
-        bounds.append(bounds[-1] + len(level))
+    bounds = X._slot_program[0]
     # per level below the top: its simplices, the image of a position, and
     # the head's span of that level
     head_levels = [
         (level, images.__getitem__, a, b)
         for level, images, a, b in zip(X.levels[:-1], Y.levels, bounds, bounds[1:])
     ]
-    top, top_images = X.levels[-1], Y.levels[-1]
-    candidates = functools.cache(lambda mask: [top_images[j] for j in _positions(mask)])
+    top, candidates = X.levels[-1], Y._top_candidates
     for head, masks in _assignments(X, Y):
         # a list, not *map(...): unpacking the iterator here raised the peak
         # RSS of the `nerves` benchmark workload by about 1 MB (CPython 3.11)

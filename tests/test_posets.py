@@ -23,6 +23,7 @@ from poscat import (
     product_poset,
     split_retraction,
 )
+from poscat import _kernels
 from poscat._kernels import transitive_closure
 from poscat.corpus import all_posets
 from poscat.posets import FinPoset, chain_counts, colour_ranks, signatures
@@ -403,3 +404,42 @@ def test_chain_counts_match_the_chains():
         assert list(chain_counts(p, 3, strict=True)) == [
             len(chains(p, n, strict=True)) for n in range(4)
         ]
+
+
+
+def _renamed(poset):
+    """A copy with renamed elements listed in reverse index order, so that its
+    cover pairs are not the original's."""
+    n = poset.n
+    rows = [
+        sum(1 << (n - 1 - j) for j in range(n) if poset.up_rows[i] >> j & 1)
+        for i in reversed(range(n))
+    ]
+    return FinPoset([f"r{e}" for e in reversed(poset.elements)], rows, name=f"r{poset.name}")
+
+
+def _brute_count(p, q):
+    pairs = [(i, j) for i in range(p.n) for j in range(p.n) if p.up_rows[i] >> j & 1]
+    return sum(
+        all(q.up_rows[f[i]] >> f[j] & 1 for i, j in pairs)
+        for f in itertools.product(range(q.n), repeat=p.n)
+    )
+
+
+def test_count_monotone_maps_builds_one_plan_per_poset(monkeypatch):
+    """The plan is built on a poset's first count and kept by that object;
+    counts match brute force on all_posets(3) and on renamed copies."""
+    built = []
+    count_plan = _kernels.count_plan
+
+    def counted(n, pairs):
+        built.append(pairs)
+        return count_plan(n, pairs)
+
+    monkeypatch.setattr(_kernels, "count_plan", counted)
+    posets = [FinPoset(p.elements, p.up_rows, name=p.name) for p in all_posets(3)]
+    posets += [_renamed(p) for p in posets]
+    for p in posets:
+        for q in posets:
+            assert count_monotone_maps(p, q) == _brute_count(p, q), (p.name, q.name)
+    assert built == [p.cover_pairs for p in posets]

@@ -32,7 +32,7 @@ from poscat.corpus import all_posets
 from poscat import simplicial
 from poscat.simplicial import SimplicialMap, TruncatedSimplicialSet
 
-from helpers import digest, singleton, three_chain, two_antichain, two_chain, v_poset
+from helpers import digest, flag_sset, singleton, three_chain, two_antichain, two_chain, v_poset
 
 
 def test_nerve_two_chain():
@@ -499,3 +499,75 @@ def test_shared_nerves_are_left_as_they_were_built(no_nerves):
     for p, X in shared:
         fresh = nerve(p, 2)
         assert fresh is not X and fresh == X and fresh.name == X.name
+
+
+# What a map search compiles and keeps on a simplicial set: the slot program
+# of a source, the tables of a target.
+COMPILED = ("_slot_program", "_target_index", "_lookahead", "_top_candidates")
+
+
+def _compiled(X):
+    return {name: vars(X)[name] for name in COMPILED if name in vars(X)}
+
+
+def _fresh(X):
+    """An equal set that no search has used: the same levels and tables."""
+    return TruncatedSimplicialSet(X.levels, X.faces, X.degeneracies, name=X.name, validate=False)
+
+
+def test_a_second_search_reuses_the_compiled_forms(no_nerves):
+    X, Y = nerve(v_poset(), 2), nerve(three_chain(), 2)
+    assert _compiled(X) == _compiled(Y) == {}
+    maps = simplicial_maps(X, Y)
+    source, target = _compiled(X), _compiled(Y)
+    assert list(source) == ["_slot_program"] and list(target) == list(COMPILED[1:])
+    assert simplicial_maps(X, Y) == maps and count_simplicial_maps(X, Y) == len(maps)
+    assert _compiled(X).keys() == source.keys() and _compiled(Y).keys() == target.keys()
+    assert all(_compiled(X)[name] is table for name, table in source.items())
+    assert all(_compiled(Y)[name] is table for name, table in target.items())
+    # a restricted set and an equal set built afresh compile their own
+    for Z in (X.restrict(1), Y.restrict(2), _fresh(X), _fresh(Y)):
+        assert _compiled(Z) == {}
+        simplicial_maps(Z, Z)
+        assert all(_compiled(Z)[name] is not table for name, table in source.items())
+        assert all(_compiled(Z)[name] is not table for name, table in target.items())
+
+
+def _warm_and_fresh_sets():
+    """Per truncation, the nerves of all_posets(3) and the flag sets of the
+    four reflexive relations on two vertices."""
+    loops = [(0, 0), (1, 1)]
+    relations = [loops, loops + [(0, 1)], loops + [(1, 0)], loops + [(0, 1), (1, 0)]]
+    return {
+        K: [simplicial._build_nerve(p, K) for p in all_posets(3)]
+        + [flag_sset(2, R, K) for R in relations]
+        for K in (1, 2)
+    }
+
+
+def test_warm_sets_list_the_maps_of_fresh_copies_in_order():
+    """A set that searches have used as source and as target lists, and
+    counts, the maps that an equal set built afresh does, order included."""
+    for K, sets in _warm_and_fresh_sets().items():
+        for X in sets:
+            for Y in sets:
+                count_simplicial_maps(X, Y)
+                simplicial_maps(Y, X)
+        assert all("_slot_program" in vars(X) and "_target_index" in vars(X) for X in sets)
+        for X in sets:
+            for Y in sets:
+                warm = [m.components for m in simplicial_maps(X, Y)]
+                fresh = [m.components for m in simplicial_maps(_fresh(X), _fresh(Y))]
+                assert warm == fresh, (K, X.name, Y.name)
+                assert count_simplicial_maps(X, Y) == len(fresh), (K, X.name, Y.name)
+
+
+def test_truncation_mismatch_after_both_sets_are_warm():
+    X, Y = nerve(two_chain(), 1), nerve(two_chain(), 2)
+    for Z in (X, Y):
+        simplicial_maps(Z, Z)
+        count_simplicial_maps(Z, Z)
+    with pytest.raises(SimplicialError):
+        simplicial_maps(X, Y)
+    with pytest.raises(SimplicialError):
+        count_simplicial_maps(Y, X)
