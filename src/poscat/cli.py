@@ -129,13 +129,56 @@ def _parser():
     return parser
 
 
-def _emit(args, lines):
-    payload = "\n".join(lines) + "\n"
+def _emit(args, rows, ok=True):
+    """Write a report to stdout or --output and return its exit code, 0 if ok
+    else 1.  Each row is a (machine line, text line) pair, with None on the
+    side of a format that leaves the row out, or a bare string that both
+    formats print; this is the one place that reads --format."""
+    side = 0 if args.format == "machine" else 1
+    lines = [row if isinstance(row, str) else row[side] for row in rows]
+    payload = "\n".join(line for line in lines if line is not None) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+    return 0 if ok else 1
+
+
+def _pass_fail(ok):
+    return "PASS" if ok else "FAIL"
+
+
+def _witness(args, text):
+    """The row that names why a check failed."""
+    return f"{args.command}.witness={text}", f"witness: {text}"
+
+
+def _poset_rows(key, poset, name):
+    """A poset as `<key>.size`, `<key>.elements` and `<key>.le` machine rows,
+    and in text as a poset file called `name`."""
+    rows = [(f"{key}.size={poset.n}", None), (f"{key}.elements=" + " ".join(poset.elements), None)]
+    rows += [(f"{key}.le={poset.elements[i]}<{poset.elements[j]}", None) for i, j in poset.cover_pairs]
+    return rows + [(None, line) for line in formats.serialize_poset(poset, name=name).splitlines()]
+
+
+def _continuity_rows(report):
+    """A continuity report: the text lists the checks in the order they ran,
+    with their details; the machine keys are sorted by check name, each
+    failing check followed by its witness."""
+    rows = [(None, f"continuity up to truncation {report.truncation}")]
+    for v in report.verdicts.values():
+        detail = f"  [{v.detail}]" if v.detail else ""
+        rows.append((None, f"  {v.name}: {_pass_fail(v.passed)}{detail}"))
+    for name, v in sorted(report.verdicts.items()):
+        rows.append((f"check.{name}={_pass_fail(v.passed)}", None))
+        if not v.passed and v.detail:
+            rows.append((f"check.{name}.witness={v.detail}", None))
+    rows.append((f"overall={_pass_fail(report.passed)}", f"overall: {_pass_fail(report.passed)}"))
+    if report.poset is not None:
+        n = report.poset.n
+        rows.append((f"poset.size={n}", f"reconstructed poset on {n} elements"))
+    return rows
 
 
 def _within_budget(counts):
@@ -187,27 +230,21 @@ def _cmd_nerve(args):
     poset = formats.load_poset(args.poset)
     _check_budget([poset], args.trunc)
     X = nerve(poset, args.trunc)
-    _emit(args, formats.serialize_sset(X).splitlines())
-    return 0
+    return _emit(args, formats.serialize_sset(X).splitlines())
 
 
 def _cmd_check(args):
     X = formats.load_sset(args.sset)
     report = check_continuity(X)
-    lines = report.machine_lines() if args.format == "machine" else report.text_lines()
-    _emit(args, lines)
-    return 0 if report.passed else 1
+    return _emit(args, _continuity_rows(report), report.passed)
 
 
 def _cmd_reconstruct(args):
     X = formats.load_sset(args.sset)
     report = check_continuity(X)
     if not report.passed:
-        lines = report.machine_lines() if args.format == "machine" else report.text_lines()
-        _emit(args, lines)
-        return 1
-    _emit(args, formats.serialize_poset(report.poset, name="reconstructed").splitlines())
-    return 0
+        return _emit(args, _continuity_rows(report), ok=False)
+    return _emit(args, formats.serialize_poset(report.poset, name="reconstructed").splitlines())
 
 
 def _cmd_colimit(args):
@@ -215,30 +252,15 @@ def _cmd_colimit(args):
     compute = {"pos": colimit_pos, "tos": colimit_tos, "delta": colimit_delta}[args.category]
     cocone = compute(diagram)
     if cocone is None:
-        if args.format == "machine":
-            _emit(args, ["exists=no"])
-        else:
-            _emit(args, [f"no colimit in {args.category}: the poset colimit leaves the subcategory"])
-        return 1
-    lines = []
-    if args.format == "machine":
-        lines.append("exists=yes")
-        lines.append(f"apex.size={cocone.apex.n}")
-        lines.append("apex.elements=" + " ".join(cocone.apex.elements))
-        for i, j in cocone.apex.cover_pairs:
-            lines.append(f"apex.le={cocone.apex.elements[i]}<{cocone.apex.elements[j]}")
-        for nid in diagram.node_ids:
-            leg = cocone.legs[nid]
-            for x, y in zip(leg.source.elements, leg.values):
-                lines.append(f"leg.{nid}.{x}={y}")
-    else:
-        lines.extend(formats.serialize_poset(cocone.apex, name="colimit").splitlines())
-        for nid in diagram.node_ids:
-            leg = cocone.legs[nid]
-            body = " ".join(f"{x}->{y}" for x, y in zip(leg.source.elements, leg.values))
-            lines.append(f"leg {nid}: {body}")
-    _emit(args, lines)
-    return 0
+        no = f"no colimit in {args.category}: the poset colimit leaves the subcategory"
+        return _emit(args, [("exists=no", no)], ok=False)
+    rows = [("exists=yes", None)] + _poset_rows("apex", cocone.apex, "colimit")
+    for nid in diagram.node_ids:
+        leg = cocone.legs[nid]
+        pairs = list(zip(leg.source.elements, leg.values))
+        rows += [(f"leg.{nid}.{x}={y}", None) for x, y in pairs]
+        rows.append((None, f"leg {nid}: " + " ".join(f"{x}->{y}" for x, y in pairs)))
+    return _emit(args, rows)
 
 
 def _order_difference(poset, meet):
@@ -260,22 +282,18 @@ def _cmd_extensions(args):
     exts = linear_extensions(poset)
     meet = meet_of_extensions(poset, exts)
     ok = meet.up_rows == poset.up_rows
-    lines = []
-    if args.format == "machine":
-        lines.append(f"extensions.count={len(exts)}")
-        for k, ext in enumerate(exts):
-            lines.append(f"extension.{k}=" + "<".join(ext.sorted_by_order()))
-        lines.append(f"intersection_equals_order={'PASS' if ok else 'FAIL'}")
-    else:
-        lines.append(f"{len(exts)} linear extensions of {poset.name or 'poset'}")
-        for ext in exts:
-            lines.append("  " + " < ".join(ext.sorted_by_order()))
-        lines.append(f"intersection equals the original order: {'PASS' if ok else 'FAIL'}")
+    count = len(exts)
+    rows = [(f"extensions.count={count}", f"{count} linear extensions of {poset.name or 'poset'}")]
+    for k, ext in enumerate(exts):
+        order = ext.sorted_by_order()
+        rows.append((f"extension.{k}=" + "<".join(order), "  " + " < ".join(order)))
+    verdict = _pass_fail(ok)
+    rows.append(
+        (f"intersection_equals_order={verdict}", f"intersection equals the original order: {verdict}")
+    )
     if not ok:
-        key = "extensions.witness=" if args.format == "machine" else "witness: "
-        lines.append(key + _order_difference(poset, meet))
-    _emit(args, lines)
-    return 0 if ok else 1
+        rows.append(_witness(args, _order_difference(poset, meet)))
+    return _emit(args, rows, ok)
 
 
 def _cmd_density(args):
@@ -283,22 +301,17 @@ def _cmd_density(args):
     _check_comma_budget(poset)
     bound = poset.height if args.bound is None else args.bound
     result = density_colimit(poset, bound)
-    lines = []
-    if args.format == "machine":
-        lines.append(f"bound={result.bound}")
-        lines.append(f"apex.size={result.cocone.apex.n}")
-        lines.append(f"stabilized={'yes' if result.stabilized else 'no'}")
-        lines.append(f"isomorphic={'PASS' if result.passed else 'FAIL'}")
-    else:
-        lines.append(f"chain-diagram colimit at bound {result.bound}")
-        lines.append(f"apex has {result.cocone.apex.n} elements; poset has {poset.n}")
-        lines.append(f"stabilized at bound+1: {'yes' if result.stabilized else 'no'}")
-        lines.append(f"apex isomorphic to the poset: {'PASS' if result.passed else 'FAIL'}")
+    n, verdict = result.cocone.apex.n, _pass_fail(result.passed)
+    stabilized = "yes" if result.stabilized else "no"
+    rows = [
+        (f"bound={result.bound}", f"chain-diagram colimit at bound {result.bound}"),
+        (f"apex.size={n}", f"apex has {n} elements; poset has {poset.n}"),
+        (f"stabilized={stabilized}", f"stabilized at bound+1: {stabilized}"),
+        (f"isomorphic={verdict}", f"apex isomorphic to the poset: {verdict}"),
+    ]
     if not result.passed:
-        key = "density.witness=" if args.format == "machine" else "witness: "
-        lines.append(f"{key}the canonical map is {result.witness}")
-    _emit(args, lines)
-    return 0 if result.passed else 1
+        rows.append(_witness(args, f"the canonical map is {result.witness}"))
+    return _emit(args, rows, result.passed)
 
 
 def _cmd_extend(args):
@@ -306,39 +319,25 @@ def _cmd_extend(args):
     poset = formats.load_poset(args.poset)
     _check_comma_budget(poset)
     result = extend(functor, poset, initial_bound=args.bound)
-    lines = []
-    if args.format == "machine":
-        # exact at the bound by finality of the strict chains (see kan)
-        lines.append("stabilized=yes")
-        lines.append(f"stabilization={result.stabilization}")
-        lines.append(f"value.size={result.value.n}")
-        lines.append("value.elements=" + " ".join(result.value.elements))
-        for i, j in result.value.cover_pairs:
-            lines.append(f"value.le={result.value.elements[i]}<{result.value.elements[j]}")
-    else:
-        lines.append(f"stabilized at bound {result.stabilization}")
-        lines.extend(formats.serialize_poset(result.value, name="extension").splitlines())
-    _emit(args, lines)
-    return 0
+    # exact at the bound by finality of the strict chains (see kan)
+    rows = [("stabilized=yes", f"stabilized at bound {result.stabilization}")]
+    rows.append((f"stabilization={result.stabilization}", None))
+    return _emit(args, rows + _poset_rows("value", result.value, "extension"))
 
 
 def _cmd_verify_identities(args):
     report = verify_simplicial_identities(args.max_n)
-    lines = []
-    if args.format == "machine":
-        lines.append(f"instances={report.checked}")
-        lines.append(f"failures={len(report.failures())}")
-        lines.append(f"overall={'PASS' if report.passed else 'FAIL'}")
-        if not report.passed:
-            family, n, i, j, _ = report.failures()[0]
-            lines.append(f"verify-identities.witness={family} at n={n}, i={i}, j={j}")
-    else:
-        lines.append(f"checked {report.checked} identity instances up to [{args.max_n}]")
-        for family, n, i, j, ok in report.failures():
-            lines.append(f"  FAIL {family} at n={n}, i={i}, j={j}")
-        lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    _emit(args, lines)
-    return 0 if report.passed else 1
+    failures = [f"{family} at n={n}, i={i}, j={j}" for family, n, i, j, _ in report.failures()]
+    rows = [
+        (f"instances={report.checked}", f"checked {report.checked} identity instances up to [{args.max_n}]"),
+        (f"failures={len(failures)}", None),
+    ]
+    rows += [(None, f"  FAIL {failure}") for failure in failures]
+    rows.append((f"overall={_pass_fail(report.passed)}", f"overall: {_pass_fail(report.passed)}"))
+    if failures:  # the text lists every failing instance above
+        machine, _ = _witness(args, failures[0])
+        rows.append((machine, None))
+    return _emit(args, rows, report.passed)
 
 
 def _cmd_homcount(args):
@@ -349,21 +348,15 @@ def _cmd_homcount(args):
     _check_map_work(p, q, n_mono, args.trunc)
     n_simp = count_simplicial_maps(nerve(p, args.trunc), nerve(q, args.trunc))
     ok = n_mono == n_simp
-    if args.format == "machine":
-        lines = [f"monotone={n_mono}", f"simplicial={n_simp}", f"equal={'PASS' if ok else 'FAIL'}"]
-    else:
-        lines = [
-            f"monotone maps: {n_mono}",
-            f"simplicial maps between nerves (trunc {args.trunc}): {n_simp}",
-            f"counts agree: {'PASS' if ok else 'FAIL'}",
-        ]
+    rows = [
+        (f"monotone={n_mono}", f"monotone maps: {n_mono}"),
+        (f"simplicial={n_simp}", f"simplicial maps between nerves (trunc {args.trunc}): {n_simp}"),
+        (f"equal={_pass_fail(ok)}", f"counts agree: {_pass_fail(ok)}"),
+    ]
     if not ok:
         witness = non_monotone_witness(p, q, args.trunc)
-        witness = witness or "every simplicial map has a monotone vertex map"
-        key = "homcount.witness=" if args.format == "machine" else "witness: "
-        lines.append(key + witness)
-    _emit(args, lines)
-    return 0 if ok else 1
+        rows.append(_witness(args, witness or "every simplicial map has a monotone vertex map"))
+    return _emit(args, rows, ok)
 
 
 _HANDLERS = {

@@ -41,10 +41,6 @@ class Verdict:
         self.passed = passed
         self.detail = detail
 
-    @property
-    def status(self):
-        return "PASS" if self.passed else "FAIL"
-
 
 class Relation:
     """The edge relation on vertex labels extracted from level one."""
@@ -75,27 +71,6 @@ class ContinuityReport:
 
     def failing(self):
         return [v for v in self.verdicts.values() if not v.passed]
-
-    def text_lines(self):
-        out = [f"continuity up to truncation {self.truncation}"]
-        for v in self.verdicts.values():
-            suffix = f"  [{v.detail}]" if v.detail else ""
-            out.append(f"  {v.name}: {v.status}{suffix}")
-        out.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        if self.poset is not None:
-            out.append(f"reconstructed poset on {self.poset.n} elements")
-        return out
-
-    def machine_lines(self):
-        out = []
-        for name, v in sorted(self.verdicts.items()):
-            out.append(f"check.{name}={v.status}")
-            if not v.passed and v.detail:
-                out.append(f"check.{name}.witness={v.detail}")
-        out.append(f"overall={'PASS' if self.passed else 'FAIL'}")
-        if self.poset is not None:
-            out.append(f"poset.size={self.poset.n}")
-        return out
 
 
 def _vertex_labels(X):
@@ -262,8 +237,9 @@ def check_continuity(X) -> ContinuityReport:
     - `antisymmetry`: no two distinct vertices have edges both ways.
     At K = 0 only `validation` runs.  At K = 1, PASS means that the edge
     relation is a partial order: over every reflexive relation on at most
-    three labelled vertices, the flag set of the relation passes exactly
-    when the relation is a partial order (Tier-1 census, at K = 1 and 2).
+    four labelled vertices at K = 1, and three at K = 2 and 3, the flag set
+    of the relation passes exactly when the relation is a partial order
+    (Tier-1 census).
 
     The vertex tuples and the edge relation are computed once and shared by
     the checks and the reconstruction."""

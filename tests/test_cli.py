@@ -1,5 +1,7 @@
 """CLI dispatch, exit codes, and report stability."""
 
+import functools
+import itertools
 import os
 import pathlib
 import subprocess
@@ -550,3 +552,127 @@ def test_machine_reports_stable_across_processes(tmp_path, v_file):
         assert proc.returncode == 0, proc.stderr
         results.append(proc.stdout)
     assert results[0] == results[1]
+
+
+def _transcript_argvs():
+    """Write the input files into the current directory and yield the argv of
+    each call of the transcript pin, without --format: the fixtures above,
+    every poset of all_posets(3), nerve files with one line dropped or with
+    one line's last token changed, and refused inputs."""
+    from poscat.corpus import all_posets
+    from poscat.formats import serialize_poset, serialize_sset
+    from poscat.simplicial import nerve
+
+    from helpers import v_poset
+
+    def write(name, text):
+        pathlib.Path(name).write_text(text, encoding="utf-8")
+        return name
+
+    v, pt = write("v.poset", V_POSET), write("pt.poset", "poset pt\nelem x\n")
+    inc = write("inc.fun", "functor inclusion\n")
+    prod = write("prod.fun", "functor product-with c2.poset\n")
+    write("c2.poset", "poset c2\nelem 0 1\nle 0 1\n")
+    for diagram, text in (("two.diag", TWO_POINTS), ("glue.diag", GLUE)):
+        write(diagram, text)
+        for category in ("pos", "tos", "delta"):
+            yield ["colimit", "--diagram", diagram, "--in", category]
+    yield ["colimit", "--diagram", write("ghost.diag", TWO_POINTS + "edge f A B\nmap f ghost x\n")]
+    posets = [write(f"p{k}.poset", serialize_poset(p)) for k, p in enumerate(all_posets(3))]
+    for p in posets + [v]:
+        yield ["nerve", "--poset", p, "--trunc", "2"]
+        yield ["extensions", "--poset", p]
+        yield ["density", "--poset", p]
+        for functor in (inc, prod):
+            yield ["extend", "--functor", functor, "--poset", p]
+        for trunc in ("0", "1", "2"):
+            yield ["homcount", "--poset", p, "--poset2", v, "--trunc", trunc]
+            yield ["homcount", "--poset", v, "--poset2", p, "--trunc", trunc]
+    yield ["verify-identities", "--max-n", "3"]
+    yield ["extensions", "--poset", v, "--output", "out.txt"]
+    sources = [(all_posets(3)[5], 1), (all_posets(2)[3], 2), (v_poset(), 2)]
+    for s, (poset, K) in enumerate(sources):
+        lines = serialize_sset(nerve(poset, K)).splitlines()
+        mutants = [lines]
+        for k, line in enumerate(lines):
+            mutants.append(lines[:k] + lines[k + 1 :])
+            tokens, other = line.split(), lines[(k + 1) % len(lines)].split()[-1]
+            mutants.append(lines[:k] + [" ".join(tokens[:-1] + [other])] + lines[k + 1 :])
+        for m, mutant in enumerate(mutants):
+            sset = write(f"m{s}.{m}.sset", "\n".join(mutant) + "\n")
+            yield ["check", "--sset", sset]
+            yield ["reconstruct", "--sset", sset]
+    yield ["check", "--sset", "m2.0.sset", "--output", "out.txt"]
+
+    def chain(n):
+        covers = "".join(f"le {i} {i + 1}\n" for i in range(n - 1))
+        return write(f"c{n}.poset", f"poset c{n}\nelem {' '.join(map(str, range(n)))}\n{covers}")
+
+    c8, c16 = chain(8), chain(16)
+    yield ["nerve", "--poset", c16, "--trunc", "32"]
+    yield ["homcount", "--poset", c8, "--poset2", c8, "--trunc", "3"]
+    yield ["density", "--poset", c16]
+    yield ["extend", "--functor", inc, "--poset", c16]
+    yield ["density", "--poset", v, "--bound", "1"]
+    yield ["nerve", "--poset", pt, "--trunc", "33"]
+    yield ["verify-identities", "--max-n", "33"]
+    yield ["nerve", "--poset", "missing.poset", "--trunc", "1"]
+    yield ["nerve", "--poset", write("bad.poset", "poset p\nelem a b\nle a b\nle b a\n"), "--trunc", "1"]
+    yield ["check", "--sset", write("huge.sset", "sset x trunc 1000000000\nsimplex 0 p\n")]
+    yield ["extend", "--functor", write("bad.fun", "functor nowhere\n"), "--poset", v]
+    yield ["nerve", "--poset", v, "--trunc", "1", "--trunc", "0"]
+
+
+# SHA-256 of the transcript lines below, computed before the two output
+# formats shared one printing path; the same under PYTHONHASHSEED 1, 2 and 3
+TRANSCRIPTS_DIGEST = "d68a13c3a360a41ac7a1e5cc75c8c4fad9123c510d09b135be3fab86096919a7"
+
+
+def test_cli_transcripts_pinned(tmp_path, monkeypatch, capsys):
+    """Same output: argv, stdout, stderr, exit code and --output file of every
+    call in `_transcript_argvs`, in both formats.  File names are relative,
+    so the errors that quote them do not depend on tmp_path.  An argparse
+    refusal keeps only its last stderr line, which the Python version does
+    not change."""
+    from helpers import digest
+
+    monkeypatch.chdir(tmp_path)
+    # one parser for the whole corpus: building it takes most of a small call
+    monkeypatch.setattr(poscat.cli, "_parser", functools.lru_cache(poscat.cli._parser))
+
+    def failures():
+        """A failing check in each command that reaches none on real input."""
+        chain = poscat.posets.chain_poset
+        monkeypatch.setattr(poscat.cli, "meet_of_extensions", lambda p, exts: chain(p.elements))
+        yield ["extensions", "--poset", "v.poset"]
+        density_colimit = poscat.continuity.density_colimit
+
+        def not_epic(poset, bound):
+            return DensityResult(density_colimit(poset, bound).cocone, None, bound, "not jointly epic")
+
+        monkeypatch.setattr(poscat.cli, "density_colimit", not_epic)
+        yield ["density", "--poset", "v.poset"]
+        family = "sigma_j delta_i = id (i = j or i = j+1)"
+        entries = [(family, 0, 0, 1, True), (family, 1, 2, 1, False), (family, 2, 3, 2, False)]
+        monkeypatch.setattr(
+            poscat.cli, "verify_simplicial_identities", lambda max_n: IdentityReport(max_n, entries)
+        )
+        yield ["verify-identities", "--max-n", "2"]
+
+    def lines():
+        for argv in itertools.chain(_transcript_argvs(), failures()):
+            for fmt in ("text", "machine"):
+                argv_f = argv + ["--format", fmt]
+                try:
+                    code = run(argv_f)
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                if code == 2 and err.startswith("usage:"):
+                    err = err.splitlines()[-1]
+                written = pathlib.Path("out.txt")
+                text = written.read_text(encoding="utf-8") if written.exists() else None
+                written.unlink(missing_ok=True)
+                yield repr((argv_f, out, err, code, text))
+
+    assert digest(lines()) == TRANSCRIPTS_DIGEST

@@ -1,6 +1,8 @@
 """Continuity checks, corruption detection, reconstruction, density, full faithfulness."""
 
+import collections
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from poscat import (
     nerve,
     reconstruct,
 )
-from poscat.cli import CONFIG_ERRORS
+from poscat.cli import CONFIG_ERRORS, _continuity_rows
 from poscat.continuity import non_monotone_witness
 from poscat.corpus import all_posets
 from poscat.formats import parse_sset, serialize_sset
@@ -220,7 +222,7 @@ def report_lines(X):
         report = check_continuity(X)
     except CONFIG_ERRORS as exc:
         return f"{type(exc).__name__}: {exc}"
-    return report.machine_lines(), report.text_lines()
+    return _continuity_rows(report)
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,14 +399,28 @@ def _is_partial_order(R):
     )
 
 
-@pytest.mark.parametrize("K", [1, 2])
+def _automorphisms(poset):
+    """The order automorphisms of `poset`, counted over every permutation."""
+    n, rows = poset.n, poset.up_rows
+    return sum(
+        all(rows[a] >> b & 1 == rows[sigma[a]] >> sigma[b] & 1 for a in range(n) for b in range(n))
+        for sigma in itertools.permutations(range(n))
+    )
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
 def test_flag_ssets_pass_exactly_on_partial_orders(K):
-    """Over every reflexive relation on at most three labelled vertices, the
-    flag simplicial set passes `check_continuity` exactly when the relation
-    is a partial order (1, 1, 3 and 19 of them: A001035), and the
-    reconstructed order is the relation itself."""
+    """Over every reflexive relation on at most four labelled vertices at
+    K = 1, and at most three at K = 2 and 3, the flag simplicial set passes
+    `check_continuity` exactly when the relation is a partial order (1, 1,
+    3, 19 and 219 of them: A001035), and the reconstructed order is the
+    relation itself.  On four vertices the reconstructed posets meet each
+    class of all_posets(4) exactly 4!/|Aut| times: the orbit identity."""
+    passes = [1, 1, 3, 19, 219][: 5 if K == 1 else 4]
     passed = []
-    for n in range(4):
+    hits = collections.Counter()
+    four_point_classes = [c for c in all_posets(4) if c.n == 4]
+    for n in range(len(passes)):
         count = 0
         for R in _reflexive_relations(n):
             X = flag_sset(n, R, K)
@@ -416,5 +432,13 @@ def test_flag_ssets_pass_exactly_on_partial_orders(K):
                 pairs = itertools.product(poset.elements, repeat=2)
                 assert {(int(x), int(y)) for x, y in pairs if poset.leq(x, y)} == R
                 assert iso.source is X and iso.target is nerve(poset, K)
+                if n == 4:
+                    [k] = [
+                        k for k, c in enumerate(four_point_classes) if find_isomorphism(poset, c) is not None
+                    ]
+                    hits[k] += 1
         passed.append(count)
-    assert passed == [1, 1, 3, 19]
+    assert passed == passes
+    if len(passes) > 4:
+        orbits = [math.factorial(4) // _automorphisms(c) for c in four_point_classes]
+        assert [hits[k] for k in range(len(four_point_classes))] == orbits
