@@ -13,24 +13,18 @@ Every listing search walks `depth_first(n, options)`, which yields each tuple
 whose k-th entry is one of options(k, values): `list_maps` here, and
 `posets.linear_extensions`, `posets.coloured_isomorphisms` and the simplicial
 map search, each stating only its candidate rule.  `run_plan` is the one
-counting loop: it multiplies the counts of closed slots instead of listing
-them.  A slot closed at a level whose constraints all point at that level's
-branch is a leaf; when the last level closes only leaves, `run_plan` turns
-them into one weight per target value and counts that level in one pass, as
-the sum of the weights over the branch's allowed values, so a one-level plan
-is one sum per target.  A plan without levels, whose slots are all free, is
-answered in one pass over the batch: per target, the product of the free
-slots' numbers of allowed values.
+counting loop.  It eliminates leaves first (bucket elimination, Dechter
+1999): a slot with at most one neighbour is summed out into it as one weight
+per target value, so a forest is counted in O(slots x n^2) per target, and
+only the 2-core left, the slots on or between cycles, is walked.
 
-Counting is split in two: `count_plan(n_slots, pairs)` fixes everything that
-does not depend on the target (the branching order, the slots closed at each
-level and where the count of the remaining levels may be memoized), and
-`run_plan(plan, items)` runs that plan against a batch of targets, each item
-holding a target's up- and down-rows and, optionally, a mask of allowed
-values per slot.  A caller counting one constraint set into many targets
-builds the plan once and passes every target in one call, so the plan is
-unpacked and the search state allocated once per batch.  `hasse_plan`
-builds the plan of a preorder from its Hasse diagram.
+`count_plan(n_slots, pairs)` fixes what does not depend on the target (the
+elimination order, and the core's branching order, closed slots and memo
+frontiers); `run_plan(plan, items)` runs that plan against a batch of
+targets, each item a target's up- and down-rows and, optionally, a mask of
+allowed values per slot, so a caller counting one constraint set into many
+targets builds the plan once and passes every target in one call.
+`hasse_plan` builds the plan of a preorder from its Hasse diagram.
 
 Chains are not searched for: `chain_levels` grows the (n+1)-tuples of a
 relation from its n-tuples, one successor at a time.
@@ -38,6 +32,7 @@ relation from its n-tuples, one successor at a time.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -99,17 +94,20 @@ def _neighbours(n_slots, pairs):
 def count_plan(n_slots, pairs):
     """The target-independent part of counting the maps that satisfy `pairs`.
 
-    The search branches on one slot per level, always the unassigned slot
-    with most assigned neighbours; ties go to the slot with most neighbours
-    (the hub, whose value closes its leaves), then to the lower index, so
-    the depth of a plan follows the shape of the constraint graph, not the
-    names of its slots.  A slot whose neighbours are all assigned is closed
-    instead: it contributes its number of allowed values as a factor, so a
-    star is counted in one level, its leaves never enumerated.  Which slots
-    are assigned at each level does not depend on the values, so the whole
-    order is fixed here.
+    Slots without constraints are free.  The others are peeled leaves first:
+    a slot with at most one distinct neighbour left is eliminated into it,
+    its parent (-1 if none is left: a root), from a first-in first-out queue
+    that starts in index order, so no order depends on set iteration.  A
+    forest is peeled whole.  What is left, the 2-core, is searched one
+    branch slot per level: the unassigned core slot with most assigned core
+    neighbours, ties going to the one with most core neighbours (the hub),
+    then to the lower index, so the depth follows the shape of the core,
+    not the names of its slots.  A core slot whose core neighbours are all
+    assigned is closed instead, a factor of the count.
 
-    The plan is (free, levels): the unconstrained slots, and per level
+    The plan is (free, peeled, levels): the free slots; per peeled slot, in
+    elimination order, (slot, parent, codes), with the code of each pair to
+    the parent, 0 (slot <= parent) or 1 (parent <= slot); and per core level
     (branch, closed, frontier): the branch slot and the slots closed after
     it, each as (slot, cons) with cons the (level, code) pairs it must
     satisfy, and the levels before it that this level or a later one reads.
@@ -118,24 +116,36 @@ def count_plan(n_slots, pairs):
     every earlier level, since each prefix of values is then met once.
     """
     nbrs = _neighbours(n_slots, pairs)
-    degree = [len({o for o, _ in nbr}) for nbr in nbrs]
+    free = tuple(s for s in range(n_slots) if not nbrs[s])
+    left = [{o for o, _ in nbr} for nbr in nbrs]  # per slot, its unpeeled neighbours
+    queue = collections.deque(s for s in range(n_slots) if len(left[s]) == 1)
+    peeled = []
+    while queue:
+        s = queue.popleft()
+        parent = left[s].pop() if left[s] else -1
+        peeled.append((s, parent, tuple(code for o, code in nbrs[s] if o == parent)))
+        if parent >= 0:
+            left[parent].discard(s)
+            if len(left[parent]) == 1:
+                queue.append(parent)
+
+    core = [[(o, code) for o, code in nbr if left[o]] for nbr in nbrs]
     assigned = [0] * n_slots  # per slot, its constraints to assigned slots
     level_of = [-1] * n_slots
-    todo = {s for s in range(n_slots) if nbrs[s]}
-    free = tuple(s for s in range(n_slots) if not nbrs[s])
+    todo = {s for s in range(n_slots) if left[s]}
 
     def entry(s):
-        return s, tuple((level_of[o], code) for o, code in nbrs[s] if level_of[o] >= 0)
+        return s, tuple((level_of[o], code) for o, code in core[s] if level_of[o] >= 0)
 
     levels = []
     while todo:
-        s = min(todo, key=lambda t: (-assigned[t], -degree[t], t))
+        s = min(todo, key=lambda t: (-assigned[t], -len(left[t]), t))
         branch = entry(s)
         level_of[s] = len(levels)
         todo.discard(s)
-        for o, _ in nbrs[s]:
+        for o, _ in core[s]:
             assigned[o] += 1
-        closed = [t for t in sorted(todo) if assigned[t] == len(nbrs[t])]
+        closed = [t for t in sorted(todo) if assigned[t] == len(core[t])]
         todo.difference_update(closed)
         levels.append((branch, tuple(entry(t) for t in closed)))
 
@@ -146,7 +156,7 @@ def count_plan(n_slots, pairs):
         read.update(level for _, cons in (branch, *closed) for level, _ in cons)
         frontier = tuple(sorted(j for j in read if j < k))
         planned.append((branch, closed, frontier if len(frontier) < k else None))
-    return free, tuple(reversed(planned))
+    return free, tuple(peeled), tuple(reversed(planned))
 
 
 def hasse_plan(closed):
@@ -177,11 +187,8 @@ def _constant_key(values):
 
 
 def _weighted_count(mask, weights):
-    """The sum of weights[v] over the set bits v of mask, or the number of
-    set bits when weights is None, one step per set bit, so that a mask over
-    a wide target costs only its popcount."""
-    if weights is None:
-        return mask.bit_count()
+    """The sum of weights[v] over the set bits v of mask, one step per set
+    bit, so that a mask over a wide target costs only its popcount."""
     total = 0
     while mask:
         low = mask & -mask
@@ -196,38 +203,42 @@ def run_plan(plan, items):
 
     Each item is (up_rows, down_rows, domains): the target poset's rows and,
     unless domains is None, a mask of the values allowed for each slot.  The
-    plan is unpacked and the search state allocated once for the batch; each
-    item is then run depth first with an explicit stack, one level per branch
-    slot, each level summing the counts below its values.  At a level with a
-    frontier, the count of the remaining levels is memoized by the
-    frontier's values, in one dict per level that is cleared for each item;
-    so a path or a tree of constraints costs O(levels x n^2) per target, not
-    one step per map.
-
-    A leaf of a level is a slot it closes whose every constraint points at
-    that level's branch.  When every slot the last level closes is a leaf,
-    that level is not walked: each item turns its leaves into one weight per
-    target value, W[v] = prod over the leaves of the number of values the
-    leaf may take when the branch holds v, and the level's count under a
-    mask of branch values is the sum of W over the mask (its popcount, if
-    it has no leaves), memoized by the frontier like a walked level's
-    count.  A one-level plan is then one sum per target.
-
-    A plan without levels has only free slots, so it is not walked at all:
-    the whole batch is answered in one pass, each item's count being
-    len(up_rows) ** len(free), or with domains the product over the free
-    slots of the number of allowed values inside the target.
+    free slots are counted for the whole batch in one pass, as products of
+    their numbers of allowed values.  Then, per item, each peeled slot folds
+    into its parent one weight per parent value: the number of the slot's
+    values that its pairs allow beside that value, each weighted by the
+    trees folded into the slot before (a popcount when there are none); a
+    root multiplies the count by the weighted number of its allowed values.
+    Last, the core is walked depth first with an explicit stack, one level
+    per branch slot, each branch value and closed slot weighted by the trees
+    peeled into it.  At a level with a frontier, the count of the remaining
+    levels is memoized by the frontier's values, in one dict per level that
+    is cleared for each item.  The plan is unpacked and the search state
+    allocated once per batch.
     """
-    free, levels = plan
+    free, peeled, levels = plan
+    n_free = len(free)
+    counts = [
+        len(up_rows) ** n_free
+        if domains is None
+        else math.prod((((1 << len(up_rows)) - 1) & domains[s]).bit_count() for s in free)
+        for up_rows, _, domains in items
+    ]
+    if not (peeled or levels):  # every slot is free: nothing to do per item
+        return counts
     depth = len(levels)
-    if not depth:  # every slot is free: a product of the slots' counts
-        n_free = len(free)
-        return [
-            len(up_rows) ** n_free
-            if domains is None
-            else math.prod((((1 << len(up_rows)) - 1) & domains[s]).bit_count() for s in free)
-            for up_rows, _, domains in items
-        ]
+    n_slots = n_free + len(peeled) + depth + sum(len(after) for _, after, _ in levels)
+    # a slot is weighted once a tree is folded into it; a fold is first when
+    # its parent is not yet weighted
+    folds = []  # (slot, parent, code, more codes, weighted, first)
+    roots = []  # (slot, weighted)
+    parents = set()
+    for s, parent, codes in peeled:
+        if parent < 0:
+            roots.append((s, s in parents))
+        else:
+            folds.append((s, parent, codes[0], codes[1:], s in parents, parent not in parents))
+            parents.add(parent)
     branches = [branch for branch, _, _ in levels]
     closed = [after for _, after, _ in levels]
     getters = [
@@ -236,55 +247,41 @@ def run_plan(plan, items):
     ]
     memo_of = [None if get is None else {} for get in getters]
     memos = [memo for memo in memo_of if memo is not None]
-    n_slots = len(free) + depth + sum(map(len, closed))
-    # the last level's leaves as (slot, code, further cons): a closed slot's
-    # constraints point at its own level or earlier ones, so it is a leaf
-    # when its least level is its own
-    leaves = [
-        (s, cons[0][1], cons[1:])
-        for s, cons in closed[-1]
-        if min(cons)[0] == depth - 1
-    ]
-    summed = len(leaves) == len(closed[-1])
-    # the walk either counts the visits of its last level, `stop`, or sums
-    # the level below `tail` at each descent from it; the other is -1
-    stop = -1 if summed else depth - 1
-    tail = depth - 2 if summed else -1
+    stop = depth - 1
     values = [0] * depth
     masks = [0] * depth
     facs = [0] * depth
     sums = [0] * depth
     keys = [None] * depth
-    out = []
-    for up_rows, down_rows, domains in items:
-        full = (1 << len(up_rows)) - 1
-        if domains is None:
-            start = (full,) * n_slots
-            prod = len(up_rows) ** len(free)
-        else:
-            start = [full & d for d in domains]
-            prod = 1
-            for s in free:
-                prod *= start[s].bit_count()
-        if not prod:
-            out.append(0)
+    weights = [None] * n_slots  # per weighted slot and value, its trees' count
+    for i, (up_rows, down_rows, domains) in enumerate(items):
+        count = counts[i]
+        if not count:
             continue
+        full = (1 << len(up_rows)) - 1
         tables = (down_rows, up_rows)
-        weights = None
-        if summed:
-            for s, code, more in leaves:
-                rows = tables[code]
-                for _, other in more:
-                    rows = map(operator.and_, rows, tables[other])
-                if domains is not None:
-                    rows = map(start[s].__and__, rows)
-                w = map(int.bit_count, rows)
-                weights = list(w) if weights is None else list(map(operator.mul, weights, w))
-            if tail < 0:  # one level, which closes at least one leaf
-                mask = start[branches[0][0]]
-                below = sum(weights) if mask == full else _weighted_count(mask, weights)
-                out.append(prod * below)
-                continue
+        for s, parent, code, more, weighted, first in folds:
+            rows = tables[code]
+            for other in more:
+                rows = map(operator.and_, rows, tables[other])
+            if domains is not None:
+                rows = map(domains[s].__and__, rows)
+            if weighted:
+                w = weights[s]
+                passed = [m and _weighted_count(m, w) for m in rows]
+            else:
+                passed = map(int.bit_count, rows)
+            weights[parent] = list(passed) if first else list(map(operator.mul, weights[parent], passed))
+        for s, weighted in roots:
+            m = full if domains is None else full & domains[s]
+            if not weighted:
+                count *= m.bit_count()
+            else:
+                count *= sum(weights[s]) if m == full else _weighted_count(m, weights[s])
+        if not depth or not count:
+            counts[i] = count
+            continue
+        start = (full,) * n_slots if domains is None else [full & d for d in domains]
         for memo in memos:
             memo.clear()
         k = 0
@@ -295,15 +292,17 @@ def run_plan(plan, items):
             if mask:
                 bit = mask & -mask
                 masks[k] = mask ^ bit
-                values[k] = bit.bit_length() - 1
-                p = 1
+                v = values[k] = bit.bit_length() - 1
+                w = weights[branches[k][0]]
+                p = 1 if w is None else w[v]
                 for s, cons in closed[k]:
+                    if not p:
+                        break
                     m = start[s]
                     for level, code in cons:
                         m &= tables[code][values[level]]
-                    p *= m.bit_count()
-                    if not p:
-                        break
+                    w = weights[s]
+                    p *= m.bit_count() if w is None else _weighted_count(m, w)
                 if not p:
                     continue
                 if k == stop:
@@ -322,12 +321,6 @@ def run_plan(plan, items):
                 m = start[s]
                 for level, code in cons:
                     m &= tables[code][values[level]]
-                if k == tail:
-                    below = _weighted_count(m, weights)
-                    if get is not None:
-                        memo_of[j][key] = below
-                    sums[k] += p * below
-                    continue
                 facs[k] = p
                 sums[j] = 0
                 masks[j] = m
@@ -340,8 +333,8 @@ def run_plan(plan, items):
                 sums[k] += facs[k] * below
             else:
                 break
-        out.append(prod * sums[0])
-    return out
+        counts[i] = count * sums[0]
+    return counts
 
 
 def list_maps(n_slots, up_rows, down_rows, pairs):

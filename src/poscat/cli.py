@@ -8,6 +8,7 @@ beyond the stated limits, and any unexpected internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formats
@@ -85,7 +86,9 @@ class _Parser(argparse.ArgumentParser):
         self.register("action", "store", _StoreOnce)
 
 
+@functools.cache
 def _parser():
+    """Built once per process: each parse fills a fresh namespace."""
     parser = _Parser(prog="poscat")
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=["text", "machine"], default="text")

@@ -281,8 +281,8 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     once per call, with each element's values restricted by the cocone's
     values on the hit elements below and above it.  A cocone that breaks an
     identification or an order relation among the hit elements has none and
-    is not searched; the rest of one target's cocones are counted in one
-    batch, so a call runs `run_plan` once per target.
+    is not searched; cocones with equal domains are counted once, all of one
+    target's in one batch, so a call runs `run_plan` once per target.
     """
     if not candidate.commutes():
         raise ColimitError("invalid-cocone: candidate legs do not commute")
@@ -370,11 +370,12 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
             _completion_domains(class_to_apex, hit_pairs, below, above, h, target)
             for h in assignments
         ]
-        runs = iter(_kernels.run_plan(plan, [(up, down, d) for d in domains if d is not None]))
+        distinct = list(dict.fromkeys(d for d in domains if d is not None))
+        counted = dict(zip(distinct, _kernels.run_plan(plan, [(up, down, d) for d in distinct])))
         exist_ok = True
         unique_ok = True
         for h, d in zip(assignments, domains):
-            count = 0 if d is None else next(runs)
+            count = 0 if d is None else counted[d]
             if count == 0:
                 exist_ok = False
             if count > 1:
@@ -417,9 +418,9 @@ def _closure(size, pairs):
 
 def _completion_domains(class_to_apex, hit_pairs, below, above, h, target):
     """The values each unhit element may take in a monotone map apex ->
-    target through which the cocone h factors, one mask per unhit element,
-    or None when h breaks an identification or an order relation among the
-    hit elements, so that no such map exists."""
+    target through which the cocone h factors, a tuple of one mask per unhit
+    element, or None when h breaks an identification or an order relation
+    among the hit elements, so that no such map exists."""
     value = {}
     for a, v in zip(class_to_apex, h):
         if value.setdefault(a, v) != v:
@@ -437,7 +438,7 @@ def _completion_domains(class_to_apex, hit_pairs, below, above, h, target):
         for b in upper:
             mask &= down[value[b]]
         domains.append(mask)
-    return domains
+    return tuple(domains)
 
 
 def _label(poset):

@@ -1,6 +1,5 @@
 """CLI dispatch, exit codes, and report stability."""
 
-import functools
 import itertools
 import os
 import pathlib
@@ -554,6 +553,36 @@ def test_machine_reports_stable_across_processes(tmp_path, v_file):
     assert results[0] == results[1]
 
 
+def test_one_parser_serves_every_call_as_a_fresh_process_would(v_file, capsys):
+    """`run` builds its parser once per process; calls on different
+    subcommands, a refused repeated option among them, each give what the
+    same call gives in a fresh process."""
+    import poscat
+
+    assert poscat.cli._parser() is poscat.cli._parser()
+    import_root = os.path.dirname(os.path.dirname(os.path.abspath(poscat.__file__)))
+    argvs = [
+        ["homcount", "--poset", v_file, "--poset2", v_file, "--trunc", "1", "--format", "machine"],
+        ["extensions", "--poset", v_file],
+        ["verify-identities", "--max-n", "2", "--max-n", "3"],
+        ["verify-identities", "--max-n", "2", "--format", "machine"],
+    ]
+    for argv in argvs:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "poscat.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
+            timeout=60,
+        )
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
 def _transcript_argvs():
     """Write the input files into the current directory and yield the argv of
     each call of the transcript pin, without --format: the fixtures above,
@@ -637,8 +666,6 @@ def test_cli_transcripts_pinned(tmp_path, monkeypatch, capsys):
     from helpers import digest
 
     monkeypatch.chdir(tmp_path)
-    # one parser for the whole corpus: building it takes most of a small call
-    monkeypatch.setattr(poscat.cli, "_parser", functools.lru_cache(poscat.cli._parser))
 
     def failures():
         """A failing check in each command that reaches none on real input."""

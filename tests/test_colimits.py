@@ -557,12 +557,19 @@ def test_each_closure_or_target_runs_the_plan_once(monkeypatch):
     }
     assert not verify_universal(diagram, Cocone(diagram, chain, legs), 4).passed
     assert calls == [n_targets] * 2
-    # unhit: one batch per target, holding each of its cocones
+    # unhit: one batch per target, holding each distinct tuple of domains
+    # once.  The colimit's apex is the chain 0 < 1 < 2, and u is put above
+    # 2: u's domain is the up-set of 2's image, so a target's cocones (its
+    # 3-element multichains) give as many distinct domains as it has
+    # elements, each the top of some multichain
     calls.clear()
     diagram = glue_pushout()
     cocone = colimit_pos(diagram)
-    apex = FinPoset(cocone.apex.elements + ("u",), cocone.apex.up_rows + (1 << cocone.apex.n,))
+    n = cocone.apex.n
+    apex = FinPoset(
+        cocone.apex.elements + ("u",), tuple(r | 1 << n for r in cocone.apex.up_rows) + (1 << n,)
+    )
     legs = {nid: MonotoneMap(leg.source, apex, leg.values) for nid, leg in cocone.legs.items()}
     report = verify_universal(diagram, Cocone(diagram, apex, legs), 4)
-    assert calls == [entry.cocones for entry in report.entries]
-    assert len(calls) == n_targets
+    assert calls == [t.n for t in all_posets(4)]
+    assert sum(calls) < sum(entry.cocones for entry in report.entries)

@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poscat import FinPoset
+from poscat import FinPoset, ordinal_poset, product_poset
 from poscat._kernels import (
     backend,
     chain_levels,
@@ -40,6 +40,15 @@ def naive_maps(n_slots, target, pairs):
         for f in itertools.product(range(target.n), repeat=n_slots)
         if all(up[f[i]] >> f[j] & 1 for i, j in pairs)
     ]
+
+
+def naive_count(n_slots, pairs, target, domains):
+    """The maps of `naive_maps` whose every value is in its slot's domain
+    (all of them when domains is None)."""
+    return sum(
+        domains is None or all(domains[s] >> v & 1 for s, v in enumerate(f))
+        for f in naive_maps(n_slots, target, pairs)
+    )
 
 
 def random_relation(rng, n):
@@ -133,13 +142,7 @@ def batches(draw, n_slots):
 def test_batched_runs_match_the_naive_count(data):
     n_slots, pairs = data.draw(constraint_graphs())
     batch = data.draw(batches(n_slots))
-    expected = [
-        sum(
-            domains is None or all(domains[s] >> v & 1 for s, v in enumerate(f))
-            for f in naive_maps(n_slots, target, pairs)
-        )
-        for target, domains in batch
-    ]
+    expected = [naive_count(n_slots, pairs, target, domains) for target, domains in batch]
     plan = count_plan(n_slots, pairs)
     items = [(t.up_rows, t.down_rows, domains) for t, domains in batch]
     assert run_plan(plan, items) == expected
@@ -177,13 +180,18 @@ def tree_count(n_slots, pairs, target, domains):
     return total
 
 
+def crown(k):
+    """The cover pairs of the crown on 2k elements: minima 0..k-1, maxima
+    k..2k-1, minimum i below maxima k+i and k+(i+1 mod k), a 2k-cycle."""
+    return [(i, k + i) for i in range(k)] + [(i, k + (i + 1) % k) for i in range(k)]
+
+
 def test_memoized_runs_count_paths_and_trees():
     # paths and random trees of 6-10 slots under shuffled names, with and
-    # without domains: the plans hold frontier levels, so the memo is what
-    # keeps these counts from enumerating every map
+    # without domains, are peeled whole: their plans have no levels, so no
+    # count enumerates their maps
     rng = random.Random(29)
     targets = poset_targets(rng)
-    memoized_trees = 0
     for round_ in range(60):
         path = round_ % 2
         n_slots = rng.randint(6, 10)
@@ -193,19 +201,45 @@ def test_memoized_runs_count_paths_and_trees():
             other = s - 1 if path else rng.randrange(s)
             i, j = (other, s) if rng.random() < 0.5 else (s, other)
             pairs.append((names[i], names[j]))
-        plan = count_plan(n_slots, pairs)
-        memoized = any(frontier is not None for _, _, frontier in plan[1])
-        if path:
-            assert memoized
-        else:
-            memoized_trees += memoized
+        free, peeled, levels = count_plan(n_slots, pairs)
+        assert (free, levels) == ((), ())
+        assert sorted(s for s, _, _ in peeled) == list(range(n_slots))
+        assert [parent for _, parent, _ in peeled].count(-1) == 1  # one tree, one root
         batch = []
         for target in rng.sample(targets, 6):
             masks = [rng.randrange(1 << target.n) for _ in range(n_slots)]
             batch.append((target, None if rng.random() < 0.5 else masks))
         expected = [tree_count(n_slots, pairs, t, d) for t, d in batch]
-        assert run_plan(plan, [(t.up_rows, t.down_rows, d) for t, d in batch]) == expected
-    assert memoized_trees >= 20
+        items = [(t.up_rows, t.down_rows, d) for t, d in batch]
+        assert run_plan((free, peeled, levels), items) == expected
+    # cycles are walked: ladders (the cover graphs of [n] x [1]) and crowns
+    # of six or eight elements reach a frontier level, where the memo holds
+    # the count of the remaining levels; a diamond ([1] x [1], a 4-cycle)
+    # with trees hung on it keeps its four corners as the core and weights
+    # them by the trees
+    small = [t for t in targets if t.n <= 3]
+
+    def ladder(n):
+        return 2 * n + 2, list(product_poset(ordinal_poset(n), ordinal_poset(1)).cover_pairs)
+
+    diamond = ladder(1)[1] + [(4, 0), (5, 4), (3, 6)]  # a path of two and a leaf hung on
+    shapes = [(*ladder(n), 0, n > 1) for n in (1, 2, 3)]
+    shapes += [(2 * k, crown(k), 0, k > 2) for k in (2, 3, 4)]
+    shapes.append((7, diamond, 3, False))
+    for n_slots, pairs, n_peeled, memoized in shapes:
+        names = rng.sample(range(n_slots), n_slots)
+        pairs = [(names[i], names[j]) for i, j in pairs]
+        free, peeled, levels = count_plan(n_slots, pairs)
+        assert (len(free), len(peeled)) == (0, n_peeled)
+        assert n_peeled + len(levels) + sum(len(closed) for _, closed, _ in levels) == n_slots
+        assert any(frontier is not None for _, _, frontier in levels) == memoized
+        batch = []
+        for target in rng.sample(small if n_slots > 6 else targets, 4):
+            masks = [rng.randrange(1 << target.n) for _ in range(n_slots)]
+            batch.append((target, None if rng.random() < 0.5 else masks))
+        expected = [naive_count(n_slots, pairs, t, d) for t, d in batch]
+        items = [(t.up_rows, t.down_rows, d) for t, d in batch]
+        assert run_plan((free, peeled, levels), items) == expected
 
 
 def test_list_maps_runs_deep_chains():
@@ -332,7 +366,7 @@ def test_plans_without_levels_match_the_naive_count():
     assert targets[0].n == 0
     for n_slots, pairs in [(0, []), (1, []), (3, []), (1, [(0, 0)]), (2, [(1, 1), (0, 0)])]:
         plan = count_plan(n_slots, pairs)
-        assert plan == (tuple(range(n_slots)), ())
+        assert plan == (tuple(range(n_slots)), (), ())
         assert run_plan(plan, []) == []
         batch = []
         for target in targets:
@@ -340,34 +374,53 @@ def test_plans_without_levels_match_the_naive_count():
             for masks in itertools.product((0, 0b1, 0b101, wide), repeat=n_slots):
                 batch.append((target, list(masks)))
             batch.append((target, None))
-        expected = [
-            sum(
-                domains is None or all(domains[s] >> v & 1 for s, v in enumerate(f))
-                for f in naive_maps(n_slots, target, pairs)
-            )
-            for target, domains in batch
-        ]
+        expected = [naive_count(n_slots, pairs, t, domains) for t, domains in batch]
         items = [(t.up_rows, t.down_rows, domains) for t, domains in batch]
         assert run_plan(plan, items) == expected
         assert set(expected[: 4**n_slots + 1]) == {0**n_slots}  # into the empty poset
 
 
 def depth(plan):
-    return len(plan[1])
+    return len(plan[2])
+
+
+def is_forest(n, pairs):
+    """Whether the graph of `pairs`, which has no parallel pairs, on n slots
+    has no cycle: no pair joins two slots already connected."""
+    root = list(range(n))
+
+    def find(s):
+        while root[s] != s:
+            s = root[s]
+        return s
+
+    for i, j in pairs:
+        a, b = find(i), find(j)
+        if a == b:
+            return False
+        root[a] = b
+    return True
 
 
 def test_plan_depth_ignores_names():
-    # hub first: the branching order follows the shape, so every relabelling
-    # of a poset's cover pairs gets a plan of one depth
+    # a forest is peeled whole, so its plan has no levels; the rest is
+    # walked hub first, in an order that follows the shape, so every
+    # relabelling of a poset's cover pairs gets a plan of one depth
+    forests = 0
     for poset in all_posets(5):
         depths = {
             depth(count_plan(poset.n, [(perm[i], perm[j]) for i, j in poset.cover_pairs]))
             for perm in itertools.permutations(range(poset.n))
         }
         assert len(depths) == 1, poset.name
-    assert depth(count_plan(3, [(0, 2), (1, 2)])) == 1  # the V: its hub closes both leaves
-    assert depth(hasse_plan((0b111, 0b110, 0b100))) == 1  # the 3-chain's closure is a path
-    assert depth(hasse_plan((0b1111, 0b1110, 0b1100, 0b1000))) == 2
+        assert (depths == {0}) == is_forest(poset.n, poset.cover_pairs), poset.name
+        forests += depths == {0}
+    assert 0 < forests < len(all_posets(5))
+    assert depth(count_plan(3, [(0, 2), (1, 2)])) == 0  # the V
+    assert depth(hasse_plan((0b111, 0b110, 0b100))) == 0  # the 3-chain's closure is a path
+    assert depth(hasse_plan((0b1111, 0b1110, 0b1100, 0b1000))) == 0
+    # the diamond: a branch, two more, and the last corner closed
+    assert depth(count_plan(4, [(0, 1), (0, 2), (1, 3), (2, 3)])) == 3
 
 
 # `digest` of the `repr` of each row below, in `all_posets` order; the same
