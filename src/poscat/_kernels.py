@@ -24,7 +24,8 @@ frontiers); `run_plan(plan, items)` runs that plan against a batch of
 targets, each item a target's up- and down-rows and, optionally, a mask of
 allowed values per slot, so a caller counting one constraint set into many
 targets builds the plan once and passes every target in one call.
-`hasse_plan` builds the plan of a preorder from its Hasse diagram.
+`condense` lists the classes of equivalent slots of a preorder, from which
+a colimit's apex, `make_poset`'s cycle check and a quotient poset are read.
 
 Chains are not searched for: `chain_levels` grows the (n+1)-tuples of a
 relation from its n-tuples, one successor at a time.
@@ -56,6 +57,17 @@ def transitive_closure(rows):
     return out
 
 
+def condense(closed):
+    """The classes of mutually related slots of a reflexive-transitive
+    relation given as row bitmasks: each class lists its members ascending,
+    and the classes come in the order of their least members."""
+    cols = transpose(closed, len(closed))
+    classes = {}
+    for s, row in enumerate(closed):
+        classes.setdefault(row & cols[s], []).append(s)
+    return list(classes.values())
+
+
 def transpose(rows, n_cols):
     """Column bitmasks of a relation given as row bitmasks: bit i of column j
     is set iff bit j of row i is."""
@@ -74,7 +86,7 @@ def meet_rows(tables, at):
     """Row bitmasks of the relation that holds in each of `tables` (row-bitmask
     tables over one index set, at least one), read through `at`: bit j of row
     i is set iff bit at[j] of row at[i] is set in every table."""
-    meet = [functools.reduce(operator.and_, rows) for rows in zip(*tables)]
+    meet = list(functools.reduce(functools.partial(map, operator.and_), tables))
     return [sum(1 << j for j, b in enumerate(at) if meet[a] >> b & 1) for a in at]
 
 
@@ -157,27 +169,6 @@ def count_plan(n_slots, pairs):
         frontier = tuple(sorted(j for j in read if j < k))
         planned.append((branch, closed, frontier if len(frontier) < k else None))
     return free, tuple(peeled), tuple(reversed(planned))
-
-
-def hasse_plan(closed):
-    """The plan of a reflexive-transitive relation on slots (row bitmasks),
-    compiled from its Hasse diagram.  Into a poset, a map satisfies such a
-    relation exactly when it is constant on each class of equivalent slots
-    and monotone on the poset of classes, that is, on its cover pairs; so
-    the plan has one slot per class, in the order of their least members,
-    and one pair per cover, and counts as a plan of `closed` itself would."""
-    n = len(closed)
-    cols = transpose(closed, n)
-    above = [row & ~col for row, col in zip(closed, cols)]  # strictly above
-    reps = [s for s in range(n) if not closed[s] & cols[s] & ((1 << s) - 1)]
-    index = {r: k for k, r in enumerate(reps)}
-    pairs = []
-    for k, r in enumerate(reps):
-        beyond = 0
-        for s in set_bits(above[r]):
-            beyond |= above[s]
-        pairs += [(k, index[t]) for t in set_bits(above[r] & ~beyond) if t in index]
-    return count_plan(len(reps), pairs)
 
 
 def _constant_key(values):

@@ -138,20 +138,15 @@ def colimit_pos(diagram) -> Cocone:
     for c1, c2 in _class_relation_pairs(diagram, class_of):
         rows[c1] |= 1 << c2
     closed = _kernels.transitive_closure(rows)
-    back = _kernels.transpose(closed, len(members))
-    comps = {}
-    for c, row in enumerate(closed):
-        comps.setdefault(row & back[c], []).append(c)
     named = []
-    for comp in comps.values():
+    for comp in _kernels.condense(closed):
         node, element = min(cell for c in comp for cell in members[c])
         named.append((f"{node}.{element}", comp))
     named.sort()
     name_of = {}
     for name, comp in named:
         name_of.update(dict.fromkeys(comp, name))
-    reps = [comp[0] for _, comp in named]
-    up = [sum(1 << b for b, r in enumerate(reps) if closed[rep] >> r & 1) for rep in reps]
+    up = _kernels.meet_rows([closed], [comp[0] for _, comp in named])
     apex = FinPoset([name for name, _ in named], up, name=diagram.name and f"colim({diagram.name})")
     legs = {
         nid: MonotoneMap(poset, apex, tuple(name_of[class_of[(nid, e)]] for e in poset.elements))
@@ -255,26 +250,23 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     one of two ways.
 
     When the legs hit every apex element, the mediating map is forced, so
-    existence and uniqueness reduce to counting such functions, one
-    connected component at a time: for each component, the cocones (the
-    node relations alone) against those with a mediating map (the
+    existence and uniqueness reduce to counting such functions: the cocones
+    (the node relations alone) against those with a mediating map (the
     candidate's order added, and each identification as a pair in each
-    direction).  The targets are posets, so a pair list has the same
-    solutions as its reflexive-transitive closure.  Each list is therefore
-    keyed by that closure, and lists with one closure are counted once; when
-    the candidate is the colimit, both lists of every component close to the
-    same relation.  Counting is shape-major: each distinct closure is
-    compiled once into a plan from its Hasse diagram (`_kernels.hasse_plan`:
-    one slot per class of equivalent slots, one pair per cover), which is
-    as shallow as the shape allows whatever the lists that gave it, and run
-    in one batch against every target's cached up- and down-rows, so a call
-    runs `run_plan` once per distinct closure.  The verdicts are then read
-    off the count vectors for the whole corpus at once: per target, the
-    product of the components' counts, and whether each component's two
-    counts agree; the witness comes from the first failing target and its
-    first failing component.  The target rows, labels and sizes are built
-    once per bound, beside the cached corpus; the counts live for this call
-    only.
+    direction).  Into a poset, a pair list's solutions are the monotone maps
+    out of its quotient, the poset of classes of the preorder it generates
+    (`_quotient`), so each list is counted by its quotient's plan, run in
+    one batch against every target's cached up- and down-rows.  When the
+    candidate is the colimit, the two quotients are equal and a call runs
+    `run_plan` once; otherwise twice.  The counts are exact per target:
+    counts of connected components multiply, each component's maps with a
+    mediating map are some of its cocones, and into a non-empty target every
+    component has a constant cocone (into the empty one the totals are
+    equal).  So the two totals agree exactly when every component's two
+    counts do.  Components are walked only to name the witness: the first
+    failing target's first failing component.  The target rows, labels and
+    sizes are built once per bound, beside the cached corpus; the counts
+    live for this call only.
 
     When the legs miss some apex elements, every cocone is enumerated and its
     mediating maps are counted by one plan over the unhit elements, built
@@ -311,41 +303,16 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
                 extra += [(rep_slot[a], slot), (slot, rep_slot[a])]
         extra += [(rep_slot[i], rep_slot[j]) for i, j in apex.leq_pairs]
         good_pairs = node_pairs + extra
-        shapes = {}  # closure -> shape id
-
-        def shape_of(size, pairs):
-            return shapes.setdefault(_closure(size, pairs), len(shapes))
-
-        jobs = []
-        for comp in sorted(_partition(range(n), good_pairs)):
-            slot_pos = {s: k for k, s in enumerate(comp)}
-            sub_all = [(slot_pos[i], slot_pos[j]) for i, j in node_pairs if i in slot_pos]
-            sub_good = [(slot_pos[i], slot_pos[j]) for i, j in good_pairs if i in slot_pos]
-            a, g = shape_of(len(comp), sub_all), shape_of(len(comp), sub_good)
-            jobs.append((comp, sub_all, sub_good, a, g))
         items, labels, sizes = _corpus_rows(apex_size_bound)
-        # per shape id, per target
-        counts = [_kernels.run_plan(_kernels.hasse_plan(closed), items) for closed in shapes]
-
-        # per target, the product of the components' cocone counts, and
-        # whether every component has as many with a mediating map
-        totals = [1] * len(items)
-        exists = [True] * len(items)
-        for _, _, _, a, g in jobs:
-            totals = list(map(operator.mul, totals, counts[a]))
-            if a != g:
-                exists = list(map(operator.and_, exists, map(operator.eq, counts[a], counts[g])))
+        q_all, q_good = _quotient(n, node_pairs), _quotient(n, good_pairs)
+        cocones = _kernels.run_plan(q_all.count_plan, items)
+        mediated = cocones if q_good == q_all else _kernels.run_plan(q_good.count_plan, items)
+        exists = list(map(operator.eq, cocones, mediated))
         if False in exists:  # name the first failing target's first failing component
-            t = exists.index(False)
-            comp, sub_all, sub_good = next(
-                (comp, sub_all, sub_good)
-                for comp, sub_all, sub_good, a, g in jobs
-                if counts[a][t] != counts[g][t]
-            )
-            target = all_posets(apex_size_bound)[t]
-            report.witness = _describe_witness(comp, sub_all, sub_good, target, members)
+            target = all_posets(apex_size_bound)[exists.index(False)]
+            report.witness = _describe_witness(node_pairs, good_pairs, target, members)
         # the legs are jointly epic, so a mediating map is unique when it exists
-        report.entries = list(map(ApexVerdict, labels, sizes, totals, exists, [True] * len(items)))
+        report.entries = list(map(ApexVerdict, labels, sizes, cocones, exists, [True] * len(items)))
         return report
 
     # Some apex elements are unhit: a cocone fixes the mediating map on the hit
@@ -407,13 +374,18 @@ def _corpus_rows(bound):
     )
 
 
-def _closure(size, pairs):
-    """Reflexive-transitive closure of the pairs on `size` slots, as a tuple
-    of row bitmasks."""
+def _quotient(size, pairs):
+    """The poset of classes of the preorder that `pairs` generate on slots
+    0..size-1, its elements "0".."k-1" naming the classes in the order of
+    their least slots.  Into a poset, a map satisfies `pairs` exactly when it
+    is constant on each class and monotone on this quotient, so the
+    quotient's `count_plan` counts the pair list's solutions."""
     rows = [0] * size
     for i, j in pairs:
         rows[i] |= 1 << j
-    return tuple(_kernels.transitive_closure(rows))
+    closed = _kernels.transitive_closure(rows)
+    reps = [c[0] for c in _kernels.condense(closed)]
+    return FinPoset(map(str, range(len(reps))), _kernels.meet_rows([closed], reps))
 
 
 def _completion_domains(class_to_apex, hit_pairs, below, above, h, target):
@@ -442,23 +414,31 @@ def _completion_domains(class_to_apex, hit_pairs, below, above, h, target):
 
 
 def _label(poset):
-    return poset.name or f"poset<{poset.n}:{sum(bin(r).count('1') for r in poset.up_rows)}>"
+    return poset.name or f"poset<{poset.n}:{sum(r.bit_count() for r in poset.up_rows)}>"
 
 
-def _describe_witness(comp, sub_all, sub_good, target, members):
-    up = target.up_rows
-    good = set(sub_good)
-    for h in _kernels.list_maps(len(comp), up, target.down_rows, sub_all):
-        for i, j in sub_good:
-            if not up[h[i]] >> h[j] & 1:
-                # an identification is a pair each way: name its first slot
-                # whichever way it breaks
-                k = min(i, j) if (j, i) in good else i
-                cells = ", ".join(f"{n}.{e}" for n, e in members[comp[k]])
-                return (
-                    f"cocone into {_label(target)} assigns {target.elements[h[k]]} to "
-                    f"[{cells}] but admits no mediating map"
-                )
+def _describe_witness(node_pairs, good_pairs, target, members):
+    """The first cocone into `target` that admits no mediating map, named by
+    one of its cells.  The components of the good pairs are walked in the
+    order of their least slots, each cocone on a component listed in order;
+    a component whose cocones all satisfy its good pairs is passed over."""
+    up, down = target.up_rows, target.down_rows
+    for comp in sorted(_partition(range(len(members)), good_pairs)):
+        pos = {s: k for k, s in enumerate(comp)}
+        sub_all = [(pos[i], pos[j]) for i, j in node_pairs if i in pos]
+        sub_good = [(pos[i], pos[j]) for i, j in good_pairs if i in pos]
+        good = set(sub_good)
+        for h in _kernels.list_maps(len(comp), up, down, sub_all):
+            for i, j in sub_good:
+                if not up[h[i]] >> h[j] & 1:
+                    # an identification is a pair each way: name its first
+                    # slot whichever way it breaks
+                    k = min(i, j) if (j, i) in good else i
+                    cells = ", ".join(f"{n}.{e}" for n, e in members[comp[k]])
+                    return (
+                        f"cocone into {_label(target)} assigns {target.elements[h[k]]} to "
+                        f"[{cells}] but admits no mediating map"
+                    )
     return "mediating map missing or ambiguous"
 
 

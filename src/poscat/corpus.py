@@ -97,7 +97,7 @@ def _grow(parents, n):
     rank = colour_ranks(table)
     reps.sort(
         key=lambda rep: (
-            sum(bin(r).count("1") for r in rep[0].up_rows),
+            sum(r.bit_count() for r in rep[0].up_rows),
             sorted(rank[c] for c in rep[1]),
         )
     )

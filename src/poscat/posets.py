@@ -131,7 +131,7 @@ class FinPoset:
     @cached_property
     def toposort(self):
         """Element indices in an order compatible with <=."""
-        order = sorted(range(self.n), key=lambda i: (bin(self.down_rows[i]).count("1"), i))
+        order = sorted(range(self.n), key=lambda i: (self.down_rows[i].bit_count(), i))
         return tuple(order)
 
     def sorted_by_order(self):
@@ -196,10 +196,9 @@ def make_poset(elements, pairs, name="") -> FinPoset:
         rows[index[x]] |= 1 << index[y]
         declared.append((index[x], index[y]))
     closed = _kernels.transitive_closure(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if closed[i] & (1 << j) and closed[j] & (1 << i):
-                raise CycleError(_find_cycle(elements, declared, i, j))
+    for cls in _kernels.condense(closed):
+        if len(cls) > 1:
+            raise CycleError(_find_cycle(elements, declared, cls[0], cls[1]))
     return FinPoset(elements, closed, name=name)
 
 

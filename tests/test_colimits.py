@@ -538,17 +538,17 @@ def run_plan_calls(monkeypatch):
     return calls
 
 
-def test_each_closure_or_target_runs_the_plan_once(monkeypatch):
+def test_each_quotient_or_target_runs_the_plan_once(monkeypatch):
     calls = run_plan_calls(monkeypatch)
     n_targets = len(all_posets(4))
-    # hit, the colimit: components [1], [1] and [0], two distinct closures
+    # hit, the colimit: components [1], [1] and [0], whose node relations and
+    # mediated pairs have one quotient, counted once
     chain = ordinal_poset(1)
     diagram = PosetDiagram(nodes={"A": chain, "B": chain, "C": ordinal_poset(0)}, edges=[])
     assert verify_universal(diagram, colimit_pos(diagram), 4).passed
-    assert calls == [n_targets] * 2
-    # hit, not the colimit: two points sent to 0 < 1 make one component whose
-    # node relations close to the discrete order and whose mediated pairs
-    # close to the chain
+    assert calls == [n_targets]
+    # hit, not the colimit: two points sent to 0 < 1, whose node relations
+    # have the discrete quotient and whose mediated pairs the chain
     calls.clear()
     diagram = two_points()
     legs = {

@@ -10,14 +10,14 @@ from poscat import FinPoset, ordinal_poset, product_poset
 from poscat._kernels import (
     backend,
     chain_levels,
+    condense,
     count_plan,
     depth_first,
-    hasse_plan,
     list_maps,
     run_plan,
     transitive_closure,
 )
-from poscat.colimits import _closure
+from poscat.colimits import _quotient
 from poscat.corpus import all_posets
 
 from helpers import digest, shuffled
@@ -313,12 +313,33 @@ def same_closure(rng, n_slots, pairs):
     return out
 
 
+def naive_classes(closed):
+    """The classes of mutual reachability, each ascending, by least member."""
+    n = len(closed)
+    classes = []
+    for s in range(n):
+        if not any(s in c for c in classes):
+            classes.append([t for t in range(n) if closed[s] >> t & 1 and closed[t] >> s & 1])
+    return classes
+
+
+def test_condense_against_naive():
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        closed = naive_closure(random_relation(rng, n))
+        assert condense(closed) == naive_classes(closed)
+    assert condense([0b011, 0b011, 0b100]) == [[0, 1], [2]]
+    assert condense([0b101, 0b111, 0b101]) == [[0, 2], [1]]
+
+
 def test_equal_closures_count_alike_into_posets():
-    # verify_universal counts a pair list once per closure: into a poset,
-    # lists with one closure have the same solutions
+    # verify_universal counts a pair list by its quotient: into a poset,
+    # lists with one closure, hence one quotient, have the same solutions,
+    # and lists with one quotient as many
     rng = random.Random(17)
     targets = poset_targets(rng)
-    seen = {}  # closure -> solution counts into every target
+    seen = {}  # quotient -> solution counts into every target
     for _ in range(40):
         n_slots = rng.choice([1, 2, 2, 3, 3, 4, 5])
         pairs = []
@@ -327,10 +348,10 @@ def test_equal_closures_count_alike_into_posets():
             # an identification is two pairs, one in each direction
             pairs += [(i, j), (j, i)] if rng.random() < 0.5 else [(i, j)]
         other = same_closure(rng, n_slots, pairs)
-        assert _closure(n_slots, other) == _closure(n_slots, pairs)
+        assert _quotient(n_slots, other) == _quotient(n_slots, pairs)
         for constraints in (pairs, other):
             counts = tuple(len(naive_maps(n_slots, t, constraints)) for t in targets)
-            assert seen.setdefault(_closure(n_slots, constraints), counts) == counts
+            assert seen.setdefault(_quotient(n_slots, constraints), counts) == counts
         plan = count_plan(n_slots, pairs)
         for target in targets:
             expected = naive_maps(n_slots, target, pairs)
@@ -341,8 +362,9 @@ def test_equal_closures_count_alike_into_posets():
 
 
 def test_hasse_plans_keep_the_count():
-    # verify_universal compiles each closure from its Hasse diagram, with
-    # one slot per class of equivalent slots: the count is the pair list's
+    # verify_universal counts a pair list by the plan of its quotient's
+    # Hasse diagram, one slot per class of equivalent slots: the count is
+    # the pair list's
     rng = random.Random(41)
     targets = poset_targets(rng)
     items = [(t.up_rows, t.down_rows, None) for t in targets]
@@ -354,7 +376,7 @@ def test_hasse_plans_keep_the_count():
             pairs += [(i, j), (j, i)] if rng.random() < 0.3 else [(i, j)]
         if rng.random() < 0.3:  # a cycle through every slot: one class
             pairs += [(s, (s + 1) % n_slots) for s in range(n_slots)]
-        plan = hasse_plan(_closure(n_slots, pairs))
+        plan = _quotient(n_slots, pairs).count_plan
         assert run_plan(plan, items) == [len(naive_maps(n_slots, t, pairs)) for t in targets]
 
 
@@ -417,8 +439,9 @@ def test_plan_depth_ignores_names():
         forests += depths == {0}
     assert 0 < forests < len(all_posets(5))
     assert depth(count_plan(3, [(0, 2), (1, 2)])) == 0  # the V
-    assert depth(hasse_plan((0b111, 0b110, 0b100))) == 0  # the 3-chain's closure is a path
-    assert depth(hasse_plan((0b1111, 0b1110, 0b1100, 0b1000))) == 0
+    # a chain's closure has a path for its quotient's Hasse diagram
+    for n in (3, 4):
+        assert depth(_quotient(n, list(itertools.combinations(range(n), 2))).count_plan) == 0
     # the diamond: a branch, two more, and the last corner closed
     assert depth(count_plan(4, [(0, 1), (0, 2), (1, 3), (2, 3)])) == 3
 
@@ -439,7 +462,7 @@ def test_hom_table_of_four_points_into_six_points_is_pinned():
     rows = []
     for source in all_posets(4):
         row = run_plan(count_plan(source.n, source.cover_pairs), items)
-        assert row == run_plan(hasse_plan(source.up_rows), items), source.name
+        assert _quotient(source.n, source.leq_pairs) == source, source.name
         rows.append(row)
     assert len(set(zip(*rows))) == len(targets) == 406
     assert digest(repr(row) for row in rows) == HOM_TABLE_DIGEST

@@ -60,6 +60,18 @@ def test_make_poset_cycle_error_reports_cycle():
     assert set(err.value.cycle) == {"a", "b"}
     with pytest.raises(CycleError):
         make_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    # of two cycles, the one through the least element on any cycle: the
+    # declared path from that element to the next least on its cycle and
+    # back, whatever the order of the names along it
+    with pytest.raises(CycleError) as err:
+        make_poset(
+            "abcdef", [("e", "d"), ("d", "e"), ("f", "b"), ("b", "c"), ("c", "f"), ("a", "b")]
+        )
+    assert err.value.cycle == ("b", "c", "f")
+    assert str(err.value) == "antisymmetry violation: b <= c <= f <= b"
+    with pytest.raises(CycleError) as err:
+        make_poset("wxyz", [("z", "y"), ("y", "x"), ("x", "z"), ("w", "x")])
+    assert err.value.cycle == ("x", "z", "y")
 
 
 def test_make_poset_rejects_duplicates_and_unknowns():
