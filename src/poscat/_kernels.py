@@ -25,7 +25,7 @@ targets, each item a target's up- and down-rows and, optionally, a mask of
 allowed values per slot, so a caller counting one constraint set into many
 targets builds the plan once and passes every target in one call.
 `condense` lists the classes of equivalent slots of a preorder, from which
-a colimit's apex, `make_poset`'s cycle check and a quotient poset are read.
+a colimit's apex and `make_poset`'s cycle check are read.
 
 Chains are not searched for: `chain_levels` grows the (n+1)-tuples of a
 relation from its n-tuples, one successor at a time.
@@ -379,8 +379,8 @@ def depth_first(n, options):
 def set_bits(mask):
     """The indices of the set bits of mask, ascending.  The same few masks
     recur across the thousands of small posets the corpus colours and the
-    maps `list_maps` lists; the cache is bounded, not a table of all 2^n
-    masks, as a poset may be large."""
+    maps `list_maps` and the simplicial map search list; the cache is
+    bounded, not a table of all 2^n masks, as a poset may be large."""
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 

@@ -25,6 +25,7 @@ from .posets import (
     PosetError,
     chain_counts,
     count_monotone_maps,
+    linear_extension_orders,
     linear_extensions,
     meet_of_extensions,
 )
@@ -33,8 +34,9 @@ from .simplicial import SimplicialError, count_simplicial_maps, nerve
 
 class BudgetError(Exception):
     """The nerves asked for would hold more simplices than MAX_SIMPLICES, the
-    comma diagram of `density` or `extend` more strict chains than that, or
-    `homcount`'s map search would take more than MAX_MAP_WORK steps."""
+    comma diagram of `density` or `extend` more strict chains than that, the
+    poset of `extensions` more linear extensions than that, or `homcount`'s
+    map search would take more than MAX_MAP_WORK steps."""
 
 
 CONFIG_ERRORS = (
@@ -53,9 +55,9 @@ CONFIG_ERRORS = (
 MAX_IDENTITY_N = 32
 
 # Most simplices `nerve` and `homcount` may build, summed over their nerves,
-# and most strict chains `density` and `extend` may build a comma diagram
-# over, one node each.  Near the top truncation levels of a nerve that is
-# about half a gigabyte.
+# most strict chains `density` and `extend` may build a comma diagram over,
+# one node each, and most linear extensions `extensions` may list.  Near the
+# top truncation levels of a nerve that is about half a gigabyte.
 MAX_SIMPLICES = 50_000
 
 # Most steps `homcount`'s simplicial map search may take, predicted as the
@@ -282,6 +284,9 @@ def _order_difference(poset, meet):
 
 def _cmd_extensions(args):
     poset = formats.load_poset(args.poset)
+    # counted without building one, stopping at the first over the budget
+    if not _within_budget(1 for _ in linear_extension_orders(poset)):
+        raise BudgetError(f"the poset has more than {MAX_SIMPLICES} linear extensions")
     exts = linear_extensions(poset)
     meet = meet_of_extensions(poset, exts)
     ok = meet.up_rows == poset.up_rows

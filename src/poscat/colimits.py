@@ -125,6 +125,15 @@ def _class_relation_pairs(diagram, class_of):
     return sorted(pairs)
 
 
+def _closure(size, pairs):
+    """Reflexive-transitive closure of the relation `pairs` on slots
+    0..size-1, as row bitmasks."""
+    rows = [0] * size
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return _kernels.transitive_closure(rows)
+
+
 def colimit_pos(diagram) -> Cocone:
     """Colimit in the category of finite posets, by the three-stage recipe.
 
@@ -134,10 +143,7 @@ def colimit_pos(diagram) -> Cocone:
     least (node, element) cell in tuple order; the apex sorts the names.
     """
     members, class_of = _set_colimit_classes(diagram)
-    rows = [0] * len(members)
-    for c1, c2 in _class_relation_pairs(diagram, class_of):
-        rows[c1] |= 1 << c2
-    closed = _kernels.transitive_closure(rows)
+    closed = _closure(len(members), _class_relation_pairs(diagram, class_of))
     named = []
     for comp in _kernels.condense(closed):
         node, element = min(cell for c in comp for cell in members[c])
@@ -249,24 +255,18 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     (`_kernels.count_plan` and `_kernels.run_plan`) does all the counting, in
     one of two ways.
 
-    When the legs hit every apex element, the mediating map is forced, so
-    existence and uniqueness reduce to counting such functions: the cocones
-    (the node relations alone) against those with a mediating map (the
-    candidate's order added, and each identification as a pair in each
-    direction).  Into a poset, a pair list's solutions are the monotone maps
-    out of its quotient, the poset of classes of the preorder it generates
-    (`_quotient`), so each list is counted by its quotient's plan, run in
-    one batch against every target's cached up- and down-rows.  When the
-    candidate is the colimit, the two quotients are equal and a call runs
-    `run_plan` once; otherwise twice.  The counts are exact per target:
-    counts of connected components multiply, each component's maps with a
-    mediating map are some of its cocones, and into a non-empty target every
-    component has a constant cocone (into the empty one the totals are
-    equal).  So the two totals agree exactly when every component's two
-    counts do.  Components are walked only to name the witness: the first
-    failing target's first failing component.  The target rows, labels and
-    sizes are built once per bound, beside the cached corpus; the counts
-    live for this call only.
+    When the legs hit every apex element, the comparison map u from the
+    colimit to the candidate's apex is onto, so composing with u sends the
+    monotone maps out of the candidate's apex one-to-one into the cocones:
+    every cocone into a target factors, and then exactly once, iff the two
+    counts into it agree.  Each is counted through its apex's cached
+    `count_plan`, in one batch against every target's cached up- and
+    down-rows.  When the closure of the node relations is the apex order
+    pulled back along u, u is an order isomorphism and a call runs
+    `run_plan` once; otherwise it builds the colimit and runs it twice.  The
+    witness names the first failing target's first failing component.  The
+    target rows, labels and sizes are built once per bound, beside the
+    cached corpus; the counts live for this call only.
 
     When the legs miss some apex elements, every cocone is enumerated and its
     mediating maps are counted by one plan over the unhit elements, built
@@ -275,6 +275,15 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     identification or an order relation among the hit elements has none and
     is not searched; cocones with equal domains are counted once, all of one
     target's in one batch, so a call runs `run_plan` once per target.
+
+    Bound 2 decides the verdict; larger bounds add the per-target counts.
+    Into [1] a poset's maps are its up-sets, which tell its elements and its
+    order apart.  So when the legs hit every apex element but the candidate
+    adds an identification or an order pair (i, j), the colimit's up-set of
+    i or of j is a cocone into [1] without a mediating map; when they miss
+    an element u, the up-set of the hit elements above u, with and without
+    u, gives two mediating maps of one cocone.  The first failing target
+    has at most two elements.
     """
     if not candidate.commutes():
         raise ColimitError("invalid-cocone: candidate legs do not commute")
@@ -294,23 +303,16 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     report = UniversalReport(bound=apex_size_bound)
 
     if len(hit) == apex.n:
-        rep_slot = {}
-        for slot, a in enumerate(class_to_apex):
-            rep_slot.setdefault(a, slot)
-        extra = []
-        for slot, a in enumerate(class_to_apex):
-            if rep_slot[a] != slot:  # an identification: a pair each way
-                extra += [(rep_slot[a], slot), (slot, rep_slot[a])]
-        extra += [(rep_slot[i], rep_slot[j]) for i, j in apex.leq_pairs]
-        good_pairs = node_pairs + extra
         items, labels, sizes = _corpus_rows(apex_size_bound)
-        q_all, q_good = _quotient(n, node_pairs), _quotient(n, good_pairs)
-        cocones = _kernels.run_plan(q_all.count_plan, items)
-        mediated = cocones if q_good == q_all else _kernels.run_plan(q_good.count_plan, items)
+        mediated = _kernels.run_plan(apex.count_plan, items)
+        if _closure(n, node_pairs) == _kernels.meet_rows([apex.up_rows], class_to_apex):
+            cocones = mediated  # the comparison map is an order isomorphism
+        else:
+            cocones = _kernels.run_plan(colimit_pos(diagram).apex.count_plan, items)
         exists = list(map(operator.eq, cocones, mediated))
         if False in exists:  # name the first failing target's first failing component
             target = all_posets(apex_size_bound)[exists.index(False)]
-            report.witness = _describe_witness(node_pairs, good_pairs, target, members)
+            report.witness = _describe_witness(node_pairs, class_to_apex, apex, target, members)
         # the legs are jointly epic, so a mediating map is unique when it exists
         report.entries = list(map(ApexVerdict, labels, sizes, cocones, exists, [True] * len(items)))
         return report
@@ -374,20 +376,6 @@ def _corpus_rows(bound):
     )
 
 
-def _quotient(size, pairs):
-    """The poset of classes of the preorder that `pairs` generate on slots
-    0..size-1, its elements "0".."k-1" naming the classes in the order of
-    their least slots.  Into a poset, a map satisfies `pairs` exactly when it
-    is constant on each class and monotone on this quotient, so the
-    quotient's `count_plan` counts the pair list's solutions."""
-    rows = [0] * size
-    for i, j in pairs:
-        rows[i] |= 1 << j
-    closed = _kernels.transitive_closure(rows)
-    reps = [c[0] for c in _kernels.condense(closed)]
-    return FinPoset(map(str, range(len(reps))), _kernels.meet_rows([closed], reps))
-
-
 def _completion_domains(class_to_apex, hit_pairs, below, above, h, target):
     """The values each unhit element may take in a monotone map apex ->
     target through which the cocone h factors, a tuple of one mask per unhit
@@ -417,11 +405,22 @@ def _label(poset):
     return poset.name or f"poset<{poset.n}:{sum(r.bit_count() for r in poset.up_rows)}>"
 
 
-def _describe_witness(node_pairs, good_pairs, target, members):
+def _describe_witness(node_pairs, class_to_apex, apex, target, members):
     """The first cocone into `target` that admits no mediating map, named by
-    one of its cells.  The components of the good pairs are walked in the
-    order of their least slots, each cocone on a component listed in order;
-    a component whose cocones all satisfy its good pairs is passed over."""
+    one of its cells.  The good pairs are the node pairs, then each
+    identification as a pair each way in slot order, then the apex order
+    through the first slot of each apex element.  Their components are
+    walked in the order of their least slots, each cocone on a component
+    listed in order; a component whose cocones all satisfy its good pairs
+    is passed over."""
+    rep_slot = {}
+    for slot, a in enumerate(class_to_apex):
+        rep_slot.setdefault(a, slot)
+    good_pairs = list(node_pairs)
+    for slot, a in enumerate(class_to_apex):
+        if rep_slot[a] != slot:
+            good_pairs += [(rep_slot[a], slot), (slot, rep_slot[a])]
+    good_pairs += [(rep_slot[i], rep_slot[j]) for i, j in apex.leq_pairs]
     up, down = target.up_rows, target.down_rows
     for comp in sorted(_partition(range(len(members)), good_pairs)):
         pos = {s: k for k, s in enumerate(comp)}

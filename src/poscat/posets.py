@@ -361,9 +361,9 @@ def count_monotone_maps(source, target):
     return _kernels.run_plan(source.count_plan, [(target.up_rows, target.down_rows, None)])[0]
 
 
-def linear_extensions(poset):
-    """Every total order containing the poset, as FinPosets on the same
-    elements, in lexicographic order of their index sequences: each place
+def linear_extension_orders(poset):
+    """Every total order containing the poset, lazily, as the tuple of its
+    element indices from the bottom up, in lexicographic order: each place
     takes the unplaced elements with nothing unplaced below them."""
     n = poset.n
     below = [poset.down_rows[i] & ~(1 << i) for i in range(n)]
@@ -374,7 +374,13 @@ def linear_extensions(poset):
             free ^= 1 << i
         return [i for i in range(n) if free >> i & 1 and not below[i] & free]
 
-    return [chain_poset([poset.elements[i] for i in seq]) for seq in _kernels.depth_first(n, options)]
+    return _kernels.depth_first(n, options)
+
+
+def linear_extensions(poset):
+    """Every total order containing the poset, as FinPosets on the same
+    elements, in the order of `linear_extension_orders`."""
+    return [chain_poset([poset.elements[i] for i in seq]) for seq in linear_extension_orders(poset)]
 
 
 def meet_of_extensions(poset, exts):

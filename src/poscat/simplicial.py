@@ -8,7 +8,7 @@ import itertools
 import math
 from operator import itemgetter
 
-from ._kernels import depth_first
+from ._kernels import depth_first, set_bits
 from .delta import DeltaMap, Frozen, factorize, identity_instances
 from .posets import MonotoneMap, chain_levels
 
@@ -129,7 +129,7 @@ class TruncatedSimplicialSet:
         """The top-level simplices that a mask over the top level selects, as
         a tuple, built the first time a listing meets the mask."""
         top = self.levels[-1]
-        return functools.cache(lambda mask: tuple(top[j] for j in _positions(mask)))
+        return functools.cache(lambda mask: tuple(top[j] for j in set_bits(mask)))
 
     @functools.cached_property
     def _slot_program(self):
@@ -432,19 +432,6 @@ def _check_table(index, n, at, bits):
     return table
 
 
-def _positions(mask):
-    """The set bits of mask, ascending, one step per set bit, so that a mask
-    over a wide level costs only its popcount."""
-    if not mask & (mask - 1):
-        return [mask.bit_length() - 1] if mask else []
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _assignments(X, Y):
     """Every simplicial map X -> Y, in the bitmask form of `list_maps`: the
     simplices of X are the slots, level by level in X.levels order, and a
@@ -500,7 +487,7 @@ def _assignments(X, Y):
         mask, lookups = slots[s]
         for table, get in lookups:
             mask &= table.get(get(values), 0)
-        return _positions(mask)
+        return set_bits(mask)
 
     top = slots[bounds[-2] :]
     for head in depth_first(len(slots) - len(top), options):

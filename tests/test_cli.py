@@ -474,6 +474,47 @@ def test_comma_diagrams_over_too_many_strict_chains_are_refused(tmp_path, capsys
     )
 
 
+def test_extensions_over_the_budget_are_refused_before_listing(tmp_path, monkeypatch, capsys):
+    # the nine-element antichain has 9! = 362,880 linear extensions: their
+    # count stops at the first over the budget, and none is listed
+    from poscat.cli import MAX_SIMPLICES
+
+    path = tmp_path / "a9.poset"
+    path.write_text("poset a9\nelem " + " ".join(map(str, range(9))) + "\n", encoding="utf-8")
+    read = []
+    orders = poscat.posets.linear_extension_orders
+
+    def counted(poset):
+        for order in orders(poset):
+            read.append(order)
+            yield order
+
+    def listing(poset):
+        raise AssertionError("listed")
+
+    monkeypatch.setattr(poscat.cli, "linear_extension_orders", counted)
+    monkeypatch.setattr(poscat.cli, "linear_extensions", listing)
+    assert run(["extensions", "--poset", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the poset has more than {MAX_SIMPLICES} linear extensions\n"
+    assert len(read) == MAX_SIMPLICES + 1
+
+
+@pytest.mark.parametrize("budget, code", [(2, 0), (1, 2)])
+def test_extensions_budget_boundary(monkeypatch, v_file, capsys, budget, code):
+    # the V has two linear extensions: a budget of two lists them, one refuses
+    monkeypatch.setattr(poscat.cli, "MAX_SIMPLICES", budget)
+    assert run(["extensions", "--format", "machine", "--poset", v_file]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == "error: the poset has more than 1 linear extensions\n"
+    else:
+        assert captured.out.startswith("extensions.count=2\n")
+        assert captured.out.endswith("intersection_equals_order=PASS\n")
+
+
 def test_nerve_at_the_truncation_limit(point_file, tmp_path):
     from poscat.formats import MAX_TRUNC, load_sset
 

@@ -374,6 +374,32 @@ def test_verify_universal_matches_brute_force():
     assert kinds == {"colimit", "collapsed", "quotient", "ordered"}
 
 
+def test_bound_two_decides_the_verdict():
+    # into [1] a poset's maps are its up-sets, which tell its elements and
+    # its order apart: a candidate that is not a colimit already fails into
+    # a two-element target, and larger bounds only add per-target counts
+    rng = random.Random(20261020)
+    triples = 0
+    for _ in range(30):
+        diagram = random_diagram(rng, max_nodes=3, max_elems=3)
+        cocone = colimit_pos(diagram)
+        cases = [(c, (3, 4)) for c in (cocone, *hit_candidates(cocone, rng).values())]
+        n = cocone.apex.n
+        for top in (1 << n, 0):  # one unhit element on top, then beside
+            rows = (*(r | top for r in cocone.apex.up_rows), 1 << n)
+            apex = FinPoset(cocone.apex.elements + ("u",), rows)
+            legs = {nid: MonotoneMap(leg.source, apex, leg.values) for nid, leg in cocone.legs.items()}
+            cases.append((Cocone(diagram, apex, legs), (3,)))
+        for candidate, bounds in cases:
+            passed = verify_universal(diagram, candidate, 2).passed
+            for bound in bounds:
+                report = verify_universal(diagram, candidate, bound)
+                assert report.passed == passed
+                assert [e.apex_size for e in report.entries if not e.ok][:1] in ([], [2])
+                triples += 1
+    assert triples == 232
+
+
 def with_unhit(cocone, shape, rng):
     """A candidate with new apex elements that no leg hits.
 
@@ -538,17 +564,17 @@ def run_plan_calls(monkeypatch):
     return calls
 
 
-def test_each_quotient_or_target_runs_the_plan_once(monkeypatch):
+def test_each_apex_or_target_runs_the_plan_once(monkeypatch):
     calls = run_plan_calls(monkeypatch)
     n_targets = len(all_posets(4))
-    # hit, the colimit: components [1], [1] and [0], whose node relations and
-    # mediated pairs have one quotient, counted once
+    # hit, the colimit: components [1], [1] and [0]; the candidate's apex is
+    # the colimit's, counted once
     chain = ordinal_poset(1)
     diagram = PosetDiagram(nodes={"A": chain, "B": chain, "C": ordinal_poset(0)}, edges=[])
     assert verify_universal(diagram, colimit_pos(diagram), 4).passed
     assert calls == [n_targets]
-    # hit, not the colimit: two points sent to 0 < 1, whose node relations
-    # have the discrete quotient and whose mediated pairs the chain
+    # hit, not the colimit: two points sent to 0 < 1; the colimit's apex is
+    # the discrete one and the candidate's the chain, each counted once
     calls.clear()
     diagram = two_points()
     legs = {

@@ -17,7 +17,6 @@ from poscat._kernels import (
     run_plan,
     transitive_closure,
 )
-from poscat.colimits import _quotient
 from poscat.corpus import all_posets
 
 from helpers import digest, shuffled
@@ -334,12 +333,12 @@ def test_condense_against_naive():
 
 
 def test_equal_closures_count_alike_into_posets():
-    # verify_universal counts a pair list by its quotient: into a poset,
-    # lists with one closure, hence one quotient, have the same solutions,
-    # and lists with one quotient as many
+    # a plan counts a pair list's solutions, within any per-slot domains;
+    # into a poset, a list with the same closure has as many: the plan of a
+    # poset's cover pairs counts the maps out of any preorder it condenses
     rng = random.Random(17)
     targets = poset_targets(rng)
-    seen = {}  # quotient -> solution counts into every target
+    items = [(t.up_rows, t.down_rows, None) for t in targets]
     for _ in range(40):
         n_slots = rng.choice([1, 2, 2, 3, 3, 4, 5])
         pairs = []
@@ -348,36 +347,13 @@ def test_equal_closures_count_alike_into_posets():
             # an identification is two pairs, one in each direction
             pairs += [(i, j), (j, i)] if rng.random() < 0.5 else [(i, j)]
         other = same_closure(rng, n_slots, pairs)
-        assert _quotient(n_slots, other) == _quotient(n_slots, pairs)
-        for constraints in (pairs, other):
-            counts = tuple(len(naive_maps(n_slots, t, constraints)) for t in targets)
-            assert seen.setdefault(_quotient(n_slots, constraints), counts) == counts
         plan = count_plan(n_slots, pairs)
+        assert run_plan(count_plan(n_slots, other), items) == run_plan(plan, items)
         for target in targets:
             expected = naive_maps(n_slots, target, pairs)
             domains = [rng.randrange(1 << target.n) for _ in range(n_slots)]
             inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
             assert run_plan(plan, [(target.up_rows, target.down_rows, domains)]) == [len(inside)]
-    assert len(seen) < 40  # lists drawn in different rounds shared a closure
-
-
-def test_hasse_plans_keep_the_count():
-    # verify_universal counts a pair list by the plan of its quotient's
-    # Hasse diagram, one slot per class of equivalent slots: the count is
-    # the pair list's
-    rng = random.Random(41)
-    targets = poset_targets(rng)
-    items = [(t.up_rows, t.down_rows, None) for t in targets]
-    for _ in range(30):
-        n_slots = rng.randint(1, 5)
-        pairs = []
-        for _ in range(rng.randint(0, 2 * n_slots)):
-            i, j = rng.randrange(n_slots), rng.randrange(n_slots)
-            pairs += [(i, j), (j, i)] if rng.random() < 0.3 else [(i, j)]
-        if rng.random() < 0.3:  # a cycle through every slot: one class
-            pairs += [(s, (s + 1) % n_slots) for s in range(n_slots)]
-        plan = _quotient(n_slots, pairs).count_plan
-        assert run_plan(plan, items) == [len(naive_maps(n_slots, t, pairs)) for t in targets]
 
 
 def test_plans_without_levels_match_the_naive_count():
@@ -439,9 +415,9 @@ def test_plan_depth_ignores_names():
         forests += depths == {0}
     assert 0 < forests < len(all_posets(5))
     assert depth(count_plan(3, [(0, 2), (1, 2)])) == 0  # the V
-    # a chain's closure has a path for its quotient's Hasse diagram
+    # a chain's plan follows its cover pairs, a path
     for n in (3, 4):
-        assert depth(_quotient(n, list(itertools.combinations(range(n), 2))).count_plan) == 0
+        assert depth(ordinal_poset(n - 1).count_plan) == 0
     # the diamond: a branch, two more, and the last corner closed
     assert depth(count_plan(4, [(0, 1), (0, 2), (1, 3), (2, 3)])) == 3
 
@@ -461,8 +437,6 @@ def test_hom_table_of_four_points_into_six_points_is_pinned():
     items = [(t.up_rows, t.down_rows, None) for t in targets]
     rows = []
     for source in all_posets(4):
-        row = run_plan(count_plan(source.n, source.cover_pairs), items)
-        assert _quotient(source.n, source.leq_pairs) == source, source.name
-        rows.append(row)
+        rows.append(run_plan(count_plan(source.n, source.cover_pairs), items))
     assert len(set(zip(*rows))) == len(targets) == 406
     assert digest(repr(row) for row in rows) == HOM_TABLE_DIGEST
