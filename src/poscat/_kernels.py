@@ -351,9 +351,12 @@ def depth_first(n, options):
     options(k, values), lazily, in the order the options list them, and
     once, when n == 0, the empty tuple.  `values` holds v_0..v_{k-1} in its
     first k entries; options may write values[k] as scratch, since the walk
-    sets it before reading it.  Each depth's iterator over its options is
-    kept on an explicit stack, so the depth is not bounded by the recursion
-    limit."""
+    sets it before reading it.  options(k, values) is asked for right after
+    values[k - 1] is set, and the last call at each depth j < k was for the
+    prefix values[:j] it still holds, so options may keep state per depth,
+    each grown from the depth before.  Each depth's iterator over its options
+    is kept on an explicit stack, so the depth is not bounded by the
+    recursion limit."""
     values = [None] * n
     if not n:
         yield ()

@@ -85,23 +85,24 @@ def _vertex_table(X):
 
     Edge k of an n-simplex is its image under the Delta-map [1] -> [n] with
     values (k, k + 1), evaluated through X's face tables; its vertices are the
-    edges' endpoints (d_1 and d_0 of the edge). The simplex is consistent when
-    consecutive edges share endpoint vertices.
+    indices in X_0 of the edges' endpoints (d_1 and d_0 of the edge). The
+    simplex is consistent when consecutive edges share endpoint vertices.
     """
-    table = [{x: ((x,), True) for x in X.levels[0]}]
+    index = {v: k for k, v in enumerate(X.levels[0])}
+    table = [{x: ((k,), True) for x, k in index.items()}]
     d0, d1 = X.faces.get((1, 0)), X.faces.get((1, 1))
     for n in range(1, X.K + 1):
         edges = [evaluate(X, DeltaMap(1, n, (k, k + 1))) for k in range(n)]
         level = {}
         for x in X.levels[n]:
-            pairs = [(d1[edge[x]], d0[edge[x]]) for edge in edges]
+            pairs = [(index[d1[edge[x]]], index[d0[edge[x]]]) for edge in edges]
             consistent = all(pairs[k][1] == pairs[k + 1][0] for k in range(n - 1))
             level[x] = (tuple(p[0] for p in pairs) + (pairs[-1][1],), consistent)
         table.append(level)
     return table
 
 
-def _edge_relation(X, edges, index):
+def _edge_relation(X, edges):
     """The relation_injective verdict and the edge relation on level-0 labels,
     both from the vertex pairs of the 1-simplices (`edges`, level 1 of the
     vertex table): no two 1-simplices may share an ordered vertex pair."""
@@ -116,13 +117,13 @@ def _edge_relation(X, edges, index):
                 "relation_injective",
                 False,
                 f"1-simplices {simplex_label(other)} and {simplex_label(e)} "
-                f"both cover ({simplex_label(a)}, {simplex_label(b)})",
+                f"both cover ({labels[a]}, {labels[b]})",
             )
-        rows[index[a]] |= 1 << index[b]
+        rows[a] |= 1 << b
     return verdict, Relation(labels, tuple(rows))
 
 
-def _chain_condition(n, level, expected, rel, index):
+def _chain_condition(n, level, expected, rel):
     """Level n must biject onto the weakly increasing vertex tuples, listed
     as index tuples in `expected`."""
     name = f"chain_condition_n{n}"
@@ -137,12 +138,11 @@ def _chain_condition(n, level, expected, rel, index):
                 name,
                 False,
                 f"simplices {simplex_label(seen[points])} and {simplex_label(x)} share "
-                f"vertex tuple ({','.join(simplex_label(p) for p in points)})",
+                f"vertex tuple ({','.join(rel.labels[p] for p in points)})",
             )
         seen[points] = x
     if len(expected) != len(seen):
-        got = {tuple(index[p] for p in points) for points in seen}
-        missing = next(t for t in expected if t not in got)
+        missing = next(t for t in expected if t not in seen)
         label = ",".join(rel.labels[v] for v in missing)
         return Verdict(
             name,
@@ -153,10 +153,10 @@ def _chain_condition(n, level, expected, rel, index):
     return Verdict(name, True, f"{len(seen)} simplices")
 
 
-def _face_formulas(X, table, rel):
+def _face_formulas(X, table, rel, above):
     """Under the vertex-tuple bijection every d_i must delete position i, and
-    the extracted relation must be transitive, at every truncation (from
-    level 2 on, d_1 : X_2 -> X_1 is the witness)."""
+    the edge relation must be transitive, at every truncation (from level 2
+    on, d_1 : X_2 -> X_1 is the witness); the least failing (a, b, c) is named."""
     name = "face_formulas"
     for n in range(2, X.K + 1):
         below = table[n - 1]
@@ -170,18 +170,17 @@ def _face_formulas(X, table, rel):
                         False,
                         f"d_{i} at level {n} on {simplex_label(x)} is not deletion of position {i}",
                     )
-    m = len(rel.labels)
-    for a in range(m):
-        for b in range(m):
-            if rel.rows[a] & (1 << b):
-                for c in range(m):
-                    if rel.rows[b] & (1 << c) and not rel.rows[a] & (1 << c):
-                        return Verdict(
-                            name,
-                            False,
-                            f"relation not transitive: {rel.labels[a]} <= {rel.labels[b]} <= "
-                            f"{rel.labels[c]} without {rel.labels[a]} <= {rel.labels[c]}",
-                        )
+    for a, bs in above.items():
+        for b in bs:
+            beyond = rel.rows[b] & ~rel.rows[a]
+            if beyond:
+                c = (beyond & -beyond).bit_length() - 1
+                return Verdict(
+                    name,
+                    False,
+                    f"relation not transitive: {rel.labels[a]} <= {rel.labels[b]} <= "
+                    f"{rel.labels[c]} without {rel.labels[a]} <= {rel.labels[c]}",
+                )
     return Verdict(name, True, "" if X.K >= 2 else "no levels >= 2")
 
 
@@ -206,13 +205,12 @@ def _degeneracy_formulas(X, table, rel):
     return Verdict(name, True)
 
 
-def _antisymmetry(rel):
+def _antisymmetry(rel, above):
     """Oppositely oriented edge pairs are only allowed on the diagonal."""
     name = "antisymmetry"
-    m = len(rel.labels)
-    for a in range(m):
-        for b in range(m):
-            if a != b and rel.rows[a] & (1 << b) and rel.rows[b] & (1 << a):
+    for a, bs in above.items():
+        for b in bs:
+            if b != a and rel.rows[b] >> a & 1:
                 return Verdict(
                     name,
                     False,
@@ -241,8 +239,8 @@ def check_continuity(X) -> ContinuityReport:
     of the relation passes exactly when the relation is a partial order
     (Tier-1 census).
 
-    The vertex tuples and the edge relation are computed once and shared by
-    the checks and the reconstruction."""
+    The vertex tuples, as indices into X_0, and the edge relation are computed
+    once and shared by the checks and the reconstruction."""
     report = ContinuityReport(truncation=X.K)
     violations = X.identity_violations()
     detail = "; ".join(str(v) for v in violations[:2])
@@ -251,19 +249,22 @@ def check_continuity(X) -> ContinuityReport:
     report.verdicts["validation"] = Verdict("validation", not violations, detail)
     table = _vertex_table(X)
     if X.K >= 1:
-        index = {v: k for k, v in enumerate(X.levels[0])}
-        report.verdicts["relation_injective"], rel = _edge_relation(X, table[1], index)
+        report.verdicts["relation_injective"], rel = _edge_relation(X, table[1])
         report.relation = rel
-        m = len(rel.labels)
-        above = {a: [b for b in range(m) if rel.rows[a] >> b & 1] for a in range(m)}
+        above = {}  # per vertex, the vertices it relates to, ascending
+        for a, row in enumerate(rel.rows):
+            bs = above[a] = []
+            while row:
+                bs.append((row & -row).bit_length() - 1)
+                row &= row - 1
         expected = _kernels.chain_levels(above, X.K)
         for n in range(2, X.K + 1):
             report.verdicts[f"chain_condition_n{n}"] = _chain_condition(
-                n, table[n], expected[n], rel, index
+                n, table[n], expected[n], rel
             )
-        report.verdicts["face_formulas"] = _face_formulas(X, table, rel)
+        report.verdicts["face_formulas"] = _face_formulas(X, table, rel, above)
         report.verdicts["degeneracy_formulas"] = _degeneracy_formulas(X, table, rel)
-        report.verdicts["antisymmetry"] = _antisymmetry(rel)
+        report.verdicts["antisymmetry"] = _antisymmetry(rel, above)
     if report.passed:
         report.poset, report.iso = _reconstruct(X, report.relation, table)
     return report
@@ -277,11 +278,9 @@ def _reconstruct(X, relation, table):
         # the checks passed, so the relation is already a partial order
         labels = relation.labels
         order = sorted(range(len(labels)), key=labels.__getitem__)
-        rows = [sum(1 << p for p, j in enumerate(order) if row >> j & 1) for row in relation.rows]
-        poset = FinPoset([labels[k] for k in order], [rows[k] for k in order])
-    label_of = dict(zip(X.levels[0], labels))
+        poset = FinPoset([labels[k] for k in order], _kernels.meet_rows([relation.rows], order))
     comps = [
-        {x: tuple(map(label_of.__getitem__, points)) for x, (points, _) in level.items()}
+        {x: tuple(map(labels.__getitem__, points)) for x, (points, _) in level.items()}
         for level in table
     ]
     iso = SimplicialMap(X, nerve(poset, X.K), comps)
@@ -385,10 +384,9 @@ def fully_faithful_witness(p, q, K) -> FullFaithfulnessReport:
 
 
 def _faithfulness_witness(p, q, monotone, simplicial, image_keys, simp_keys):
-    for m in simplicial:
-        witness = _vertex_map_witness(p, q, m)
-        if witness:
-            return witness
+    witness = _vertex_map_witness(p, q, simplicial)
+    if witness:
+        return witness
     names = [_assignment(zip(f.source.elements, f.values)) for f in monotone]
     present = set(simp_keys)
     for name, k in zip(names, image_keys):
@@ -413,17 +411,19 @@ def _assignment(items):
     return " ".join(f"{x}->{y}" for x, y in items)
 
 
-def _vertex_map_witness(p, q, m):
-    """The vertex assignment of the simplicial map m : N(p) -> N(q) and the
-    first order pair of p it breaks, or "" when it is monotone."""
-    image = {x[0]: y[0] for x, y in m.components[0].items()}
-    for i, j in p.leq_pairs:
-        a, b = p.elements[i], p.elements[j]
-        if not q.leq(image[a], image[b]):
-            return (
-                f"{_assignment(image.items())} is not monotone: {a}<={b} "
-                f"but not {image[a]}<={image[b]}"
-            )
+def _vertex_map_witness(p, q, maps):
+    """The vertex assignment of the first of the simplicial maps N(p) -> N(q)
+    whose level-0 component is not monotone, and the first order pair of p
+    it breaks, or "" when every one is monotone."""
+    for m in maps:
+        image = {x[0]: y[0] for x, y in m.components[0].items()}
+        for i, j in p.leq_pairs:
+            a, b = p.elements[i], p.elements[j]
+            if not q.leq(image[a], image[b]):
+                return (
+                    f"{_assignment(image.items())} is not monotone: {a}<={b} "
+                    f"but not {image[a]}<={image[b]}"
+                )
     return ""
 
 
@@ -432,8 +432,4 @@ def non_monotone_witness(p, q, K) -> str:
     level-0 component is not monotone: its vertex assignment and the first
     order pair of p it breaks. "" when every vertex map is monotone, which
     full faithfulness guarantees from truncation 1 on."""
-    for m in iter_simplicial_maps(nerve(p, K), nerve(q, K)):
-        witness = _vertex_map_witness(p, q, m)
-        if witness:
-            return witness
-    return ""
+    return _vertex_map_witness(p, q, iter_simplicial_maps(nerve(p, K), nerve(q, K)))

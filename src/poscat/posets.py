@@ -95,12 +95,19 @@ class FinPoset:
 
     @cached_property
     def cover_pairs(self):
-        """Hasse diagram edges: (i, j) with j covering i."""
+        """Hasse diagram edges: (i, j) with j covering i, in index order.  The
+        strict up-set of i is walked from its least index: j covers i when
+        nothing else of it lies below j, and what lies above j is skipped, as
+        it covers nothing; a chain costs one step per element, not per pair."""
         out = []
-        for i, j in self.leq_pairs:
-            between = self.up_rows[i] & self.down_rows[j] & ~(1 << i) & ~(1 << j)
-            if not between:
-                out.append((i, j))
+        for i, row in enumerate(self.up_rows):
+            up = todo = row & ~(1 << i)
+            while todo:
+                low = todo & -todo
+                j = low.bit_length() - 1
+                if self.down_rows[j] & up == low:
+                    out.append((i, j))
+                todo &= ~self.up_rows[j]
         return tuple(out)
 
     @cached_property
@@ -364,15 +371,25 @@ def count_monotone_maps(source, target):
 def linear_extension_orders(poset):
     """Every total order containing the poset, lazily, as the tuple of its
     element indices from the bottom up, in lexicographic order: each place
-    takes the unplaced elements with nothing unplaced below them."""
+    takes the unplaced elements with nothing unplaced below them.  Each depth
+    keeps its unplaced mask and these candidates: placing v drops v and adds
+    those upper covers of v with nothing unplaced below them, the only
+    elements that placing v can free."""
     n = poset.n
     below = [poset.down_rows[i] & ~(1 << i) for i in range(n)]
+    covers = [[] for _ in range(n)]
+    for i, j in poset.cover_pairs:
+        covers[i].append(j)
+    free = [(1 << n) - 1] + [0] * n
+    candidates = [[i for i in range(n) if not below[i]]] + [None] * n
 
     def options(k, seq):
-        free = (1 << n) - 1
-        for i in seq[:k]:
-            free ^= 1 << i
-        return [i for i in range(n) if free >> i & 1 and not below[i] & free]
+        if k:  # depth k - 1 was last asked for at this prefix (`depth_first`)
+            v = seq[k - 1]
+            left = free[k] = free[k - 1] ^ (1 << v)
+            joined = [u for u in covers[v] if not below[u] & left]
+            candidates[k] = sorted([u for u in candidates[k - 1] if u != v] + joined)
+        return candidates[k]
 
     return _kernels.depth_first(n, options)
 

@@ -174,6 +174,44 @@ def test_antisymmetry_on_nerves():
     assert verdict(nerve(v_poset(), 1), "antisymmetry").passed
 
 
+@pytest.mark.parametrize(
+    "n, R, details",
+    [
+        (
+            # six failing triples; 0 <= 1 reaches both 4 and 5, and 0 <= 3
+            # reaches 2, a smaller c behind a larger b
+            6,
+            {(0, 1), (1, 4), (1, 5), (5, 1), (0, 3), (3, 2), (2, 4), (4, 2), (3, 4)},
+            (
+                "30 simplices vs 36 weakly increasing tuples; missing (0,1,4)",
+                "relation not transitive: 0 <= 1 <= 4 without 0 <= 4",
+                "both (1, 5) and the reverse are edges",
+            ),
+        ),
+        (
+            # seven failing triples, the first behind a b (1) that fails none;
+            # 0 has edges both ways with 1 and with 4
+            5,
+            {(4, 3), (3, 1), (1, 0), (0, 1), (0, 4), (2, 3), (3, 2), (4, 0)},
+            (
+                "27 simplices vs 34 weakly increasing tuples; missing (0,4,3)",
+                "relation not transitive: 0 <= 4 <= 3 without 0 <= 3",
+                "both (0, 1) and the reverse are edges",
+            ),
+        ),
+    ],
+)
+def test_witnesses_of_relations_with_several_failures_are_pinned(n, R, details):
+    """Each failing check names its first witness: the first missing tuple in
+    lexicographic order, the least failing triple (a, b, c) and the least
+    pair (a, b) of edges both ways, over a relation with at least three
+    failing triples and two such pairs."""
+    report = check_continuity(flag_sset(n, R | {(v, v) for v in range(n)}, 2))
+    names = ("chain_condition_n2", "face_formulas", "antisymmetry")
+    assert [v.name for v in report.failing()] == list(names)
+    assert tuple(report.verdicts[name].detail for name in names) == details
+
+
 def test_check_continuity_passes_on_nerves():
     for poset in all_posets(4):
         report = check_continuity(nerve(poset, 3))
@@ -267,6 +305,16 @@ def test_reconstruct_round_trip():
     assert iso.is_levelwise_bijective()
     # identity on tuples: every simplex maps to its own label tuple
     assert iso(1, ("a", "c")) == ("a", "c")
+
+
+def test_reconstruct_lists_the_vertices_by_label():
+    # X_0 holds "0".."11" in numeric order; the poset lists them by name,
+    # "0", "1", "10", "11", "2", ..., and its rows follow the names
+    R = {(a, b) for a in range(12) for b in range(a, 12)}
+    poset, iso = reconstruct(flag_sset(12, R, 1))
+    assert poset.elements == tuple(sorted(map(str, range(12))))
+    assert all(poset.leq(str(a), str(b)) == (a <= b) for a in range(12) for b in range(12))
+    assert iso(1, ("2", "10")) == ("2", "10")
 
 
 def test_reconstruct_from_reserialized_opaque_ids():

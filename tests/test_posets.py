@@ -124,6 +124,22 @@ def test_chain_count_equals_monotone_map_count():
             assert len(chains(poset, n)) == count_monotone_maps(ordinal_poset(n), poset)
 
 
+def test_cover_pairs_against_brute_force():
+    # (i, j) with i strictly below j and nothing strictly between, in index
+    # order, also where the index order is not an order of the poset
+    rng = random.Random(31)
+    for base in all_posets(5):
+        for p in (base, shuffled(base, rng)):
+            lt = [[i != j and p.up_rows[i] >> j & 1 for j in range(p.n)] for i in range(p.n)]
+            want = [
+                (i, j)
+                for i in range(p.n)
+                for j in range(p.n)
+                if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(p.n))
+            ]
+            assert list(p.cover_pairs) == want, p.name
+
+
 def test_linear_extensions_counts():
     assert len(linear_extensions(two_antichain())) == 2
     assert len(linear_extensions(three_chain())) == 1
@@ -133,9 +149,11 @@ def test_linear_extensions_counts():
 
 def test_linear_extensions_in_lexicographic_order():
     # every permutation of the indices that puts nothing after an element
-    # below it, in itertools.permutations order
+    # below it, in itertools.permutations order; over every poset of at most
+    # five elements and a seeded sample of the seven-element classes
     rng = random.Random(29)
-    for base in all_posets(5):
+    sevens = random.Random(7).sample([p for p in all_posets(7) if p.n == 7], 12)
+    for base in (*all_posets(5), *sevens):
         for p in (base, shuffled(base, rng)):
             want = [
                 seq
