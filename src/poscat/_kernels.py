@@ -20,10 +20,12 @@ only the 2-core left, the slots on or between cycles, is walked.
 
 `count_plan(n_slots, pairs)` fixes what does not depend on the target (the
 elimination order, and the core's branching order, closed slots and memo
-frontiers); `run_plan(plan, items)` runs that plan against a batch of
-targets, each item a target's up- and down-rows and, optionally, a mask of
-allowed values per slot, so a caller counting one constraint set into many
-targets builds the plan once and passes every target in one call.
+frontiers); `run_plan(plan, union)` runs that plan against a batch of
+targets read as one poset, their `DisjointUnion`, built from items that
+each hold a target's up- and down-rows and, optionally, a mask of allowed
+values per slot.  A caller counting one constraint set into many targets
+builds the plan once and passes every target in one call, and each fold of
+a peeled slot is one pass over the rows of every target.
 `condense` lists the classes of equivalent slots of a preorder, from which
 a colimit's apex and `make_poset`'s cycle check are read.
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import operator
 
@@ -85,9 +88,24 @@ def transpose(rows, n_cols):
 def meet_rows(tables, at):
     """Row bitmasks of the relation that holds in each of `tables` (row-bitmask
     tables over one index set, at least one), read through `at`: bit j of row
-    i is set iff bit at[j] of row at[i] is set in every table."""
+    i is set iff bit at[j] of row at[i] is set in every table.  Each row is
+    read off the set bits of its meet through the inverse of `at`, one mask
+    per index of the positions that `at` sends there (`at` need not be
+    injective), so a row costs its popcount, not a pass over `at`."""
     meet = list(functools.reduce(functools.partial(map, operator.and_), tables))
-    return [sum(1 << j for j, b in enumerate(at) if meet[a] >> b & 1) for a in at]
+    inverse = [0] * len(meet)
+    for j, b in enumerate(at):
+        inverse[b] |= 1 << j
+    rows = []
+    for a in at:
+        m = meet[a]
+        row = 0
+        while m:
+            low = m & -m
+            row |= inverse[low.bit_length() - 1]
+            m ^= low
+        rows.append(row)
+    return rows
 
 
 def _neighbours(n_slots, pairs):
@@ -177,59 +195,126 @@ def _constant_key(values):
     return None
 
 
-def _weighted_count(mask, weights):
-    """The sum of weights[v] over the set bits v of mask, one step per set
-    bit, so that a mask over a wide target costs only its popcount."""
+def _weighted_count(mask, weights, offset):
+    """The sum of weights[offset + v] over the set bits v of mask, one step
+    per set bit, so that a mask over a wide target costs only its popcount."""
     total = 0
     while mask:
         low = mask & -mask
-        total += weights[low.bit_length() - 1]
+        total += weights[offset + low.bit_length() - 1]
         mask ^= low
     return total
 
 
-def run_plan(plan, items):
-    """Number of maps into each target that satisfy the constraints `plan`
-    was built from, one count per item of `items`.
+class DisjointUnion:
+    """A batch of targets read as one poset, their disjoint union, so that
+    `run_plan` folds a slot over every target in one pass.
 
-    Each item is (up_rows, down_rows, domains): the target poset's rows and,
-    unless domains is None, a mask of the values allowed for each slot.  The
-    free slots are counted for the whole batch in one pass, as products of
-    their numbers of allowed values.  Then, per item, each peeled slot folds
-    into its parent one weight per parent value: the number of the slot's
-    values that its pairs allow beside that value, each weighted by the
-    trees folded into the slot before (a popcount when there are none); a
-    root multiplies the count by the weighted number of its allowed values.
-    Last, the core is walked depth first with an explicit stack, one level
-    per branch slot, each branch value and closed slot weighted by the trees
-    peeled into it.  At a level with a frontier, the count of the remaining
-    levels is memoized by the frontier's values, in one dict per level that
-    is cleared for each item.  The plan is unpacked and the search state
-    allocated once per batch.
+    It is built from items (up_rows, down_rows, domains): a target poset's
+    rows and, unless domains is None, a mask of the values allowed for each
+    slot.  `up` and `down` hold every target's rows in turn, row r being
+    value r - offset[r] of its target and still a mask over that target's
+    values; target t holds rows starts[t] to ends[t].  `domains` is None
+    when no item has any; otherwise it holds, per slot, one mask per row:
+    the values the row's target allows the slot (all of them for an item
+    without domains), clipped to the target, as an item's mask may hold bits
+    beyond it; and `bit` holds, per row, the mask of the row's own value, so
+    that a slot allows row r's value iff domains[s][r] & bit[r].
+    """
+
+    def __init__(self, items):
+        self.up, self.down, self.offset, self.starts, self.ends = [], [], [], [], []
+        given = []
+        for up_rows, down_rows, domains in items:
+            start = len(self.up)
+            self.up += up_rows
+            self.down += down_rows
+            self.offset += [start] * len(up_rows)
+            self.starts.append(start)
+            self.ends.append(len(self.up))
+            given.append(domains)
+        self.domains = self.bit = None
+        n_slots = next((len(d) for d in given if d is not None), None)
+        if n_slots is None:
+            return
+        by_row = []  # per row, its target's masks, clipped to the target
+        for domains, start, end in zip(given, self.starts, self.ends):
+            full = (1 << end - start) - 1
+            if domains is None:
+                masks = (full,) * n_slots
+            else:
+                masks = tuple(map(operator.and_, domains, itertools.repeat(full)))
+            by_row += [masks] * (end - start)
+        # transposed to one mask per row for each slot; with no rows, zip
+        # gives no slot at all
+        self.domains = list(zip(*by_row)) or [()] * n_slots
+        values = map(operator.sub, range(len(self.up)), self.offset)
+        self.bit = list(map(operator.lshift, itertools.repeat(1), values))
+
+    def __len__(self):
+        return len(self.starts)
+
+
+def run_plan(plan, union):
+    """Number of maps into each target of `union` (a `DisjointUnion`) that
+    satisfy the constraints `plan` was built from, one count per target.
+
+    The free slots are counted per target, as products of their numbers of
+    allowed values.  Each peeled slot folds into its parent once for the
+    whole union: one weight per row, the number of the slot's values that
+    its pairs allow beside the row's value, each weighted by the trees
+    folded into the slot before (a popcount when there are none); a row
+    whose value the parent's domain excludes weighs 0 and is not summed.  A
+    root multiplies each target's count by the sum of its weights over the
+    target's rows.  A peeled slot's weights are dropped once read, so a
+    call holds only a few lists as long as the union.  Last, the core is
+    walked per target, on the target's rows and its rows of the weights,
+    depth first with an explicit stack, one level per branch slot, each
+    branch value and closed slot weighted by the trees peeled into it.  At
+    a level with a frontier, the count of the remaining levels is memoized
+    by the frontier's values, in one dict per level that is cleared for
+    each target.  The plan is unpacked and the search state allocated once
+    per call.
     """
     free, peeled, levels = plan
     n_free = len(free)
-    counts = [
-        len(up_rows) ** n_free
-        if domains is None
-        else math.prod((((1 << len(up_rows)) - 1) & domains[s]).bit_count() for s in free)
-        for up_rows, _, domains in items
-    ]
-    if not (peeled or levels):  # every slot is free: nothing to do per item
+    starts, ends, domains = union.starts, union.ends, union.domains
+    if domains is None:
+        counts = [n**n_free for n in map(operator.sub, ends, starts)]
+    else:
+        counts = [
+            math.prod(domains[s][start].bit_count() for s in free) if start < end else 0**n_free
+            for start, end in zip(starts, ends)
+        ]
+    if not (peeled or levels):  # every slot is free: nothing to fold or walk
         return counts
     depth = len(levels)
     n_slots = n_free + len(peeled) + depth + sum(len(after) for _, after, _ in levels)
-    # a slot is weighted once a tree is folded into it; a fold is first when
-    # its parent is not yet weighted
-    folds = []  # (slot, parent, code, more codes, weighted, first)
-    roots = []  # (slot, weighted)
-    parents = set()
+    tables = (union.down, union.up)
+    weights = [None] * n_slots  # per weighted slot and row, its trees' count
     for s, parent, codes in peeled:
+        # a slot is weighted once a tree is folded into it, and a root is:
+        # it is peeled when its last neighbour is folded into it
+        w, weights[s] = weights[s], None
         if parent < 0:
-            roots.append((s, s in parents))
+            sums = map(sum, map(w.__getitem__, map(slice, starts, ends)))
+            counts = list(map(operator.mul, counts, sums))
+            continue
+        rows = tables[codes[0]]
+        for other in codes[1:]:
+            rows = map(operator.and_, rows, tables[other])
+        if domains is not None:  # rows of values the parent excludes are zeroed
+            allowed = map(bool, map(operator.and_, domains[parent], union.bit))
+            rows = map(operator.mul, map(operator.and_, rows, domains[s]), allowed)
+        if w is None:
+            passed = map(int.bit_count, rows)
         else:
-            folds.append((s, parent, codes[0], codes[1:], s in parents, parent not in parents))
-            parents.add(parent)
+            passed = [m and _weighted_count(m, w, o) for m, o in zip(rows, union.offset)]
+        below = weights[parent]
+        weights[parent] = list(passed) if below is None else list(map(operator.mul, below, passed))
+    if not depth:
+        return counts
+
     branches = [branch for branch, _, _ in levels]
     closed = [after for _, after, _ in levels]
     getters = [
@@ -244,39 +329,20 @@ def run_plan(plan, items):
     facs = [0] * depth
     sums = [0] * depth
     keys = [None] * depth
-    weights = [None] * n_slots  # per weighted slot and value, its trees' count
-    for i, (up_rows, down_rows, domains) in enumerate(items):
+    for i, (start, end) in enumerate(zip(starts, ends)):
         count = counts[i]
         if not count:
             continue
-        full = (1 << len(up_rows)) - 1
-        tables = (down_rows, up_rows)
-        for s, parent, code, more, weighted, first in folds:
-            rows = tables[code]
-            for other in more:
-                rows = map(operator.and_, rows, tables[other])
-            if domains is not None:
-                rows = map(domains[s].__and__, rows)
-            if weighted:
-                w = weights[s]
-                passed = [m and _weighted_count(m, w) for m in rows]
-            else:
-                passed = map(int.bit_count, rows)
-            weights[parent] = list(passed) if first else list(map(operator.mul, weights[parent], passed))
-        for s, weighted in roots:
-            m = full if domains is None else full & domains[s]
-            if not weighted:
-                count *= m.bit_count()
-            else:
-                count *= sum(weights[s]) if m == full else _weighted_count(m, weights[s])
-        if not depth or not count:
-            counts[i] = count
+        if start == end:  # the core has a slot, and the target no value for it
+            counts[i] = 0
             continue
-        start = (full,) * n_slots if domains is None else [full & d for d in domains]
+        full = (1 << end - start) - 1
+        tables = (union.down[start:end], union.up[start:end])
+        allow = (full,) * n_slots if domains is None else [d[start] for d in domains]
         for memo in memos:
             memo.clear()
         k = 0
-        masks[0] = start[branches[0][0]]  # the first branch slot has no constraint yet
+        masks[0] = allow[branches[0][0]]  # the first branch slot has no constraint yet
         sums[0] = 0
         while True:
             mask = masks[k]
@@ -285,15 +351,15 @@ def run_plan(plan, items):
                 masks[k] = mask ^ bit
                 v = values[k] = bit.bit_length() - 1
                 w = weights[branches[k][0]]
-                p = 1 if w is None else w[v]
+                p = 1 if w is None else w[start + v]
                 for s, cons in closed[k]:
                     if not p:
                         break
-                    m = start[s]
+                    m = allow[s]
                     for level, code in cons:
                         m &= tables[code][values[level]]
                     w = weights[s]
-                    p *= m.bit_count() if w is None else _weighted_count(m, w)
+                    p *= m.bit_count() if w is None else _weighted_count(m, w, start)
                 if not p:
                     continue
                 if k == stop:
@@ -309,7 +375,7 @@ def run_plan(plan, items):
                         continue
                     keys[j] = key
                 s, cons = branches[j]
-                m = start[s]
+                m = allow[s]
                 for level, code in cons:
                     m &= tables[code][values[level]]
                 facs[k] = p

@@ -260,13 +260,14 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     monotone maps out of the candidate's apex one-to-one into the cocones:
     every cocone into a target factors, and then exactly once, iff the two
     counts into it agree.  Each is counted through its apex's cached
-    `count_plan`, in one batch against every target's cached up- and
-    down-rows.  When the closure of the node relations is the apex order
+    `count_plan` into one batch, the disjoint union of every target's cached
+    up- and down-rows, so that each fold is one pass over the rows of all
+    targets.  When the closure of the node relations is the apex order
     pulled back along u, u is an order isomorphism and a call runs
     `run_plan` once; otherwise it builds the colimit and runs it twice.  The
     witness names the first failing target's first failing component.  The
-    target rows, labels and sizes are built once per bound, beside the
-    cached corpus; the counts live for this call only.
+    union, labels and sizes are built once per bound, beside the cached
+    corpus; the counts live for this call only.
 
     When the legs miss some apex elements, every cocone is enumerated and its
     mediating maps are counted by one plan over the unhit elements, built
@@ -274,7 +275,9 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     values on the hit elements below and above it.  A cocone that breaks an
     identification or an order relation among the hit elements has none and
     is not searched; cocones with equal domains are counted once, all of one
-    target's in one batch, so a call runs `run_plan` once per target.
+    target's in one batch, the disjoint union of one copy of the target per
+    distinct tuple of domains, built per call, so a call runs `run_plan`
+    once per target.
 
     Bound 2 decides the verdict; larger bounds add the per-target counts.
     Into [1] a poset's maps are its up-sets, which tell its elements and its
@@ -303,18 +306,18 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     report = UniversalReport(bound=apex_size_bound)
 
     if len(hit) == apex.n:
-        items, labels, sizes = _corpus_rows(apex_size_bound)
-        mediated = _kernels.run_plan(apex.count_plan, items)
+        union, labels, sizes = _corpus_rows(apex_size_bound)
+        mediated = _kernels.run_plan(apex.count_plan, union)
         if _closure(n, node_pairs) == _kernels.meet_rows([apex.up_rows], class_to_apex):
             cocones = mediated  # the comparison map is an order isomorphism
         else:
-            cocones = _kernels.run_plan(colimit_pos(diagram).apex.count_plan, items)
+            cocones = _kernels.run_plan(colimit_pos(diagram).apex.count_plan, union)
         exists = list(map(operator.eq, cocones, mediated))
         if False in exists:  # name the first failing target's first failing component
             target = all_posets(apex_size_bound)[exists.index(False)]
             report.witness = _describe_witness(node_pairs, class_to_apex, apex, target, members)
         # the legs are jointly epic, so a mediating map is unique when it exists
-        report.entries = list(map(ApexVerdict, labels, sizes, cocones, exists, [True] * len(items)))
+        report.entries = list(map(ApexVerdict, labels, sizes, cocones, exists, [True] * len(union)))
         return report
 
     # Some apex elements are unhit: a cocone fixes the mediating map on the hit
@@ -340,7 +343,8 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
             for h in assignments
         ]
         distinct = list(dict.fromkeys(d for d in domains if d is not None))
-        counted = dict(zip(distinct, _kernels.run_plan(plan, [(up, down, d) for d in distinct])))
+        union = _kernels.DisjointUnion([(up, down, d) for d in distinct])
+        counted = dict(zip(distinct, _kernels.run_plan(plan, union)))
         exist_ok = True
         unique_ok = True
         for h, d in zip(assignments, domains):
@@ -365,12 +369,13 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
 @functools.lru_cache(maxsize=None)
 def _corpus_rows(bound):
     """What `verify_universal` reads of the targets `all_posets(bound)` on
-    every call, built once per bound beside the cached corpus: the
-    `run_plan` items (up- and down-rows, no domains), the labels and the
-    sizes.  These are target data only; no count is kept across calls."""
+    every call, built once per bound beside the cached corpus: their
+    disjoint union (up- and down-rows, no domains), which `run_plan` counts
+    into, the labels and the sizes.  These are target data only; no count
+    is kept across calls."""
     targets = all_posets(bound)
     return (
-        tuple((t.up_rows, t.down_rows, None) for t in targets),
+        _kernels.DisjointUnion((t.up_rows, t.down_rows, None) for t in targets),
         tuple(map(_label, targets)),
         tuple(t.n for t in targets),
     )

@@ -322,13 +322,23 @@ def chain_levels(poset, K, strict=False):
     holds the (n+1)-tuples, in lexicographic order of the element names."""
     if K < 0:
         raise PosetError("chain length must be >= 0")
-    order = sorted(range(poset.n), key=poset.elements.__getitem__)
-    above = {
-        poset.elements[i]: [
-            poset.elements[j] for j in order if poset.up_rows[i] >> j & 1 and not (strict and i == j)
-        ]
-        for i in order
-    }
+    elements = poset.elements
+    order = sorted(range(poset.n), key=elements.__getitem__)
+    rank = [0] * poset.n
+    for r, i in enumerate(order):
+        rank[i] = r
+    above = {}
+    for i in order:
+        m = poset.up_rows[i]
+        if strict:
+            m &= ~(1 << i)
+        js = []
+        while m:  # the elements above i, read off the set bits of its up-row
+            low = m & -m
+            js.append(low.bit_length() - 1)
+            m ^= low
+        js.sort(key=rank.__getitem__)
+        above[elements[i]] = [elements[j] for j in js]
     return _kernels.chain_levels(above, K)
 
 
@@ -365,7 +375,8 @@ def monotone_maps(source, target):
 
 def count_monotone_maps(source, target):
     """The number of monotone maps source -> target, by source's cached `count_plan`."""
-    return _kernels.run_plan(source.count_plan, [(target.up_rows, target.down_rows, None)])[0]
+    union = _kernels.DisjointUnion([(target.up_rows, target.down_rows, None)])
+    return _kernels.run_plan(source.count_plan, union)[0]
 
 
 def linear_extension_orders(poset):

@@ -556,9 +556,9 @@ def run_plan_calls(monkeypatch):
     calls = []
     run = _kernels.run_plan
 
-    def counting(plan, items):
-        calls.append(len(items))
-        return run(plan, items)
+    def counting(plan, union):
+        calls.append(len(union))
+        return run(plan, union)
 
     monkeypatch.setattr(_kernels, "run_plan", counting)
     return calls

@@ -1,6 +1,8 @@
 """Kernel correctness against brute-force oracles."""
 
+import functools
 import itertools
+import operator
 import random
 
 from hypothesis import given, settings
@@ -8,18 +10,25 @@ from hypothesis import strategies as st
 
 from poscat import FinPoset, ordinal_poset, product_poset
 from poscat._kernels import (
+    DisjointUnion,
     backend,
     chain_levels,
     condense,
     count_plan,
     depth_first,
     list_maps,
+    meet_rows,
     run_plan,
     transitive_closure,
 )
 from poscat.corpus import all_posets
 
 from helpers import digest, shuffled
+
+
+def run(plan, items):
+    """`run_plan` on the disjoint union of `items`."""
+    return run_plan(plan, DisjointUnion(items))
 
 
 def naive_closure(rows):
@@ -93,11 +102,11 @@ def test_maps_against_naive():
             expected = naive_maps(n_slots, target, pairs)
             got = list_maps(n_slots, up, down, pairs)
             assert got == expected  # lexicographic order matches itertools.product
-            assert run_plan(plan, [(up, down, None)]) == [len(expected)]
+            assert run(plan, [(up, down, None)]) == [len(expected)]
             # one random mask of allowed values per slot
             domains = [rng.randrange(1 << target.n) for _ in range(n_slots)]
             inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
-            assert run_plan(plan, [(up, down, domains)]) == [len(inside)]
+            assert run(plan, [(up, down, domains)]) == [len(inside)]
 
 
 @st.composite
@@ -144,8 +153,8 @@ def test_batched_runs_match_the_naive_count(data):
     expected = [naive_count(n_slots, pairs, target, domains) for target, domains in batch]
     plan = count_plan(n_slots, pairs)
     items = [(t.up_rows, t.down_rows, domains) for t, domains in batch]
-    assert run_plan(plan, items) == expected
-    assert [run_plan(plan, [item])[0] for item in items] == expected
+    assert run(plan, items) == expected
+    assert [run(plan, [item])[0] for item in items] == expected
 
 
 def tree_count(n_slots, pairs, target, domains):
@@ -210,7 +219,7 @@ def test_memoized_runs_count_paths_and_trees():
             batch.append((target, None if rng.random() < 0.5 else masks))
         expected = [tree_count(n_slots, pairs, t, d) for t, d in batch]
         items = [(t.up_rows, t.down_rows, d) for t, d in batch]
-        assert run_plan((free, peeled, levels), items) == expected
+        assert run((free, peeled, levels), items) == expected
     # cycles are walked: ladders (the cover graphs of [n] x [1]) and crowns
     # of six or eight elements reach a frontier level, where the memo holds
     # the count of the remaining levels; a diamond ([1] x [1], a 4-cycle)
@@ -238,7 +247,55 @@ def test_memoized_runs_count_paths_and_trees():
             batch.append((target, None if rng.random() < 0.5 else masks))
         expected = [naive_count(n_slots, pairs, t, d) for t, d in batch]
         items = [(t.up_rows, t.down_rows, d) for t, d in batch]
-        assert run_plan((free, peeled, levels), items) == expected
+        assert run((free, peeled, levels), items) == expected
+
+
+def test_a_union_of_every_small_poset_counts_each_target_alone():
+    # every poset of all_posets(4), the empty one included, and a shuffled
+    # copy of each side by side: targets of 0 to 4 elements in one union,
+    # every other one with domains, some masks wider than their target
+    rng = random.Random(43)
+    targets = poset_targets(rng)
+    assert [t.n for t in targets].count(0) == 2
+    forest = (5, [(0, 1), (2, 1), (1, 3)])  # a tree and a free slot
+    # a diamond, with a leaf hung on its first branch slot and one on its
+    # closed corner
+    cored = (6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 0)])
+    for (n_slots, pairs), has_core in [(forest, False), (cored, True)]:
+        plan = count_plan(n_slots, pairs)
+        assert bool(plan[2]) == has_core
+        batch = []
+        for k, target in enumerate(targets):
+            width = target.n + rng.randint(0, 2)
+            masks = [rng.randrange(1 << width) for _ in range(n_slots)]
+            batch.append((target, masks if k % 2 else None))
+        expected = [naive_count(n_slots, pairs, t, d) for t, d in batch]
+        items = [(t.up_rows, t.down_rows, d) for t, d in batch]
+        assert run(plan, items) == expected
+        assert [run(plan, [item])[0] for item in items] == expected
+        assert 0 < sum(map(bool, expected)) < len(expected)
+
+
+def meet_rows_reference(tables, at):
+    """The pass over `at` per row that `meet_rows` reads off set bits."""
+    meet = list(functools.reduce(functools.partial(map, operator.and_), tables))
+    return [sum(1 << j for j, b in enumerate(at) if meet[a] >> b & 1) for a in at]
+
+
+def test_meet_rows_against_a_pass_per_row():
+    # one table or several, read through the identity, a permutation, or a
+    # map that need not be injective nor onto, as `class_to_apex` is
+    rng = random.Random(47)
+    for round_ in range(300):
+        n = rng.randint(0, 8)
+        tables = [random_relation(rng, n) for _ in range(rng.randint(1, 3))]
+        if round_ % 3 == 0:
+            at = list(range(n))
+        elif round_ % 3 == 1:
+            at = rng.sample(range(n), n)
+        else:
+            at = [rng.randrange(n) for _ in range(rng.randint(0, n + 3))] if n else []
+        assert meet_rows(tables, at) == meet_rows_reference(tables, at)
 
 
 def test_list_maps_runs_deep_chains():
@@ -268,7 +325,7 @@ def test_depth_first_runs_deeper_than_the_recursion_limit():
 
 def test_count_handles_disconnected_slots():
     # ten unconstrained slots over a three-element target: counted, not enumerated
-    assert run_plan(count_plan(10, []), [((1, 2, 4), (1, 2, 4), None)]) == [3**10]
+    assert run(count_plan(10, []), [((1, 2, 4), (1, 2, 4), None)]) == [3**10]
 
 
 def test_chain_levels_grow_every_walk_in_order():
@@ -348,12 +405,12 @@ def test_equal_closures_count_alike_into_posets():
             pairs += [(i, j), (j, i)] if rng.random() < 0.5 else [(i, j)]
         other = same_closure(rng, n_slots, pairs)
         plan = count_plan(n_slots, pairs)
-        assert run_plan(count_plan(n_slots, other), items) == run_plan(plan, items)
+        assert run(count_plan(n_slots, other), items) == run(plan, items)
         for target in targets:
             expected = naive_maps(n_slots, target, pairs)
             domains = [rng.randrange(1 << target.n) for _ in range(n_slots)]
             inside = [f for f in expected if all(domains[s] >> v & 1 for s, v in enumerate(f))]
-            assert run_plan(plan, [(target.up_rows, target.down_rows, domains)]) == [len(inside)]
+            assert run(plan, [(target.up_rows, target.down_rows, domains)]) == [len(inside)]
 
 
 def test_plans_without_levels_match_the_naive_count():
@@ -365,7 +422,7 @@ def test_plans_without_levels_match_the_naive_count():
     for n_slots, pairs in [(0, []), (1, []), (3, []), (1, [(0, 0)]), (2, [(1, 1), (0, 0)])]:
         plan = count_plan(n_slots, pairs)
         assert plan == (tuple(range(n_slots)), (), ())
-        assert run_plan(plan, []) == []
+        assert run(plan, []) == []
         batch = []
         for target in targets:
             wide = (1 << target.n + 2) - 1
@@ -374,7 +431,7 @@ def test_plans_without_levels_match_the_naive_count():
             batch.append((target, None))
         expected = [naive_count(n_slots, pairs, t, domains) for t, domains in batch]
         items = [(t.up_rows, t.down_rows, domains) for t, domains in batch]
-        assert run_plan(plan, items) == expected
+        assert run(plan, items) == expected
         assert set(expected[: 4**n_slots + 1]) == {0**n_slots}  # into the empty poset
 
 
@@ -434,9 +491,9 @@ def test_hom_table_of_four_points_into_six_points_is_pinned():
     classes of the corpus are isomorphic (sources of at most three points
     leave only 381 distinct columns)."""
     targets = all_posets(6)
-    items = [(t.up_rows, t.down_rows, None) for t in targets]
+    union = DisjointUnion((t.up_rows, t.down_rows, None) for t in targets)
     rows = []
     for source in all_posets(4):
-        rows.append(run_plan(count_plan(source.n, source.cover_pairs), items))
+        rows.append(run_plan(count_plan(source.n, source.cover_pairs), union))
     assert len(set(zip(*rows))) == len(targets) == 406
     assert digest(repr(row) for row in rows) == HOM_TABLE_DIGEST
