@@ -48,12 +48,23 @@ def backend() -> str:
 
 
 def transitive_closure(rows):
-    """Reflexive-transitive closure of a relation given as row bitmasks."""
-    n = len(rows)
-    out = [rows[i] | (1 << i) for i in range(n)]
+    """Reflexive-transitive closure of a relation given as row bitmasks:
+    Warshall's pass per pivot k, skipped when it can add nothing, as when
+    row k holds only k, or when no other row of the input holds bit k, so
+    that no row ever gains it.  The closure of an antichain, a matching or
+    a star so costs O(n) big-int operations instead of O(n^2)."""
+    out = []
+    held = 0  # the bits that some row other than their own holds
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        out.append(row | bit)
+        held |= row & ~bit
+    n = len(out)
     for k in range(n):
         bit = 1 << k
         row_k = out[k]
+        if row_k == bit or not held & bit:
+            continue
         for i in range(n):
             if out[i] & bit:
                 out[i] |= row_k

@@ -6,7 +6,7 @@ import collections
 import functools
 import itertools
 import math
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from ._kernels import depth_first, set_bits
 from .delta import DeltaMap, Frozen, factorize, identity_instances
@@ -72,9 +72,10 @@ class TruncatedSimplicialSet:
     asks for one poset, name and truncation, so changing a table of a nerve
     would change it for them all.  The convention also guards what a map
     search compiles from the tables and keeps on the set: its slot program
-    as a source, its boundary index, degeneracy masks, lookahead tables and
-    top-level candidates as a target.  None of these is rebuilt when a
-    table changes.  Copy a table before changing it.
+    as a source; as a target, its position tables, against which every
+    listed map is checked while it is held as positions, and its boundary
+    index, degeneracy masks and lookahead tables.  None of these is rebuilt
+    when a table changes.  Copy a table before changing it.
     """
 
     def __init__(self, levels, faces, degeneracies, name="", validate=True):
@@ -99,6 +100,26 @@ class TruncatedSimplicialSet:
         return tuple(frozenset(level) for level in self.levels)
 
     @functools.cached_property
+    def _position_tables(self):
+        """The tables in positions, built on first use and kept: per level
+        the frozenset of its positions; per level n >= 1 the boundary key of
+        each position, the positions of its faces d_0, ..., d_n in level
+        n - 1 (None at level 0); and per degeneracy table (n, i) the position
+        of the image of each position of X_n.  A map search into this set
+        takes its candidates from them and checks each map it lists against
+        them."""
+        pos = [{y: j for j, y in enumerate(level)} for level in self.levels]
+        spans = tuple(frozenset(range(len(level))) for level in self.levels)
+        keys = (None,) + tuple(
+            _boundary_keys(self, n, pos[n - 1]) for n in range(1, self.K + 1)
+        )
+        images = {
+            (n, i): [pos[n + 1][table[y]] for y in self.levels[n]]
+            for (n, i), table in self.degeneracies.items()
+        }
+        return spans, keys, images
+
+    @functools.cached_property
     def _target_index(self):
         """The tables a map search into this set reads, built on first use
         and kept: per level n >= 1 its boundary index (`_boundary_index`);
@@ -106,14 +127,12 @@ class TruncatedSimplicialSet:
         position of X_n; and per level the one-bit mask of each position.
         Every one-bit mask of these tables and of `_lookahead` is taken from
         the last, so each simplex's bit is one int however many hold it."""
-        pos = [{y: j for j, y in enumerate(level)} for level in self.levels]
+        _, keys, images = self._position_tables
         bits = tuple([1 << j for j in range(len(level))] for level in self.levels)
-        index = (None,) + tuple(
-            _boundary_index(self, n, pos[n - 1], bits[n]) for n in range(1, self.K + 1)
-        )
+        index = (None,) + tuple(_boundary_index(keys[n], bits[n]) for n in range(1, self.K + 1))
         degeneracy = {
-            (n, i): {j: bits[n + 1][pos[n + 1][table[y]]] for j, y in enumerate(self.levels[n])}
-            for (n, i), table in self.degeneracies.items()
+            (n, i): dict(enumerate(map(bits[n + 1].__getitem__, table)))
+            for (n, i), table in images.items()
         }
         return index, degeneracy, bits
 
@@ -123,13 +142,6 @@ class TruncatedSimplicialSet:
         search into this set needs, built the first time a source needs it."""
         index, _, bits = self._target_index
         return functools.cache(lambda n, at: _check_table(index[n], n, at, bits[n - 1]))
-
-    @functools.cached_property
-    def _top_candidates(self):
-        """The top-level simplices that a mask over the top level selects, as
-        a tuple, built the first time a listing meets the mask."""
-        top = self.levels[-1]
-        return functools.cache(lambda mask: tuple(top[j] for j in set_bits(mask)))
 
     @functools.cached_property
     def _slot_program(self):
@@ -330,6 +342,11 @@ def evaluate(X, f: DeltaMap):
     return dict(zip(level, _act(X, factorize(f).refs(), level)))
 
 
+def _same_truncation(X, Y):
+    if X.K != Y.K:
+        raise SimplicialError("source and target truncations differ")
+
+
 class SimplicialMap:
     """Level-wise function commuting with all face and degeneracy tables.
 
@@ -337,19 +354,28 @@ class SimplicialMap:
     included: each component must be total on its level of the source, take
     values in the same level of the target, and commute with every face and
     degeneracy table of the source.  The first failure raises, in that order.
-    `components` are the map's own dicts, copied from whatever mappings or
-    (simplex, image) pairs the caller passes.
+    A map built from components owns dicts copied from whatever mappings or
+    (simplex, image) pairs the caller passes.  A listed map is held and
+    checked as positions (`_position_check`): one flat tuple of positions in
+    the target's levels, one per simplex of the source, level by level in
+    levels order.  Its `components` are built from them on first read, and
+    are then its own dicts.
     """
 
     def __init__(self, source, target, components):
-        if source.K != target.K:
-            raise SimplicialError("source and target truncations differ")
+        _same_truncation(source, target)
         self.source = source
         self.target = target
         self.components = tuple(map(dict, components))
         if len(self.components) != source.K + 1:
             raise SimplicialError("one component per level required")
         self._check()
+
+    @functools.cached_property
+    def components(self):
+        """Per level of the source, the dict of each simplex's image, built
+        from a listed map's positions the first time it is read."""
+        return tuple(map(dict, _image_pairs(self.source, self.target, self._positions)))
 
     def _check(self):
         comps, source, target = self.components, self.source, self.target
@@ -382,7 +408,7 @@ class SimplicialMap:
         )
 
     def __repr__(self):
-        return f"SimplicialMap(levels={len(self.components)})"
+        return f"SimplicialMap(levels={self.source.K + 1})"
 
     def is_levelwise_bijective(self):
         return all(
@@ -401,15 +427,19 @@ def nerve_map(f: MonotoneMap, K) -> SimplicialMap:
     return SimplicialMap(src, tgt, comps)
 
 
-def _boundary_index(Y, n, below, bits):
-    """Level n of Y bucketed by boundary: the key of a simplex y is the tuple
-    of the positions of d_0 y, ..., d_n y in Y.levels[n - 1] (`below`), and
-    bit j of a key's mask is set iff Y.levels[n][j] has that boundary.  A
-    bucket of one simplex holds its bit from `bits`, not a copy."""
+def _boundary_keys(Y, n, below):
+    """The boundary key of each simplex y of Y.levels[n], in order: the tuple
+    of the positions of d_0 y, ..., d_n y in Y.levels[n - 1] (`below`)."""
     tables = [Y.faces[(n, i)] for i in range(n + 1)]
+    return [tuple(below[t[y]] for t in tables) for y in Y.levels[n]]
+
+
+def _boundary_index(keys, bits):
+    """A level bucketed by boundary: bit j of a key's mask is set iff the
+    simplex at position j has that boundary key (`keys[j]`).  A bucket of
+    one simplex holds its bit from `bits`, not a copy."""
     index = {}
-    for y, bit in zip(Y.levels[n], bits):
-        key = tuple(below[t[y]] for t in tables)
+    for key, bit in zip(keys, bits):
         index[key] = index[key] | bit if key in index else bit
     return index
 
@@ -460,8 +490,7 @@ def _assignments(X, Y):
     binds the two: it builds the per-slot lookups, with their getters, for
     this pair.
     """
-    if X.K != Y.K:
-        raise SimplicialError("source and target truncations differ")
+    _same_truncation(X, Y)
     # per slot a constant mask and its lookups, each a table of Y and the
     # getter of its key from the values of the slots before it
     bounds, faces, splits, degenerate = X._slot_program
@@ -502,6 +531,84 @@ def _assignments(X, Y):
             yield head, masks
 
 
+def _gather(slots):
+    """A getter of the values at `slots` of a tuple, as a tuple even when
+    there are none or one."""
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda values: (values[s],)
+    return itemgetter(*slots) if slots else lambda values: ()
+
+
+def _position_check(X, Y):
+    """The check of a map X -> Y held as one flat tuple p of positions in
+    Y's levels, one per slot of X's `_slot_program`: a function of p that
+    returns the map, held as p, or raises.  It checks what the
+    `SimplicialMap` constructor checks, in the same order, against Y's
+    position tables: the length of p and each level's range (one subset
+    test); each face level n >= 1 in one comparison, the images of the
+    slots of d_i x gathered per face and zipped into the boundary keys that
+    the images of the simplices x must have; and each degeneracy table
+    (n, i) in one comparison, the images of the slots of s_i x against s_i
+    of the images of x.  The comparisons run `eq` over iterators and build
+    no tuple from an iterator of unknown length, which CPython would resize
+    and keep on a free list until a full collection.  A p that fails goes
+    to `_checked`, which raises the constructor's message for it."""
+    _same_truncation(X, Y)
+    bounds, faces, _, degenerate = X._slot_program
+    spans, keys, images = Y._position_tables
+    size, new = bounds[-1], SimplicialMap.__new__
+    levels = list(zip(spans, bounds, bounds[1:]))
+    face_levels = [
+        ([_gather([f[i] for f in faces[a:b]]) for i in range(n + 1)], keys[n].__getitem__, a, b)
+        for n, a, b in zip(range(1, X.K + 1), bounds[1:], bounds[2:])
+    ]
+    degeneracies = [
+        (_gather(slots), images[n, i].__getitem__, bounds[n], bounds[n + 1])
+        for (n, i), slots in degenerate
+    ]
+
+    def listed(p):
+        if len(p) != size:
+            return _checked(X, Y, p)
+        for span, a, b in levels:
+            if not span.issuperset(p[a:b]):
+                return _checked(X, Y, p)
+        for gathers, key, a, b in face_levels:
+            if not all(map(eq, zip(*[gather(p) for gather in gathers]), map(key, p[a:b]))):
+                return _checked(X, Y, p)
+        for gather, image, a, b in degeneracies:
+            if not all(map(eq, gather(p), map(image, p[a:b]))):
+                return _checked(X, Y, p)
+        m = new(SimplicialMap)
+        m.source, m.target, m._positions = X, Y, p
+        return m
+
+    return listed
+
+
+def _checked(X, Y, p):
+    """The map X -> Y with the positions p, built by the `SimplicialMap`
+    constructor, which raises what fails; positions too few, too many or
+    outside a level raise here, level by level, as the constructor would."""
+    bounds, spans = X._slot_program[0], Y._position_tables[0]
+    for n, span in enumerate(spans):
+        if len(p) < bounds[n + 1] or n == X.K and len(p) > bounds[-1]:
+            raise SimplicialError(f"component at level {n} is not total")
+        if not span.issuperset(p[bounds[n] : bounds[n + 1]]):
+            raise SimplicialError(f"component at level {n} maps outside the target")
+    return SimplicialMap(X, Y, _image_pairs(X, Y, p))
+
+
+def _image_pairs(X, Y, p):
+    """Per level of X, the (simplex, image) pairs of the positions p."""
+    bounds = X._slot_program[0]
+    return [
+        zip(level, map(images.__getitem__, p[a:b]))
+        for level, images, a, b in zip(X.levels, Y.levels, bounds, bounds[1:])
+    ]
+
+
 def iter_simplicial_maps(X, Y):
     """The simplicial maps X -> Y one at a time, in lexicographic order of
     their images over the simplices of X (level by level, X.levels order).
@@ -509,30 +616,19 @@ def iter_simplicial_maps(X, Y):
     `_assignments` walks levels 0..K-1 of X with `_kernels.depth_first`,
     each simplex taking its candidates from bitmasks over a boundary index
     of Y that Y compiles once and keeps; the maps with one head are the
-    ordered product of the candidates of the top-level simplices, each
-    candidate tuple kept on Y by its mask (`_top_candidates`).  Each map's
-    components are passed to `SimplicialMap` as (simplex, image) pairs, its
-    head levels zipped from the head's positions and its top level from its
-    tuple of the product, so each component dict is built once, by the
-    constructor, and every map owns its own.  Every map is validated: the
-    constructor re-checks that it is total, stays in Y and commutes with
-    every face and degeneracy table.
+    ordered product of the set bits of the top-level simplices' masks.
+    Each map stays in that position form: the head's positions followed by
+    the top level's, one flat tuple.  Every map is validated in that form
+    (`_position_check`): it is total, stays in Y and commutes with every
+    face and degeneracy table.  Its components are built on first read,
+    and every map owns its own.
     """
-    bounds = X._slot_program[0]
-    # per level below the top: its simplices, the image of a position, and
-    # the head's span of that level
-    head_levels = [
-        (level, images.__getitem__, a, b)
-        for level, images, a, b in zip(X.levels[:-1], Y.levels, bounds, bounds[1:])
-    ]
-    top, candidates = X.levels[-1], Y._top_candidates
+    listed = _position_check(X, Y)
     for head, masks in _assignments(X, Y):
         # a list, not *map(...): unpacking the iterator here raised the peak
         # RSS of the `nerves` benchmark workload by about 1 MB (CPython 3.11)
-        for tail in itertools.product(*[candidates(m) for m in masks]):
-            comps = [zip(level, map(image, head[a:b])) for level, image, a, b in head_levels]
-            comps.append(zip(top, tail))
-            yield SimplicialMap(X, Y, comps)
+        for tail in itertools.product(*[set_bits(m) for m in masks]):
+            yield listed(head + tail)
 
 
 def simplicial_maps(X, Y):

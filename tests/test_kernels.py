@@ -79,11 +79,32 @@ def poset_targets(rng):
     return list(base) + [shuffled(p, rng) for p in base]
 
 
+def sparse_relations(rng):
+    """Antichains, matchings, stars (centre below and above its leaves),
+    chains in a shuffled order and random sparse relations, each with a few
+    self-pairs, on up to 64 points."""
+    for n in (0, 1, 2, 5, 17, 64):
+        points = list(range(n))
+        rng.shuffle(points)
+        relations = [
+            [],
+            list(zip(points[::2], points[1::2])),
+            [(points[0], p) for p in points[1:]],
+            [(p, points[0]) for p in points[1:]],
+            list(zip(points, points[1:])),
+            [(rng.randrange(n), rng.randrange(n)) for _ in range(n)] if n else [],
+        ]
+        for relation in relations:
+            rows = [0] * n
+            for i, j in relation + [(p, p) for p in points[:2]]:
+                rows[i] |= 1 << j
+            yield rows
+
+
 def test_closure_against_naive():
     rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(0, 8)
-        rows = random_relation(rng, n)
+    relations = [random_relation(rng, rng.randint(0, 8)) for _ in range(50)]
+    for rows in relations + list(sparse_relations(rng)):
         assert transitive_closure(rows) == naive_closure(rows)
 
 

@@ -395,6 +395,100 @@ def test_truncated_simplicial_set_rejections_name_the_first_failure():
     assert _sset_rejection(X.levels, faces(), beyond) == "table indices outside the truncation"
 
 
+def _listed_rejection(X, Y, p):
+    with pytest.raises(SimplicialError) as err:
+        simplicial._position_check(X, Y)(p)
+    return str(err.value)
+
+
+def _dict_form(X, Y, p):
+    """The components of the map X -> Y with the positions p, as the
+    `SimplicialMap` constructor takes them: a position outside its level
+    reads as a value that is no simplex of Y, and a position past the last
+    simplex of X as the image of an extra simplex of X's top level."""
+    bounds = X._slot_program[0]
+    comps = []
+    for n, (level, images) in enumerate(zip(X.levels, Y.levels)):
+        xs, end = list(level), bounds[n + 1]
+        if n == X.K:
+            xs += [("extra", s) for s in range(end, len(p))]
+            end = len(p)
+        comps.append(
+            {x: images[j] if 0 <= j < len(images) else ("outside", j) for x, j in zip(xs, p[bounds[n] : end])}
+        )
+    return comps
+
+
+def _corruptions(X, Y, p):
+    """The position tuple p of a map X -> Y made one too short, one too long,
+    cut to its level 0, or empty; with the first position of each level
+    set past the end of the level or to -1; and with each single position
+    changed to each other position of its level; each differs from p."""
+    bounds = X._slot_program[0]
+    yield from (q for q in (p[:-1], p + (0,), p[: bounds[1]], ()) if q != p)
+    for n, size in enumerate(map(len, Y.levels)):
+        for s in range(bounds[n], bounds[n + 1]):
+            if s == bounds[n]:
+                yield from (p[:s] + (bad,) + p[s + 1 :] for bad in (size, -1))
+            yield from (p[:s] + (j,) + p[s + 1 :] for j in range(size) if j != p[s])
+
+
+def _two_loop():
+    """The truncation-2 nerve of a point with one more 2-simplex, t, whose
+    faces are all the degenerate edge: only s_0 at level 1 tells t from the
+    degenerate 2-simplex."""
+    X = nerve(singleton(), 2)
+    faces = {key: {**table, "t": ("x", "x")} if key[0] == 2 else table for key, table in X.faces.items()}
+    return make_sset([X.levels[0], X.levels[1], X.levels[2] + ("t",)], faces, X.degeneracies)
+
+
+def test_listed_and_dict_checks_reject_alike():
+    """Every corruption of a listed map raises, in position form, the message
+    the constructor raises on its components, at truncations 1 and 2: too
+    few or too many positions, a position out of range, a failing d_i and a
+    failing s_i, which only sets with several simplices on one boundary
+    allow."""
+    pairs = [(X, Y) for K in (1, 2) for X in [nerve(q, K) for q in all_posets(2)] for Y in [nerve(q, K) for q in all_posets(2)]]
+    pairs += [(nerve(v_poset(), K), nerve(three_chain(), K)) for K in (1, 2)]
+    seen = set()
+    for X, Y in pairs:
+        for m in simplicial_maps(X, Y):
+            for q in _corruptions(X, Y, m._positions):
+                message = _listed_rejection(X, Y, q)
+                assert message == _mapping_rejection(X, Y, _dict_form(X, Y, q)), (X, Y, q)
+                seen.add((X.K, message))
+    for K in (1, 2):
+        assert {
+            (K, f"component at level {K} is not total"),
+            (K, "component at level 0 maps outside the target"),
+            (K, f"component at level {K} maps outside the target"),
+            (K, "does not commute with d_0 at level 1"),
+            (K, "does not commute with d_1 at level 1"),
+            (K, f"does not commute with d_0 at level {K}"),
+        } <= seen
+    for X, Y, p, message in (
+        (_loops(1), _loops(1), (0, 1, 1), "does not commute with s_0 at level 0"),
+        (nerve(singleton(), 2), _two_loop(), (0, 0, 1), "does not commute with s_0 at level 1"),
+    ):
+        assert _listed_rejection(X, Y, p) == _mapping_rejection(X, Y, _dict_form(X, Y, p)) == message
+
+
+def test_listed_maps_equal_their_dict_built_twins():
+    """Each listed map between the nerves of posets of at most three points,
+    at truncations 0, 1 and 2, builds its components on first read; they
+    are the images of its positions, and the constructor accepts them as a
+    map equal to it."""
+    for K in (0, 1, 2):
+        nerves = [nerve(p, K) for p in all_posets(3)]
+        for X in nerves:
+            for Y in nerves:
+                for m in simplicial_maps(X, Y):
+                    assert "components" not in vars(m)
+                    images = [Y.levels[n][j] for (n, _), j in zip(_slots(X), m._positions)]
+                    assert [m(n, x) for n, x in _slots(X)] == images
+                    assert m == SimplicialMap(X, Y, m.components) and m.components is m.components
+
+
 def test_listed_maps_own_their_components():
     """Mutating one listed map's component changes no other map, whether the
     maps share an empty head (K = 0) or a non-empty one (K = 1: v, and vv
@@ -503,7 +597,7 @@ def test_shared_nerves_are_left_as_they_were_built(no_nerves):
 
 # What a map search compiles and keeps on a simplicial set: the slot program
 # of a source, the tables of a target.
-COMPILED = ("_slot_program", "_target_index", "_lookahead", "_top_candidates")
+COMPILED = ("_slot_program", "_position_tables", "_target_index", "_lookahead")
 
 
 def _compiled(X):
@@ -531,6 +625,18 @@ def test_a_second_search_reuses_the_compiled_forms(no_nerves):
         simplicial_maps(Z, Z)
         assert all(_compiled(Z)[name] is not table for name, table in source.items())
         assert all(_compiled(Z)[name] is not table for name, table in target.items())
+
+
+def test_maps_built_from_components_compile_nothing(no_nerves):
+    """`nerve_map` and the isomorphism of `check_continuity` build their maps
+    from components, on truncation-4 nerves too: no set compiles a table."""
+    p, q = two_chain(), v_poset()
+    for f in monotone_maps(p, q):
+        nerve_map(f, 4)
+    unnamed = make_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    iso = check_continuity(nerve(unnamed, 4)).iso
+    assert iso is not None and iso.target is nerve(unnamed, 4)
+    assert all(_compiled(X) == {} for X in simplicial._NERVES.values())
 
 
 def _warm_and_fresh_sets():
