@@ -5,8 +5,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import math
-from operator import eq, itemgetter
+from operator import and_, eq, itemgetter, mul
 
 from ._kernels import depth_first, set_bits
 from .delta import DeltaMap, Frozen, factorize, identity_instances
@@ -103,12 +102,11 @@ class TruncatedSimplicialSet:
     def _position_tables(self):
         """The tables in positions, built on first use and kept: per level
         the frozenset of its positions; per level n >= 1 the boundary key of
-        each position, the positions of its faces d_0, ..., d_n in level
-        n - 1 (None at level 0); and per degeneracy table (n, i) the position
-        of the image of each position of X_n.  A map search into this set
-        takes its candidates from them and checks each map it lists against
-        them."""
-        pos = [{y: j for j, y in enumerate(level)} for level in self.levels]
+        each position (`_boundary_keys`; None at level 0); and per
+        degeneracy table (n, i) the position of the image of each position
+        of X_n.  Only a listing into this set reads them: it checks each
+        batch of maps it lists against them (`_position_check`)."""
+        pos = _level_positions(self)
         spans = tuple(frozenset(range(len(level))) for level in self.levels)
         keys = (None,) + tuple(
             _boundary_keys(self, n, pos[n - 1]) for n in range(1, self.K + 1)
@@ -126,13 +124,18 @@ class TruncatedSimplicialSet:
         per degeneracy table (n, i) the one-bit mask of the image of each
         position of X_n; and per level the one-bit mask of each position.
         Every one-bit mask of these tables and of `_lookahead` is taken from
-        the last, so each simplex's bit is one int however many hold it."""
-        _, keys, images = self._position_tables
+        the last, so each simplex's bit is one int however many hold it.
+        The boundary keys are built here and not kept, so a search that
+        only counts keeps no position table."""
+        pos = _level_positions(self)
         bits = tuple([1 << j for j in range(len(level))] for level in self.levels)
-        index = (None,) + tuple(_boundary_index(keys[n], bits[n]) for n in range(1, self.K + 1))
+        index = (None,) + tuple(
+            _boundary_index(_boundary_keys(self, n, pos[n - 1]), bits[n])
+            for n in range(1, self.K + 1)
+        )
         degeneracy = {
-            (n, i): dict(enumerate(map(bits[n + 1].__getitem__, table)))
-            for (n, i), table in images.items()
+            (n, i): {j: bits[n + 1][pos[n + 1][table[y]]] for j, y in enumerate(self.levels[n])}
+            for (n, i), table in self.degeneracies.items()
         }
         return index, degeneracy, bits
 
@@ -217,7 +220,7 @@ class TruncatedSimplicialSet:
         if self.K < 1:
             return []
         out, mixed = [], []
-        pos = [{y: j for j, y in enumerate(level)} for level in self.levels]
+        pos = _level_positions(self)
         steps = {"face": (self.faces, -1), "degeneracy": (self.degeneracies, 1)}
         images = {}  # per generator, the positions of its images of its level
 
@@ -427,6 +430,11 @@ def nerve_map(f: MonotoneMap, K) -> SimplicialMap:
     return SimplicialMap(src, tgt, comps)
 
 
+def _level_positions(Y):
+    """Per level of Y, the position of each simplex."""
+    return [{y: j for j, y in enumerate(level)} for level in Y.levels]
+
+
 def _boundary_keys(Y, n, below):
     """The boundary key of each simplex y of Y.levels[n], in order: the tuple
     of the positions of d_0 y, ..., d_n y in Y.levels[n - 1] (`below`)."""
@@ -462,16 +470,29 @@ def _check_table(index, n, at, bits):
     return table
 
 
+_BATCH = 256
+"""The most heads `_assignments` hands on at once, and the most maps
+`iter_simplicial_maps` checks at once.  Both work a batch at a time, one
+column at a time, so that a lookup or a check is one pass over a column
+instead of a Python loop per head or per map.  The bound is what keeps
+`iter_simplicial_maps` lazy: the maps of one head are the product of its
+top-level candidates, which can be too many to hold (2^20 maps from the
+one, empty, head of a 20-element chain into two points at truncation 0),
+and a caller may stop at the first map it wants."""
+
+
 def _assignments(X, Y):
-    """Every simplicial map X -> Y, in the bitmask form of `list_maps`: the
-    simplices of X are the slots, level by level in X.levels order, and a
-    slot at level n takes positions in Y.levels[n].  Yields, for each
-    assignment of levels 0..K-1 (the head) that leaves every top-level slot
-    a candidate, the pair (head, masks): the head's positions, slot by slot,
-    and per slot of level K the mask of the positions it may take.  Those
-    masks are independent, since a top-level simplex is a face of nothing,
-    so the maps with that head are their ordered product; heads come in
-    lexicographic order from `depth_first`, and so do the maps.
+    """Every simplicial map X -> Y, in the bitmask form of `list_maps`, a
+    batch of heads at a time: the simplices of X are the slots, level by
+    level in X.levels order, and a slot at level n takes positions in
+    Y.levels[n].  A head is an assignment of levels 0..K-1 that leaves every
+    top-level slot a candidate; `depth_first` lists them in lexicographic
+    order.  Yields pairs (heads, masks): at most `_BATCH` heads, each as its
+    positions slot by slot, and per slot of level K the column of its masks,
+    one per head, of the positions it may take.  The masks of one head are
+    independent, since a top-level simplex is a face of nothing, so the
+    maps with that head are their ordered product, and the maps come in
+    lexicographic order too.
 
     A slot's mask is the AND of masks looked up by the images of slots
     before it:
@@ -482,17 +503,19 @@ def _assignments(X, Y):
     - for each simplex whose last face it is, the values that leave that
       simplex a non-empty bucket, by the images of its other faces.
     So a candidate with no completion is never tried, and the order of the
-    maps found is unchanged.
+    maps found is unchanged.  The walk looks up a head slot's mask head by
+    head; a top-level slot's masks are computed for the whole batch, one
+    lookup at a time, each one `map` over the key column (the face
+    columns zipped, or the column of the degeneracy's source), ANDed
+    column-wise.  A head left an empty mask is dropped.
 
     Everything that depends on one side only is compiled once per set and
     kept on it: X's slot program (`_slot_program`, slot numbers only) and
     Y's tables (`_target_index`, and `_lookahead` per (n, at)).  A call only
-    binds the two: it builds the per-slot lookups, with their getters, for
-    this pair.
+    binds the two: it builds the per-slot lookups, each a table of Y and
+    the slots whose images are its key, for this pair.
     """
     _same_truncation(X, Y)
-    # per slot a constant mask and its lookups, each a table of Y and the
-    # getter of its key from the values of the slots before it
     bounds, faces, splits, degenerate = X._slot_program
     index, degeneracy, _ = Y._target_index
     consts = [(1 << len(Y.levels[0])) - 1] * bounds[1] + [-1] * (bounds[-1] - bounds[1])
@@ -500,91 +523,132 @@ def _assignments(X, Y):
     for n in range(1, X.K + 1):
         for s in range(bounds[n], bounds[n + 1]):
             f, (at, rest) = faces[s], splits[s]
-            lookups[s].append((index[n], itemgetter(*f)))
+            lookups[s].append((index[n], f))
             check = Y._lookahead(n, at)
             if rest:
-                lookups[f[at[0]]].append((check, itemgetter(*[f[i] for i in rest])))
+                lookups[f[at[0]]].append((check, tuple(f[i] for i in rest)))
             else:
                 consts[f[at[0]]] &= check.get((), 0)
     for (n, i), images in degenerate:
         table = degeneracy[n, i]
         for xp, x in enumerate(images, bounds[n]):
-            lookups[x].append((table, itemgetter(xp)))
-    slots = list(zip(consts, lookups))
+            lookups[x].append((table, (xp,)))
+    # a key is what `itemgetter` reads at its slots: one image bare, several
+    # as a tuple, as the tables are keyed
+    head = [
+        (mask, [(table, itemgetter(*slots)) for table, slots in looks])
+        for mask, looks in zip(consts[: bounds[-2]], lookups)
+    ]
+    top = [
+        (mask, [(table.get, _key_column(slots)) for table, slots in looks])
+        for mask, looks in zip(consts[bounds[-2] :], lookups[bounds[-2] :])
+    ]
 
     def options(s, values):
-        mask, lookups = slots[s]
-        for table, get in lookups:
+        mask, looks = head[s]
+        for table, get in looks:
             mask &= table.get(get(values), 0)
         return set_bits(mask)
 
-    top = slots[bounds[-2] :]
-    for head in depth_first(len(slots) - len(top), options):
+    for heads in _batches(depth_first(bounds[-2], options)):
+        columns = list(zip(*heads))
         masks = []
-        for mask, lookups in top:
-            for table, get in lookups:
-                mask &= table.get(get(head), 0)
-            if not mask:
-                break
-            masks.append(mask)
-        else:
-            yield head, masks
+        # every top-level slot above level 0 has its bucket lookup, and its
+        # constant mask there is -1
+        for mask, looks in top:
+            column = None if mask == -1 else itertools.repeat(mask, len(heads))
+            for get, keys in looks:
+                found = map(get, keys(columns), itertools.repeat(0))
+                column = found if column is None else map(and_, column, found)
+            masks.append(list(column))
+        if any(0 in column for column in masks):
+            live = list(map(all, zip(*masks)))
+            heads = list(itertools.compress(heads, live))
+            masks = [list(itertools.compress(column, live)) for column in masks]
+        if heads:
+            yield heads, masks
+
+
+def _key_column(slots):
+    """The column of the keys at `slots`, read from the columns of a batch
+    of heads: the one column bare, several zipped into tuples."""
+    get = itemgetter(*slots)
+    return get if len(slots) == 1 else lambda columns: zip(*get(columns))
+
+
+def _batches(items):
+    """The items in lists of at most `_BATCH`, in order, taken lazily."""
+    items = iter(items)
+    return iter(lambda: list(itertools.islice(items, _BATCH)), [])
 
 
 def _gather(slots):
-    """A getter of the values at `slots` of a tuple, as a tuple even when
-    there are none or one."""
+    """A getter of the columns at `slots` of a list of columns, as a tuple
+    even when there are none or one."""
     if len(slots) == 1:
         (s,) = slots
-        return lambda values: (values[s],)
-    return itemgetter(*slots) if slots else lambda values: ()
+        return lambda columns: (columns[s],)
+    return itemgetter(*slots) if slots else lambda columns: ()
 
 
 def _position_check(X, Y):
-    """The check of a map X -> Y held as one flat tuple p of positions in
-    Y's levels, one per slot of X's `_slot_program`: a function of p that
-    returns the map, held as p, or raises.  It checks what the
-    `SimplicialMap` constructor checks, in the same order, against Y's
-    position tables: the length of p and each level's range (one subset
-    test); each face level n >= 1 in one comparison, the images of the
-    slots of d_i x gathered per face and zipped into the boundary keys that
-    the images of the simplices x must have; and each degeneracy table
-    (n, i) in one comparison, the images of the slots of s_i x against s_i
-    of the images of x.  The comparisons run `eq` over iterators and build
-    no tuple from an iterator of unknown length, which CPython would resize
-    and keep on a free list until a full collection.  A p that fails goes
-    to `_checked`, which raises the constructor's message for it."""
+    """The check of a batch of maps X -> Y, each held as one flat tuple p
+    of positions in Y's levels, one per slot of X's `_slot_program`: a
+    function of the batch that returns its maps, held as positions, or
+    raises at the first that fails.  It checks what the `SimplicialMap`
+    constructor checks against Y's position tables, a column of the batch
+    at a time: the length of every p first, as turning the batch into one
+    column per slot would cut longer tuples short; each slot's range, one
+    subset test; each slot x above level 0 in one pass, the columns of the
+    slots of d_0 x, ..., d_n x zipped into the boundary keys that the
+    images of x must have; and each degeneracy table (n, i) in one pass,
+    the columns of the slots of s_i x chained against s_i of the columns of
+    x.  The passes run `eq` over iterators.  A batch that fails any test is
+    checked again map by map by `_checked`, lazily, so the maps before the
+    first that fails come out and that one raises the constructor's
+    message: the first failure in the order the constructor checks."""
     _same_truncation(X, Y)
     bounds, faces, _, degenerate = X._slot_program
     spans, keys, images = Y._position_tables
-    size, new = bounds[-1], SimplicialMap.__new__
-    levels = list(zip(spans, bounds, bounds[1:]))
-    face_levels = [
-        ([_gather([f[i] for f in faces[a:b]]) for i in range(n + 1)], keys[n].__getitem__, a, b)
-        for n, a, b in zip(range(1, X.K + 1), bounds[1:], bounds[2:])
+    size, new, chain = bounds[-1], SimplicialMap.__new__, itertools.chain.from_iterable
+    ranges = [span.issuperset for span, a, b in zip(spans, bounds, bounds[1:]) for _ in range(a, b)]
+    face_slots = [
+        (itemgetter(*faces[s]), keys[n].__getitem__, s)
+        for n in range(1, X.K + 1)
+        for s in range(bounds[n], bounds[n + 1])
     ]
     degeneracies = [
         (_gather(slots), images[n, i].__getitem__, bounds[n], bounds[n + 1])
         for (n, i), slots in degenerate
     ]
 
-    def listed(p):
-        if len(p) != size:
-            return _checked(X, Y, p)
-        for span, a, b in levels:
-            if not span.issuperset(p[a:b]):
-                return _checked(X, Y, p)
-        for gathers, key, a, b in face_levels:
-            if not all(map(eq, zip(*[gather(p) for gather in gathers]), map(key, p[a:b]))):
-                return _checked(X, Y, p)
-        for gather, image, a, b in degeneracies:
-            if not all(map(eq, gather(p), map(image, p[a:b]))):
-                return _checked(X, Y, p)
-        m = new(SimplicialMap)
-        m.source, m.target, m._positions = X, Y, p
-        return m
+    def passes(batch):
+        if not all(map(size.__eq__, map(len, batch))):
+            return False
+        columns = list(zip(*batch))
+        return (
+            all(within(column) for within, column in zip(ranges, columns))
+            and all(
+                all(map(eq, zip(*boundary(columns)), map(key, columns[s])))
+                for boundary, key, s in face_slots
+            )
+            and all(
+                all(map(eq, chain(gather(columns)), map(image, chain(columns[a:b]))))
+                for gather, image, a, b in degeneracies
+            )
+        )
 
-    return listed
+    def check(batch):
+        if not passes(batch):
+            return map(functools.partial(_checked, X, Y), batch)
+        maps = []
+        for p in batch:
+            m = new(SimplicialMap)
+            m.source, m.target, m._positions = X, Y, p
+            maps.append(m)
+        return maps
+
+    return check
 
 
 def _checked(X, Y, p):
@@ -609,26 +673,40 @@ def _image_pairs(X, Y, p):
     ]
 
 
+def _listed(batch):
+    """The position tuples of the maps with the heads of one batch of
+    `_assignments`, in order: each head followed by each tuple of the
+    ordered product of its top-level masks' set bits."""
+    heads, masks = batch
+    if masks:
+        tails = map(itertools.product, *[map(set_bits, column) for column in masks])
+    else:  # X is empty: one empty head, one empty map
+        tails = itertools.repeat(((),), len(heads))
+    return itertools.chain.from_iterable(
+        map(map, itertools.repeat(tuple.__add__), map(itertools.repeat, heads), tails)
+    )
+
+
 def iter_simplicial_maps(X, Y):
     """The simplicial maps X -> Y one at a time, in lexicographic order of
     their images over the simplices of X (level by level, X.levels order).
 
     `_assignments` walks levels 0..K-1 of X with `_kernels.depth_first`,
     each simplex taking its candidates from bitmasks over a boundary index
-    of Y that Y compiles once and keeps; the maps with one head are the
-    ordered product of the set bits of the top-level simplices' masks.
-    Each map stays in that position form: the head's positions followed by
-    the top level's, one flat tuple.  Every map is validated in that form
-    (`_position_check`): it is total, stays in Y and commutes with every
-    face and degeneracy table.  Its components are built on first read,
-    and every map owns its own.
+    of Y that Y compiles once and keeps, and hands on the heads a batch at
+    a time with the masks of the top-level simplices; the maps with one
+    head are the ordered product of those masks' set bits.  Each map stays
+    in that position form: the head's positions followed by the top
+    level's, one flat tuple.  The tuples are validated `_BATCH` at a time,
+    column by column (`_position_check`): each is total, stays in Y and
+    commutes with every face and degeneracy table.  A map's components are
+    built on first read, and every map owns its own.  At most one batch of
+    heads and one batch of maps is held at a time, so a caller that stops
+    early pays for at most one batch past the map it stopped at.
     """
-    listed = _position_check(X, Y)
-    for head, masks in _assignments(X, Y):
-        # a list, not *map(...): unpacking the iterator here raised the peak
-        # RSS of the `nerves` benchmark workload by about 1 MB (CPython 3.11)
-        for tail in itertools.product(*[set_bits(m) for m in masks]):
-            yield listed(head + tail)
+    check = _position_check(X, Y)
+    for batch in _batches(itertools.chain.from_iterable(map(_listed, _assignments(X, Y)))):
+        yield from check(batch)
 
 
 def simplicial_maps(X, Y):
@@ -638,8 +716,14 @@ def simplicial_maps(X, Y):
 
 
 def count_simplicial_maps(X, Y):
-    """The number of simplicial maps X -> Y: the head walk of
-    `iter_simplicial_maps`, each head adding the product of its top-level
-    masks' popcounts, so no top-level simplex is enumerated and no dict or
-    map is built."""
-    return sum(math.prod(map(int.bit_count, masks)) for _, masks in _assignments(X, Y))
+    """The number of simplicial maps X -> Y: the batches of heads that
+    `iter_simplicial_maps` reads, each head adding the product of its
+    top-level masks' popcounts, taken column by column, so no top-level
+    simplex is enumerated and no dict or map is built."""
+    total = 0
+    for heads, masks in _assignments(X, Y):
+        counts = itertools.repeat(1, len(heads))
+        for column in masks:
+            counts = map(mul, counts, map(int.bit_count, column))
+        total += sum(counts)
+    return total

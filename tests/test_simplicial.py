@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -27,10 +28,11 @@ from poscat import (
     ordinal_poset,
     simplicial_maps,
 )
+from poscat.continuity import _vertex_map_witness, non_monotone_witness
 from poscat.posets import MonotoneMap
 from poscat.corpus import all_posets
 from poscat import simplicial
-from poscat.simplicial import SimplicialMap, TruncatedSimplicialSet
+from poscat.simplicial import SimplicialMap, TruncatedSimplicialSet, iter_simplicial_maps
 
 from helpers import digest, flag_sset, singleton, three_chain, two_antichain, two_chain, v_poset
 
@@ -395,10 +397,17 @@ def test_truncated_simplicial_set_rejections_name_the_first_failure():
     assert _sset_rejection(X.levels, faces(), beyond) == "table indices outside the truncation"
 
 
-def _listed_rejection(X, Y, p):
+def _batch_rejection(X, Y, batch):
+    """How many maps the position check hands out of `batch` before it
+    raises, and the message it raises."""
+    out = []
     with pytest.raises(SimplicialError) as err:
-        simplicial._position_check(X, Y)(p)
-    return str(err.value)
+        out.extend(simplicial._position_check(X, Y)(batch))
+    return len(out), str(err.value)
+
+
+def _listed_rejection(X, Y, p):
+    return _batch_rejection(X, Y, [p])[1]
 
 
 def _dict_form(X, Y, p):
@@ -447,16 +456,33 @@ def test_listed_and_dict_checks_reject_alike():
     the constructor raises on its components, at truncations 1 and 2: too
     few or too many positions, a position out of range, a failing d_i and a
     failing s_i, which only sets with several simplices on one boundary
-    allow."""
+    allow.  The check takes the maps a batch at a time, column by column:
+    a corruption alone, or first, in the middle or last among three valid
+    maps of its pair, raises its own message after the maps before it come
+    out, and of two corruptions in one batch the earlier one's message
+    wins."""
     pairs = [(X, Y) for K in (1, 2) for X in [nerve(q, K) for q in all_posets(2)] for Y in [nerve(q, K) for q in all_posets(2)]]
     pairs += [(nerve(v_poset(), K), nerve(three_chain(), K)) for K in (1, 2)]
-    seen = set()
+    seen, races = set(), set()
     for X, Y in pairs:
-        for m in simplicial_maps(X, Y):
-            for q in _corruptions(X, Y, m._positions):
+        valid = [m._positions for m in simplicial_maps(X, Y)]
+        others = [valid[0], valid[len(valid) // 2], valid[-1]] if valid else []
+        for p in valid:
+            bad = list(_corruptions(X, Y, p))
+            messages = []
+            for q in bad:
                 message = _listed_rejection(X, Y, q)
                 assert message == _mapping_rejection(X, Y, _dict_form(X, Y, q)), (X, Y, q)
+                for at in (0, 2, 3):
+                    batch = others[:at] + [q] + others[at:]
+                    assert _batch_rejection(X, Y, batch) == (at, message), (X, Y, q, at)
+                messages.append(message)
                 seen.add((X.K, message))
+            for (q, a), (r, b) in zip(zip(bad, messages), zip(bad[1:], messages[1:])):
+                assert _batch_rejection(X, Y, [q] + others + [r]) == (0, a)
+                assert _batch_rejection(X, Y, others[:2] + [r, q] + others[2:]) == (2, b)
+                races.add(a != b)
+    assert races == {True, False}
     for K in (1, 2):
         assert {
             (K, f"component at level {K} is not total"),
@@ -471,6 +497,39 @@ def test_listed_and_dict_checks_reject_alike():
         (nerve(singleton(), 2), _two_loop(), (0, 0, 1), "does not commute with s_0 at level 1"),
     ):
         assert _listed_rejection(X, Y, p) == _mapping_rejection(X, Y, _dict_form(X, Y, p)) == message
+        good = [m._positions for m in simplicial_maps(X, Y)]
+        assert _batch_rejection(X, Y, good + [p] + good) == (len(good), message)
+
+
+def test_a_batch_of_unequal_lengths_is_rejected():
+    """Tuples of unequal lengths in one batch are not cut to the shortest
+    when the batch is turned into columns: one position too many after
+    valid maps, whose extra column no test would read, raises the
+    constructor's message, and so does one too few."""
+    X, Y = nerve(v_poset(), 1), nerve(three_chain(), 1)
+    valid = [m._positions for m in simplicial_maps(X, Y)]
+    assert len(valid) > 1
+    for q in (valid[0] + (0,), valid[0][:-1]):
+        message = _mapping_rejection(X, Y, _dict_form(X, Y, q))
+        assert message == "component at level 1 is not total"
+        assert _batch_rejection(X, Y, valid + [q]) == (len(valid), message)
+        assert _batch_rejection(X, Y, [q] + valid) == (0, message)
+
+
+def test_the_listing_stays_lazy():
+    """A 20-element chain into two points at truncation 0 has 2^20 maps, all
+    with the one empty head.  The first map that is not monotone is the
+    second; finding it lists at most a batch of maps."""
+    p, q = chain_poset([f"c{i:02}" for i in range(20)]), two_antichain()
+    tracemalloc.start()
+    try:
+        witness = non_monotone_witness(p, q, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    second = itertools.islice(iter_simplicial_maps(nerve(p, 0), nerve(q, 0)), 1, 2)
+    assert witness == _vertex_map_witness(p, q, second) != ""
+    assert peak < 1 << 20, peak
 
 
 def test_listed_maps_equal_their_dict_built_twins():
@@ -625,6 +684,18 @@ def test_a_second_search_reuses_the_compiled_forms(no_nerves):
         simplicial_maps(Z, Z)
         assert all(_compiled(Z)[name] is not table for name, table in source.items())
         assert all(_compiled(Z)[name] is not table for name, table in target.items())
+
+
+def test_a_count_keeps_no_position_table(no_nerves):
+    """A search that only counts compiles what its walk reads and keeps no
+    position table, which only a listing checks against; a listing after it
+    adds them."""
+    X = nerve(chain_poset("0123"), 2)
+    count_simplicial_maps(X, X)
+    assert list(_compiled(X)) == ["_slot_program", "_target_index", "_lookahead"]
+    index = _compiled(X)["_target_index"]
+    assert len(simplicial_maps(X, X)) == count_simplicial_maps(X, X)
+    assert list(_compiled(X)) == list(COMPILED) and _compiled(X)["_target_index"] is index
 
 
 def test_maps_built_from_components_compile_nothing(no_nerves):
