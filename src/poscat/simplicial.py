@@ -71,10 +71,11 @@ class TruncatedSimplicialSet:
     asks for one poset, name and truncation, so changing a table of a nerve
     would change it for them all.  The convention also guards what a map
     search compiles from the tables and keeps on the set: its slot program
-    as a source; as a target, its position tables, against which every
-    listed map is checked while it is held as positions, and its boundary
-    index, degeneracy masks and lookahead tables.  None of these is rebuilt
-    when a table changes.  Copy a table before changing it.
+    as a source; as a target, its boundary index, degeneracy masks and
+    lookahead tables, which every search reads, and its position tables,
+    which only a listing builds, as it checks each batch of the maps it
+    lists against them while they are held as positions.  None of these is
+    rebuilt when a table changes.  Copy a table before changing it.
     """
 
     def __init__(self, levels, faces, degeneracies, name="", validate=True):
@@ -358,11 +359,13 @@ class SimplicialMap:
     values in the same level of the target, and commute with every face and
     degeneracy table of the source.  The first failure raises, in that order.
     A map built from components owns dicts copied from whatever mappings or
-    (simplex, image) pairs the caller passes.  A listed map is held and
-    checked as positions (`_position_check`): one flat tuple of positions in
-    the target's levels, one per simplex of the source, level by level in
-    levels order.  Its `components` are built from them on first read, and
-    are then its own dicts.
+    (simplex, image) pairs the caller passes.  A listed map is held as
+    positions: one flat tuple of positions in the target's levels, one per
+    simplex of the source, level by level in levels order.  It is checked
+    in that form, in a batch of listed maps, column by column
+    (`_position_check`), and a batch that fails is checked again map by map
+    with the constructor's messages.  Its `components` are built from its
+    positions on first read, and are then its own dicts.
     """
 
     def __init__(self, source, target, components):

@@ -460,7 +460,9 @@ def test_listed_and_dict_checks_reject_alike():
     a corruption alone, or first, in the middle or last among three valid
     maps of its pair, raises its own message after the maps before it come
     out, and of two corruptions in one batch the earlier one's message
-    wins."""
+    wins.  Among the corruptions are tuples one position too long or too
+    short, so batches of unequal lengths, which turning a batch into
+    columns with a plain `zip` would cut to the shortest, are rejected."""
     pairs = [(X, Y) for K in (1, 2) for X in [nerve(q, K) for q in all_posets(2)] for Y in [nerve(q, K) for q in all_posets(2)]]
     pairs += [(nerve(v_poset(), K), nerve(three_chain(), K)) for K in (1, 2)]
     seen, races = set(), set()
@@ -499,21 +501,6 @@ def test_listed_and_dict_checks_reject_alike():
         assert _listed_rejection(X, Y, p) == _mapping_rejection(X, Y, _dict_form(X, Y, p)) == message
         good = [m._positions for m in simplicial_maps(X, Y)]
         assert _batch_rejection(X, Y, good + [p] + good) == (len(good), message)
-
-
-def test_a_batch_of_unequal_lengths_is_rejected():
-    """Tuples of unequal lengths in one batch are not cut to the shortest
-    when the batch is turned into columns: one position too many after
-    valid maps, whose extra column no test would read, raises the
-    constructor's message, and so does one too few."""
-    X, Y = nerve(v_poset(), 1), nerve(three_chain(), 1)
-    valid = [m._positions for m in simplicial_maps(X, Y)]
-    assert len(valid) > 1
-    for q in (valid[0] + (0,), valid[0][:-1]):
-        message = _mapping_rejection(X, Y, _dict_form(X, Y, q))
-        assert message == "component at level 1 is not total"
-        assert _batch_rejection(X, Y, valid + [q]) == (len(valid), message)
-        assert _batch_rejection(X, Y, [q] + valid) == (0, message)
 
 
 def test_the_listing_stays_lazy():
