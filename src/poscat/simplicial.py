@@ -585,15 +585,6 @@ def _batches(items):
     return iter(lambda: list(itertools.islice(items, _BATCH)), [])
 
 
-def _gather(slots):
-    """A getter of the columns at `slots` of a list of columns, as a tuple
-    even when there are none or one."""
-    if len(slots) == 1:
-        (s,) = slots
-        return lambda columns: (columns[s],)
-    return itemgetter(*slots) if slots else lambda columns: ()
-
-
 def _position_check(X, Y):
     """The check of a batch of maps X -> Y, each held as one flat tuple p
     of positions in Y's levels, one per slot of X's `_slot_program`: a
@@ -621,7 +612,7 @@ def _position_check(X, Y):
         for s in range(bounds[n], bounds[n + 1])
     ]
     degeneracies = [
-        (_gather(slots), images[n, i].__getitem__, bounds[n], bounds[n + 1])
+        (slots, images[n, i].__getitem__, bounds[n], bounds[n + 1])
         for (n, i), slots in degenerate
     ]
 
@@ -636,8 +627,8 @@ def _position_check(X, Y):
                 for boundary, key, s in face_slots
             )
             and all(
-                all(map(eq, chain(gather(columns)), map(image, chain(columns[a:b]))))
-                for gather, image, a, b in degeneracies
+                all(map(eq, chain(map(columns.__getitem__, slots)), map(image, chain(columns[a:b]))))
+                for slots, image, a, b in degeneracies
             )
         )
 
