@@ -3,11 +3,21 @@
 A colimit is computed in three stages: quotient of the disjoint union by the
 edge identifications (union-find), the preorder generated by the images of the
 node relations, and condensation of its strongly connected components.
+
+Stage one (`_stage_one`) runs in one integer index space, and `colimit_pos`
+and `verify_universal` both read it.  Each element of each node is one cell,
+an int; each edge map's target indices link its cells, and one union-find
+over a list of parents gives the classes.  Members of a class are sorted by
+their 'node.element' labels and classes by their first member's label; two
+cells may share a label (node a with element b.c beside node a.b with
+element c), and then the earlier cell comes first among members, and the
+class whose earliest cell comes first among classes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from . import _kernels
@@ -72,90 +82,101 @@ class Cocone:
         return True
 
 
-def _partition(items, links):
-    """Classes of the equivalence on `items` generated by the pairs in `links`
-    (union-find); each class lists its members in the order of `items`."""
-    parent = {x: x for x in items}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+def _roots(n, links):
+    """Union-find over the slots 0..n-1 (Tarjan, J. ACM 22, 1975): the least
+    slot of each slot's class under the equivalence generated by the pairs
+    in `links`.  A class's root is its least slot, so a parent never lies
+    above its child, and one ascending pass resolves every slot."""
+    parent = list(range(n))
     for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    classes = {}
-    for x in parent:
-        classes.setdefault(find(x), []).append(x)
-    return list(classes.values())
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
-def _set_colimit_classes(diagram):
-    """Stage one: disjoint union of carriers modulo x ~ f(x) for every edge.
+def _stage_one(diagram):
+    """Stage one: the disjoint union of the carriers modulo x ~ f(x) for
+    every edge f, in one integer index space.  Element i of node nid is the
+    cell offset[nid] + i, and each edge map's target indices link its cells.
 
-    Returns (class_members, class_of) with classes sorted by their smallest
-    'node.element' label.
+    Returns (offset, cells, labels, class_of, members, rows): the (node,
+    element) pair and the 'node.element' label of each cell, each cell's
+    class, each class's cells, and the class relation as row bitmasks, with
+    bit d of row c set when some node orders a cell of c below one of d.
+    Members are sorted by label, ties in cell order; classes by their first
+    member's label, ties in the order of their earliest cells, the roots.
     """
-    cells = [(nid, e) for nid, poset in diagram.nodes.items() for e in poset.elements]
-    links = (
-        ((src, x), (dst, y))
-        for _, src, dst, f in diagram.edges
-        for x, y in zip(f.source.elements, f.values)
-    )
-    members = sorted(
-        (sorted(g, key=lambda t: f"{t[0]}.{t[1]}") for g in _partition(cells, links)),
-        key=lambda g: f"{g[0][0]}.{g[0][1]}",
-    )
-    class_of = {key: c for c, group in enumerate(members) for key in group}
-    return members, class_of
-
-
-def _class_relation_pairs(diagram, class_of):
-    """Distinct class pairs (c1, c2) induced by some node relation x <= y."""
-    pairs = set()
+    offset = {}
+    cells = []
     for nid, poset in diagram.nodes.items():
+        offset[nid] = len(cells)
+        cells += [(nid, e) for e in poset.elements]
+    labels = [f"{nid}.{e}" for nid, e in cells]
+    links = itertools.chain.from_iterable(
+        zip(itertools.count(offset[src]), map(offset[dst].__add__, f.target_indices))
+        for _, src, dst, f in diagram.edges
+    )
+    root = _roots(len(cells), links)
+    groups = {}
+    for c in sorted(range(len(cells)), key=labels.__getitem__):
+        groups.setdefault(root[c], []).append(c)
+    members = sorted(groups.values(), key=lambda g: (labels[g[0]], root[g[0]]))
+    class_of = [0] * len(cells)
+    for k, group in enumerate(members):
+        for c in group:
+            class_of[c] = k
+    rows = [0] * len(members)
+    for nid, poset in diagram.nodes.items():
+        at = class_of[offset[nid] : offset[nid] + poset.n]
         for i, j in poset.leq_pairs:
-            c1 = class_of[(nid, poset.elements[i])]
-            c2 = class_of[(nid, poset.elements[j])]
-            if c1 != c2:
-                pairs.add((c1, c2))
-    return sorted(pairs)
-
-
-def _closure(size, pairs):
-    """Reflexive-transitive closure of the relation `pairs` on slots
-    0..size-1, as row bitmasks."""
-    rows = [0] * size
-    for i, j in pairs:
-        rows[i] |= 1 << j
-    return _kernels.transitive_closure(rows)
+            rows[at[i]] |= 1 << at[j]
+    return offset, cells, labels, class_of, members, rows
 
 
 def colimit_pos(diagram) -> Cocone:
     """Colimit in the category of finite posets, by the three-stage recipe.
 
-    The class relation is closed once: two classes share a strongly connected
-    component when each reaches the other, and component a <= b when a's
-    first class reaches b's.  A component is named 'node.element' after its
-    least (node, element) cell in tuple order; the apex sorts the names.
+    Stage one numbers the cells, one per element of each node, and joins
+    them by one integer union-find (`_stage_one`).  Its classes come in
+    label order, ties to the earlier cell; the result depends only on the
+    classes themselves, as the apex sorts the names.  The class relation is
+    closed once: two classes share a strongly connected component when each
+    reaches the other, and component a <= b when a's first class reaches
+    b's.  A component is named 'node.element' after its least (node,
+    element) cell in tuple order; two components that would share a name
+    raise ColimitError.  Each leg sends its node's cells through their
+    classes to their components' names.
     """
-    members, class_of = _set_colimit_classes(diagram)
-    closed = _closure(len(members), _class_relation_pairs(diagram, class_of))
+    offset, cells, _, class_of, members, rows = _stage_one(diagram)
+    closed = _kernels.transitive_closure(rows)
     named = []
     for comp in _kernels.condense(closed):
-        node, element = min(cell for c in comp for cell in members[c])
-        named.append((f"{node}.{element}", comp))
+        cell = min(cells[x] for c in comp for x in members[c])
+        named.append((f"{cell[0]}.{cell[1]}", cell, comp))
     named.sort()
-    name_of = {}
-    for name, comp in named:
-        name_of.update(dict.fromkeys(comp, name))
-    up = _kernels.meet_rows([closed], [comp[0] for _, comp in named])
-    apex = FinPoset([name for name, _ in named], up, name=diagram.name and f"colim({diagram.name})")
+    for (name, a, _), (other, b, _) in zip(named, named[1:]):
+        if name == other:
+            raise ColimitError(
+                f"two colimit elements would share the name {name!r}: the cells {a!r} and {b!r}"
+            )
+    names = [name for name, _, _ in named]
+    up = _kernels.meet_rows([closed], [comp[0] for _, _, comp in named])
+    apex = FinPoset(names, up, name=diagram.name and f"colim({diagram.name})")
+    name_of = [""] * len(members)
+    for name, _, comp in named:
+        for c in comp:
+            name_of[c] = name
+    cell_name = list(map(name_of.__getitem__, class_of))
     legs = {
-        nid: MonotoneMap(poset, apex, tuple(name_of[class_of[(nid, e)]] for e in poset.elements))
+        nid: MonotoneMap(poset, apex, cell_name[offset[nid] : offset[nid] + poset.n])
         for nid, poset in diagram.nodes.items()
     }
     return Cocone(diagram, apex, legs)
@@ -291,31 +312,35 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     if not candidate.commutes():
         raise ColimitError("invalid-cocone: candidate legs do not commute")
 
-    members, class_of = _set_colimit_classes(diagram)
+    offset, _, cell_labels, class_of, members, rows = _stage_one(diagram)
     n = len(members)
-    node_pairs = _class_relation_pairs(diagram, class_of)
+    node_pairs = [(c, d) for c, row in enumerate(rows) for d in _kernels.set_bits(row & ~(1 << c))]
 
     apex = candidate.apex
-    class_to_apex = []
-    for group in members:
-        images = {candidate.legs[nid](e) for nid, e in group}
-        if len(images) > 1:
-            raise ColimitError("invalid-cocone: legs disagree on an identified element")
-        class_to_apex.append(apex.index(images.pop()))
+    class_to_apex = [None] * n
+    for nid, poset in diagram.nodes.items():
+        at = class_of[offset[nid] : offset[nid] + poset.n]
+        for c, a in zip(at, candidate.legs[nid].target_indices):
+            if class_to_apex[c] is None:
+                class_to_apex[c] = a
+            elif class_to_apex[c] != a:
+                raise ColimitError("invalid-cocone: legs disagree on an identified element")
     hit = set(class_to_apex)
     report = UniversalReport(bound=apex_size_bound)
 
     if len(hit) == apex.n:
         union, labels, sizes = _corpus_rows(apex_size_bound)
         mediated = _kernels.run_plan(apex.count_plan, union)
-        if _closure(n, node_pairs) == _kernels.meet_rows([apex.up_rows], class_to_apex):
+        if _kernels.transitive_closure(rows) == _kernels.meet_rows([apex.up_rows], class_to_apex):
             cocones = mediated  # the comparison map is an order isomorphism
         else:
             cocones = _kernels.run_plan(colimit_pos(diagram).apex.count_plan, union)
         exists = list(map(operator.eq, cocones, mediated))
         if False in exists:  # name the first failing target's first failing component
             target = all_posets(apex_size_bound)[exists.index(False)]
-            report.witness = _describe_witness(node_pairs, class_to_apex, apex, target, members)
+            report.witness = _describe_witness(
+                node_pairs, class_to_apex, apex, target, members, cell_labels
+            )
         # the legs are jointly epic, so a mediating map is unique when it exists
         report.entries = list(map(ApexVerdict, labels, sizes, cocones, exists, [True] * len(union)))
         return report
@@ -355,8 +380,7 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
                 unique_ok = False
             if count != 1 and not report.witness:
                 cells = ", ".join(
-                    f"{group[0][0]}.{group[0][1]}->{target.elements[v]}"
-                    for group, v in zip(members, h)
+                    f"{cell_labels[group[0]]}->{target.elements[v]}" for group, v in zip(members, h)
                 )
                 report.witness = (
                     f"cocone into {label} sending {cells} admits "
@@ -410,14 +434,14 @@ def _label(poset):
     return poset.name or f"poset<{poset.n}:{sum(r.bit_count() for r in poset.up_rows)}>"
 
 
-def _describe_witness(node_pairs, class_to_apex, apex, target, members):
+def _describe_witness(node_pairs, class_to_apex, apex, target, members, labels):
     """The first cocone into `target` that admits no mediating map, named by
-    one of its cells.  The good pairs are the node pairs, then each
-    identification as a pair each way in slot order, then the apex order
-    through the first slot of each apex element.  Their components are
-    walked in the order of their least slots, each cocone on a component
-    listed in order; a component whose cocones all satisfy its good pairs
-    is passed over."""
+    the labels of one class's cells.  The good pairs are the node pairs,
+    then each identification as a pair each way in slot order, then the
+    apex order through the first slot of each apex element.  Their
+    components, found by `_roots`, are walked in the order of their least
+    slots, each cocone on a component listed in order; a component whose
+    cocones all satisfy its good pairs is passed over."""
     rep_slot = {}
     for slot, a in enumerate(class_to_apex):
         rep_slot.setdefault(a, slot)
@@ -427,7 +451,10 @@ def _describe_witness(node_pairs, class_to_apex, apex, target, members):
             good_pairs += [(rep_slot[a], slot), (slot, rep_slot[a])]
     good_pairs += [(rep_slot[i], rep_slot[j]) for i, j in apex.leq_pairs]
     up, down = target.up_rows, target.down_rows
-    for comp in sorted(_partition(range(len(members)), good_pairs)):
+    comps = {}
+    for slot, root in enumerate(_roots(len(members), good_pairs)):
+        comps.setdefault(root, []).append(slot)
+    for comp in comps.values():
         pos = {s: k for k, s in enumerate(comp)}
         sub_all = [(pos[i], pos[j]) for i, j in node_pairs if i in pos]
         sub_good = [(pos[i], pos[j]) for i, j in good_pairs if i in pos]
@@ -438,7 +465,7 @@ def _describe_witness(node_pairs, class_to_apex, apex, target, members):
                     # an identification is a pair each way: name its first
                     # slot whichever way it breaks
                     k = min(i, j) if (j, i) in good else i
-                    cells = ", ".join(f"{n}.{e}" for n, e in members[comp[k]])
+                    cells = ", ".join(labels[c] for c in members[comp[k]])
                     return (
                         f"cocone into {_label(target)} assigns {target.elements[h[k]]} to "
                         f"[{cells}] but admits no mediating map"

@@ -59,6 +59,8 @@ class FinPoset:
         return self.n
 
     def __eq__(self, other):
+        if other is self:  # immutable, so equal to itself
+            return True
         if not isinstance(other, FinPoset):
             return NotImplemented
         return self.elements == other.elements and self.up_rows == other.up_rows
@@ -241,8 +243,8 @@ def _find_cycle(elements, declared, i, j):
 class MonotoneMap:
     """Order-preserving function between finite posets.
 
-    values[i] names the image of source.elements[i]; monotonicity is checked
-    on construction.
+    values[i] names the image of source.elements[i], and target_indices[i]
+    its index in the target; monotonicity is checked on construction.
     """
 
     def __init__(self, source, target, values):
@@ -251,9 +253,9 @@ class MonotoneMap:
         self.values = tuple(values)
         if len(self.values) != source.n:
             raise PosetError("value table does not cover the source")
-        self._tgt_idx = tuple(target.index(v) for v in self.values)
+        idx = self.target_indices = tuple(target.index(v) for v in self.values)
         for i, j in source.leq_pairs:
-            if not target.up_rows[self._tgt_idx[i]] & (1 << self._tgt_idx[j]):
+            if not target.up_rows[idx[i]] & (1 << idx[j]):
                 raise PosetError(
                     f"not monotone: {source.elements[i]} <= {source.elements[j]} "
                     f"but {self.values[i]} !<= {self.values[j]}"
@@ -271,6 +273,8 @@ class MonotoneMap:
         return self.values[self.source.index(x)]
 
     def __eq__(self, other):
+        if other is self:  # immutable, so equal to itself
+            return True
         if not isinstance(other, MonotoneMap):
             return NotImplemented
         return (

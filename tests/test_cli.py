@@ -157,6 +157,23 @@ def test_colimit_exit_codes(tmp_path, capsys):
     assert captured.err == "error: line 8: map for edge 'f': 'ghost' is not an element of node 'A'\n"
 
 
+def test_colimit_with_clashing_names_exits_2(tmp_path, capsys):
+    # nodes a (element b.c) and a.b (element c): no element repeats, but
+    # both components of the colimit would be named a.b.c
+    clash = tmp_path / "clash.diag"
+    clash.write_text(
+        "poset p\nelem b.c\nposet q\nelem c\ndiagram clash\nnode a p\nnode a.b q\n",
+        encoding="utf-8",
+    )
+    assert run(["colimit", "--diagram", str(clash), "--in", "pos"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: two colimit elements would share the name 'a.b.c': "
+        "the cells ('a', 'b.c') and ('a.b', 'c')\n"
+    )
+
+
 def test_extensions_command(v_file, capsys):
     assert run(["extensions", "--poset", v_file]) == 0
     text = capsys.readouterr().out

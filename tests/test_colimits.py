@@ -15,14 +15,17 @@ from poscat import (
     colimit_delta,
     colimit_pos,
     colimit_tos,
+    comma_diagram,
     face,
     find_isomorphism,
+    inclusion_functor,
     linear_extensions,
     make_poset,
     ordinal_poset,
+    product_functor,
     verify_universal,
 )
-from poscat import _kernels
+from poscat import _kernels, colimits
 from poscat.delta import delta_to_monotone
 
 from helpers import digest, random_diagram, two_antichain, v_poset
@@ -107,6 +110,167 @@ def test_component_names_take_the_least_cell_in_tuple_order():
         "a,b": ("a.1", "a,b.1"),
         "b": ("a.1",),
     }
+
+
+def test_clashing_component_names_raise_a_colimit_error():
+    # two components named a.b.c, though no node repeats an element: the
+    # least cells ('a', 'b.c') and ('a.b', 'c') share one label
+    diagram = PosetDiagram(
+        nodes={"a": make_poset(["b.c"], []), "a.b": make_poset(["c"], [])}, edges=[]
+    )
+    with pytest.raises(ColimitError) as failure:
+        colimit_pos(diagram)
+    assert str(failure.value) == (
+        "two colimit elements would share the name 'a.b.c': "
+        "the cells ('a', 'b.c') and ('a.b', 'c')"
+    )
+
+
+def partition_reference(items, links):
+    """Classes of the equivalence on `items` generated by the pairs in `links`
+    (union-find); each class lists its members in the order of `items`."""
+    parent = {x: x for x in items}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
+def set_colimit_classes_reference(diagram):
+    """Stage one as the tuple-keyed union-find computed it before cells were
+    numbered, kept as an oracle for `colimits._stage_one`: the disjoint union
+    of carriers modulo x ~ f(x) for every edge.
+
+    Returns (class_members, class_of) with classes sorted by their smallest
+    'node.element' label.
+    """
+    cells = [(nid, e) for nid, poset in diagram.nodes.items() for e in poset.elements]
+    links = (
+        ((src, x), (dst, y))
+        for _, src, dst, f in diagram.edges
+        for x, y in zip(f.source.elements, f.values)
+    )
+    members = sorted(
+        (sorted(g, key=lambda t: f"{t[0]}.{t[1]}") for g in partition_reference(cells, links)),
+        key=lambda g: f"{g[0][0]}.{g[0][1]}",
+    )
+    class_of = {key: c for c, group in enumerate(members) for key in group}
+    return members, class_of
+
+
+def class_relation_reference(diagram, class_of):
+    """Distinct class pairs (c1, c2) induced by some node relation x <= y."""
+    pairs = set()
+    for nid, poset in diagram.nodes.items():
+        for i, j in poset.leq_pairs:
+            c1 = class_of[(nid, poset.elements[i])]
+            c2 = class_of[(nid, poset.elements[j])]
+            if c1 != c2:
+                pairs.add((c1, c2))
+    return sorted(pairs)
+
+
+def colimit_reference(diagram):
+    """The apex elements, up-rows and leg values that `colimit_pos` built on
+    the reference stage one."""
+    members, class_of = set_colimit_classes_reference(diagram)
+    rows = [0] * len(members)
+    for i, j in class_relation_reference(diagram, class_of):
+        rows[i] |= 1 << j
+    closed = _kernels.transitive_closure(rows)
+    named = []
+    for comp in _kernels.condense(closed):
+        node, element = min(cell for c in comp for cell in members[c])
+        named.append((f"{node}.{element}", comp))
+    named.sort()
+    name_of = {}
+    for name, comp in named:
+        name_of.update(dict.fromkeys(comp, name))
+    up = _kernels.meet_rows([closed], [comp[0] for _, comp in named])
+    legs = {
+        nid: tuple(name_of[class_of[(nid, e)]] for e in poset.elements)
+        for nid, poset in diagram.nodes.items()
+    }
+    return tuple(name for name, _ in named), tuple(up), legs
+
+
+def shared_label_diagram():
+    """Two classes whose first members share the label a.b.c: z.0 ~ (a, b.c)
+    and (a.b, c) ~ a.z, with b.c <= z in node a.  Classes tie on that label
+    and then come in the order of their earliest cells, so the class of z.0
+    (cell 0) is first, though its a.b.c cell (2) follows the other's (1)."""
+    point, c = make_poset(["0"], []), make_poset(["c"], [])
+    a = make_poset(["b.c", "z"], [("b.c", "z")])
+    return PosetDiagram(
+        nodes={"z": point, "a.b": c, "a": a},
+        edges=[
+            ("f", "z", "a", MonotoneMap(point, a, ("b.c",))),
+            ("g", "a.b", "a", MonotoneMap(c, a, ("z",))),
+        ],
+    )
+
+
+def shared_label_class_diagram():
+    """One class whose two members share the label a.b.c: members tie on it
+    and then come in cell order, (a.b, c) before (a, b.c)."""
+    c, bc = make_poset(["c"], []), make_poset(["b.c"], [])
+    return PosetDiagram(
+        nodes={"a.b": c, "a": bc}, edges=[("f", "a", "a.b", MonotoneMap(bc, c, ("c",)))]
+    )
+
+
+def stage_one_inputs():
+    rng = random.Random(20261022)
+    for _ in range(300):
+        yield random_diagram(rng)
+    for functor in (inclusion_functor(), product_functor(ordinal_poset(1))):
+        for p in all_posets(4):
+            yield comma_diagram(functor, p, p.height)
+    yield shared_label_diagram()
+    yield shared_label_class_diagram()
+
+
+def test_stage_one_matches_the_tuple_keyed_reference():
+    # the same members, class order and class relation as the tuple-keyed
+    # union-find, and the same colimit built on them
+    for diagram in stage_one_inputs():
+        _, cells, labels, class_of, members, rows = colimits._stage_one(diagram)
+        want_members, want_class_of = set_colimit_classes_reference(diagram)
+        assert [[cells[c] for c in group] for group in members] == want_members
+        assert dict(zip(cells, class_of)) == want_class_of
+        assert labels == [f"{nid}.{e}" for nid, e in cells]
+        pairs = [(c, d) for c, row in enumerate(rows) for d in _kernels.set_bits(row) if c != d]
+        assert pairs == class_relation_reference(diagram, want_class_of)
+        cocone = colimit_pos(diagram)
+        legs = {nid: leg.values for nid, leg in cocone.legs.items()}
+        assert (cocone.apex.elements, cocone.apex.up_rows, legs) == colimit_reference(diagram)
+
+
+def test_a_shared_label_orders_classes_by_their_earliest_cells():
+    diagram = shared_label_diagram()
+    members = colimits._stage_one(diagram)[4]
+    assert members == [[2, 0], [1, 3]]
+    assert colimits._stage_one(shared_label_class_diagram())[4] == [[0, 1]]
+    # the collapse of the two-element colimit fails first on the class of
+    # z.0, walked first as slot 0
+    cocone = colimit_pos(diagram)
+    point = FinPoset(("p",), (1,))
+    legs = {
+        nid: MonotoneMap(leg.source, point, ("p",) * leg.source.n) for nid, leg in cocone.legs.items()
+    }
+    report = verify_universal(diagram, Cocone(diagram, point, legs), 3)
+    assert report.witness == "cocone into P2.1 assigns 0 to [a.b.c, z.0] but admits no mediating map"
 
 
 def test_single_node_diagram_is_identity():

@@ -49,6 +49,16 @@ def test_make_poset_closure():
     assert p.leq("a", "a")
 
 
+def test_equality_ignores_names_and_compares_values():
+    p = v_poset()
+    renamed = FinPoset(p.elements, p.up_rows, name="other")
+    assert p == p and p == renamed and hash(p) == hash(renamed)
+    assert p != FinPoset(p.elements, [1 << i for i in range(p.n)])
+    f = MonotoneMap.identity(p)
+    assert f == f and f == MonotoneMap(renamed, renamed, p.elements)
+    assert f != MonotoneMap(p, p, ("c", "c", "c"))
+
+
 def test_make_poset_antichain():
     p = make_poset(["a", "b"], [])
     assert not p.leq("a", "b") and not p.leq("b", "a")
