@@ -107,12 +107,12 @@ def _stage_one(diagram):
     every edge f, in one integer index space.  Element i of node nid is the
     cell offset[nid] + i, and each edge map's target indices link its cells.
 
-    Returns (offset, cells, labels, class_of, members, rows): the (node,
-    element) pair and the 'node.element' label of each cell, each cell's
-    class, each class's cells, and the class relation as row bitmasks, with
-    bit d of row c set when some node orders a cell of c below one of d.
-    Members are sorted by label, ties in cell order; classes by their first
-    member's label, ties in the order of their earliest cells, the roots.
+    Returns (offset, cells, class_of, members, rows): the (node, element)
+    pair of each cell, each cell's class, each class's cells, and the class
+    relation as row bitmasks, with bit d of row c set when some node orders
+    a cell of c below one of d.  Members are sorted by their 'node.element'
+    labels, ties in cell order; classes by their first member's label, ties
+    in the order of their earliest cells, the roots.
     """
     offset = {}
     cells = []
@@ -138,7 +138,7 @@ def _stage_one(diagram):
         at = class_of[offset[nid] : offset[nid] + poset.n]
         for i, j in poset.leq_pairs:
             rows[at[i]] |= 1 << at[j]
-    return offset, cells, labels, class_of, members, rows
+    return offset, cells, class_of, members, rows
 
 
 def colimit_pos(diagram) -> Cocone:
@@ -155,7 +155,7 @@ def colimit_pos(diagram) -> Cocone:
     raise ColimitError.  Each leg sends its node's cells through their
     classes to their components' names.
     """
-    offset, cells, _, class_of, members, rows = _stage_one(diagram)
+    offset, cells, class_of, members, rows = _stage_one(diagram)
     closed = _kernels.transitive_closure(rows)
     named = []
     for comp in _kernels.condense(closed):
@@ -312,7 +312,7 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     if not candidate.commutes():
         raise ColimitError("invalid-cocone: candidate legs do not commute")
 
-    offset, _, cell_labels, class_of, members, rows = _stage_one(diagram)
+    offset, cells, class_of, members, rows = _stage_one(diagram)
     n = len(members)
     node_pairs = [(c, d) for c, row in enumerate(rows) for d in _kernels.set_bits(row & ~(1 << c))]
 
@@ -339,7 +339,7 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
         if False in exists:  # name the first failing target's first failing component
             target = all_posets(apex_size_bound)[exists.index(False)]
             report.witness = _describe_witness(
-                node_pairs, class_to_apex, apex, target, members, cell_labels
+                node_pairs, class_to_apex, apex, target, members, cells
             )
         # the legs are jointly epic, so a mediating map is unique when it exists
         report.entries = list(map(ApexVerdict, labels, sizes, cocones, exists, [True] * len(union)))
@@ -379,11 +379,12 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
             if count > 1:
                 unique_ok = False
             if count != 1 and not report.witness:
-                cells = ", ".join(
-                    f"{cell_labels[group[0]]}->{target.elements[v]}" for group, v in zip(members, h)
+                sent = ", ".join(
+                    "{}.{}->{}".format(*cells[group[0]], target.elements[v])
+                    for group, v in zip(members, h)
                 )
                 report.witness = (
-                    f"cocone into {label} sending {cells} admits "
+                    f"cocone into {label} sending {sent} admits "
                     + ("no mediating map" if count == 0 else "more than one mediating map")
                 )
         report.entries.append(ApexVerdict(label, size, len(assignments), exist_ok, unique_ok))
@@ -434,9 +435,9 @@ def _label(poset):
     return poset.name or f"poset<{poset.n}:{sum(r.bit_count() for r in poset.up_rows)}>"
 
 
-def _describe_witness(node_pairs, class_to_apex, apex, target, members, labels):
+def _describe_witness(node_pairs, class_to_apex, apex, target, members, cells):
     """The first cocone into `target` that admits no mediating map, named by
-    the labels of one class's cells.  The good pairs are the node pairs,
+    the cells of one class.  The good pairs are the node pairs,
     then each identification as a pair each way in slot order, then the
     apex order through the first slot of each apex element.  Their
     components, found by `_roots`, are walked in the order of their least
@@ -465,10 +466,10 @@ def _describe_witness(node_pairs, class_to_apex, apex, target, members, labels):
                     # an identification is a pair each way: name its first
                     # slot whichever way it breaks
                     k = min(i, j) if (j, i) in good else i
-                    cells = ", ".join(labels[c] for c in members[comp[k]])
+                    named = ", ".join("{}.{}".format(*cells[c]) for c in members[comp[k]])
                     return (
                         f"cocone into {_label(target)} assigns {target.elements[h[k]]} to "
-                        f"[{cells}] but admits no mediating map"
+                        f"[{named}] but admits no mediating map"
                     )
     return "mediating map missing or ambiguous"
 

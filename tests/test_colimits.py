@@ -245,11 +245,10 @@ def test_stage_one_matches_the_tuple_keyed_reference():
     # the same members, class order and class relation as the tuple-keyed
     # union-find, and the same colimit built on them
     for diagram in stage_one_inputs():
-        _, cells, labels, class_of, members, rows = colimits._stage_one(diagram)
+        _, cells, class_of, members, rows = colimits._stage_one(diagram)
         want_members, want_class_of = set_colimit_classes_reference(diagram)
         assert [[cells[c] for c in group] for group in members] == want_members
         assert dict(zip(cells, class_of)) == want_class_of
-        assert labels == [f"{nid}.{e}" for nid, e in cells]
         pairs = [(c, d) for c, row in enumerate(rows) for d in _kernels.set_bits(row) if c != d]
         assert pairs == class_relation_reference(diagram, want_class_of)
         cocone = colimit_pos(diagram)
@@ -259,9 +258,8 @@ def test_stage_one_matches_the_tuple_keyed_reference():
 
 def test_a_shared_label_orders_classes_by_their_earliest_cells():
     diagram = shared_label_diagram()
-    members = colimits._stage_one(diagram)[4]
-    assert members == [[2, 0], [1, 3]]
-    assert colimits._stage_one(shared_label_class_diagram())[4] == [[0, 1]]
+    assert colimits._stage_one(diagram)[3] == [[2, 0], [1, 3]]
+    assert colimits._stage_one(shared_label_class_diagram())[3] == [[0, 1]]
     # the collapse of the two-element colimit fails first on the class of
     # z.0, walked first as slot 0
     cocone = colimit_pos(diagram)
