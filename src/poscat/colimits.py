@@ -102,34 +102,39 @@ def _roots(n, links):
     return parent
 
 
+def _labels(diagram):
+    """The 'node.element' label of each cell, in cell order."""
+    return [f"{nid}.{e}" for nid, poset in diagram.nodes.items() for e in poset.elements]
+
+
 def _stage_one(diagram):
     """Stage one: the disjoint union of the carriers modulo x ~ f(x) for
     every edge f, in one integer index space.  Element i of node nid is the
     cell offset[nid] + i, and each edge map's target indices link its cells.
 
-    Returns (offset, cells, class_of, members, rows): the (node, element)
-    pair of each cell, each cell's class, each class's cells, and the class
-    relation as row bitmasks, with bit d of row c set when some node orders
-    a cell of c below one of d.  Members are sorted by their 'node.element'
-    labels, ties in cell order; classes by their first member's label, ties
-    in the order of their earliest cells, the roots.
+    Returns (offset, class_of, members, rows): each cell's class, each
+    class's cells, and the class relation as row bitmasks, with bit d of row
+    c set when some node orders a cell of c below one of d.  Members are
+    sorted by label, ties in cell order; classes by their first member's
+    label, ties in the order of their earliest cells, the roots.  The labels
+    are dropped on return.
     """
     offset = {}
-    cells = []
+    n = 0
     for nid, poset in diagram.nodes.items():
-        offset[nid] = len(cells)
-        cells += [(nid, e) for e in poset.elements]
-    labels = [f"{nid}.{e}" for nid, e in cells]
+        offset[nid] = n
+        n += poset.n
+    labels = _labels(diagram)
     links = itertools.chain.from_iterable(
         zip(itertools.count(offset[src]), map(offset[dst].__add__, f.target_indices))
         for _, src, dst, f in diagram.edges
     )
-    root = _roots(len(cells), links)
+    root = _roots(n, links)
     groups = {}
-    for c in sorted(range(len(cells)), key=labels.__getitem__):
+    for c in sorted(range(n), key=labels.__getitem__):
         groups.setdefault(root[c], []).append(c)
     members = sorted(groups.values(), key=lambda g: (labels[g[0]], root[g[0]]))
-    class_of = [0] * len(cells)
+    class_of = [0] * n
     for k, group in enumerate(members):
         for c in group:
             class_of[c] = k
@@ -138,7 +143,7 @@ def _stage_one(diagram):
         at = class_of[offset[nid] : offset[nid] + poset.n]
         for i, j in poset.leq_pairs:
             rows[at[i]] |= 1 << at[j]
-    return offset, cells, class_of, members, rows
+    return offset, class_of, members, rows
 
 
 def colimit_pos(diagram) -> Cocone:
@@ -151,17 +156,25 @@ def colimit_pos(diagram) -> Cocone:
     closed once: two classes share a strongly connected component when each
     reaches the other, and component a <= b when a's first class reaches
     b's.  A component is named 'node.element' after its least (node,
-    element) cell in tuple order; two components that would share a name
-    raise ColimitError.  Each leg sends its node's cells through their
-    classes to their components' names.
+    element) cell in tuple order, found by walking the nodes in id order;
+    two components that would share a name raise ColimitError.  Each leg
+    sends its node's cells through their classes to their components' names.
     """
-    offset, cells, class_of, members, rows = _stage_one(diagram)
+    offset, class_of, members, rows = _stage_one(diagram)
     closed = _kernels.transitive_closure(rows)
-    named = []
-    for comp in _kernels.condense(closed):
-        cell = min(cells[x] for c in comp for x in members[c])
-        named.append((f"{cell[0]}.{cell[1]}", cell, comp))
-    named.sort()
+    comps = _kernels.condense(closed)
+    comp_of = [0] * len(members)
+    for k, comp in enumerate(comps):
+        for c in comp:
+            comp_of[c] = k
+    least = [None] * len(comps)
+    for nid in sorted(offset):
+        elements = diagram.nodes[nid].elements
+        for e, c in zip(elements, class_of[offset[nid] : offset[nid] + len(elements)]):
+            cell = least[comp_of[c]]
+            if cell is None or cell[0] == nid and e < cell[1]:
+                least[comp_of[c]] = (nid, e)
+    named = sorted((f"{nid}.{e}", (nid, e), comp) for (nid, e), comp in zip(least, comps))
     for (name, a, _), (other, b, _) in zip(named, named[1:]):
         if name == other:
             raise ColimitError(
@@ -312,7 +325,7 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
     if not candidate.commutes():
         raise ColimitError("invalid-cocone: candidate legs do not commute")
 
-    offset, cells, class_of, members, rows = _stage_one(diagram)
+    offset, class_of, members, rows = _stage_one(diagram)
     n = len(members)
     node_pairs = [(c, d) for c, row in enumerate(rows) for d in _kernels.set_bits(row & ~(1 << c))]
 
@@ -339,7 +352,7 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
         if False in exists:  # name the first failing target's first failing component
             target = all_posets(apex_size_bound)[exists.index(False)]
             report.witness = _describe_witness(
-                node_pairs, class_to_apex, apex, target, members, cells
+                node_pairs, class_to_apex, apex, target, members, _labels(diagram)
             )
         # the legs are jointly epic, so a mediating map is unique when it exists
         report.entries = list(map(ApexVerdict, labels, sizes, cocones, exists, [True] * len(union)))
@@ -379,9 +392,9 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
             if count > 1:
                 unique_ok = False
             if count != 1 and not report.witness:
+                cell_labels = _labels(diagram)
                 sent = ", ".join(
-                    "{}.{}->{}".format(*cells[group[0]], target.elements[v])
-                    for group, v in zip(members, h)
+                    f"{cell_labels[group[0]]}->{target.elements[v]}" for group, v in zip(members, h)
                 )
                 report.witness = (
                     f"cocone into {label} sending {sent} admits "
@@ -435,9 +448,9 @@ def _label(poset):
     return poset.name or f"poset<{poset.n}:{sum(r.bit_count() for r in poset.up_rows)}>"
 
 
-def _describe_witness(node_pairs, class_to_apex, apex, target, members, cells):
+def _describe_witness(node_pairs, class_to_apex, apex, target, members, labels):
     """The first cocone into `target` that admits no mediating map, named by
-    the cells of one class.  The good pairs are the node pairs,
+    the labels of one class's cells.  The good pairs are the node pairs,
     then each identification as a pair each way in slot order, then the
     apex order through the first slot of each apex element.  Their
     components, found by `_roots`, are walked in the order of their least
@@ -466,10 +479,10 @@ def _describe_witness(node_pairs, class_to_apex, apex, target, members, cells):
                     # an identification is a pair each way: name its first
                     # slot whichever way it breaks
                     k = min(i, j) if (j, i) in good else i
-                    named = ", ".join("{}.{}".format(*cells[c]) for c in members[comp[k]])
+                    cells = ", ".join(labels[c] for c in members[comp[k]])
                     return (
                         f"cocone into {_label(target)} assigns {target.elements[h[k]]} to "
-                        f"[{named}] but admits no mediating map"
+                        f"[{cells}] but admits no mediating map"
                     )
     return "mediating map missing or ambiguous"
 

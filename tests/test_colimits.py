@@ -110,6 +110,21 @@ def test_component_names_take_the_least_cell_in_tuple_order():
         "a,b": ("a.1", "a,b.1"),
         "b": ("a.1",),
     }
+    # within the least node, the least element by name, not by index
+    assert colimit_pos(unsorted_node_diagram()).apex.elements == ("P.a",)
+
+
+def unsorted_node_diagram():
+    """A point glued to both elements of P, whose index order b, a is not
+    its name order."""
+    p, point = FinPoset(("b", "a"), (1, 2)), ordinal_poset(0)
+    return PosetDiagram(
+        nodes={"P": p, "pt": point},
+        edges=[
+            ("f", "pt", "P", MonotoneMap(point, p, ("b",))),
+            ("g", "pt", "P", MonotoneMap(point, p, ("a",))),
+        ],
+    )
 
 
 def test_clashing_component_names_raise_a_colimit_error():
@@ -239,13 +254,15 @@ def stage_one_inputs():
             yield comma_diagram(functor, p, p.height)
     yield shared_label_diagram()
     yield shared_label_class_diagram()
+    yield unsorted_node_diagram()
 
 
 def test_stage_one_matches_the_tuple_keyed_reference():
     # the same members, class order and class relation as the tuple-keyed
     # union-find, and the same colimit built on them
     for diagram in stage_one_inputs():
-        _, cells, class_of, members, rows = colimits._stage_one(diagram)
+        _, class_of, members, rows = colimits._stage_one(diagram)
+        cells = [(nid, e) for nid, poset in diagram.nodes.items() for e in poset.elements]
         want_members, want_class_of = set_colimit_classes_reference(diagram)
         assert [[cells[c] for c in group] for group in members] == want_members
         assert dict(zip(cells, class_of)) == want_class_of
@@ -258,8 +275,8 @@ def test_stage_one_matches_the_tuple_keyed_reference():
 
 def test_a_shared_label_orders_classes_by_their_earliest_cells():
     diagram = shared_label_diagram()
-    assert colimits._stage_one(diagram)[3] == [[2, 0], [1, 3]]
-    assert colimits._stage_one(shared_label_class_diagram())[3] == [[0, 1]]
+    assert colimits._stage_one(diagram)[2] == [[2, 0], [1, 3]]
+    assert colimits._stage_one(shared_label_class_diagram())[2] == [[0, 1]]
     # the collapse of the two-element colimit fails first on the class of
     # z.0, walked first as slot 0
     cocone = colimit_pos(diagram)
