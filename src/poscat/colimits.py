@@ -117,7 +117,8 @@ def _stage_one(diagram):
     c set when some node orders a cell of c below one of d.  Members are
     sorted by label, ties in cell order; classes by their first member's
     label, ties in the order of their earliest cells, the roots.  The labels
-    are dropped on return.
+    serve the sort only and are dropped on return; `_labels` builds them
+    again for a witness.
     """
     offset = {}
     n = 0
@@ -393,11 +394,11 @@ def verify_universal(diagram, candidate: Cocone, apex_size_bound: int) -> Univer
                 unique_ok = False
             if count != 1 and not report.witness:
                 cell_labels = _labels(diagram)
-                sent = ", ".join(
+                cells = ", ".join(
                     f"{cell_labels[group[0]]}->{target.elements[v]}" for group, v in zip(members, h)
                 )
                 report.witness = (
-                    f"cocone into {label} sending {sent} admits "
+                    f"cocone into {label} sending {cells} admits "
                     + ("no mediating map" if count == 0 else "more than one mediating map")
                 )
         report.entries.append(ApexVerdict(label, size, len(assignments), exist_ok, unique_ok))
