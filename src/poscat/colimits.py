@@ -112,13 +112,13 @@ def _stage_one(diagram):
     every edge f, in one integer index space.  Element i of node nid is the
     cell offset[nid] + i, and each edge map's target indices link its cells.
 
-    Returns (offset, class_of, members, rows): each cell's class, each
-    class's cells, and the class relation as row bitmasks, with bit d of row
-    c set when some node orders a cell of c below one of d.  Members are
-    sorted by label, ties in cell order; classes by their first member's
-    label, ties in the order of their earliest cells, the roots.  The labels
-    serve the sort only and are dropped on return; `_labels` builds them
-    again for a witness.
+    Returns (offset, class_of, members, rows): each node's first cell, each
+    cell's class, each class's cells, and the class relation as row
+    bitmasks, with bit d of row c set when some node orders a cell of c
+    below one of d.  Members are sorted by label, ties in cell order;
+    classes by their first member's label, ties in the order of their
+    earliest cells, the roots.  The labels serve the sort only and are
+    dropped on return; `_labels` builds them again for a witness.
     """
     offset = {}
     n = 0
